@@ -19,7 +19,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .exactfield import FieldDesc, Scalar, is_square, sqrt_exact
-from .linalg import Mat, kron
+from .linalg import Mat, berkowitz_det, independent_subset, kron
 from .quadforms import QuadSpace, find_isotropic
 from .towers import QuadTower
 
@@ -243,7 +243,7 @@ class QuatAlg:
         self.ring = ring
         self.alpha = ring(alpha)
         self.beta = ring(beta)
-        if _ring_is_zero(self.alpha) or _ring_is_zero(self.beta):
+        if self.alpha.is_zero() or self.beta.is_zero():
             raise ValueError("quaternion symbol entries must be nonzero")
         a, b = self.alpha, self.beta
         ab = a * b
@@ -366,12 +366,12 @@ class QuatElem:
         out = [zero, zero, zero, zero]
         for s in range(4):
             a = self.c[s]
-            if _ring_is_zero(a):
+            if a.is_zero():
                 continue
             row = tab[s]
             for u in range(4):
                 b = other.c[u]
-                if _ring_is_zero(b):
+                if b.is_zero():
                     continue
                 w, f = row[u]
                 out[w] = out[w] + a * b * f
@@ -402,15 +402,15 @@ class QuatElem:
 
     def inverse(self) -> "QuatElem":
         n = self.norm()
-        if _ring_is_zero(n):
+        if n.is_zero():
             raise NonInvertible("quaternion of norm zero")
-        return self.bar().scale(_ring_inverse(self.algebra.ring, n))
+        return self.bar().scale(n.inverse())
 
     def is_zero(self) -> bool:
-        return all(_ring_is_zero(a) for a in self.c)
+        return all(a.is_zero() for a in self.c)
 
     def is_traceless(self) -> bool:
-        return _ring_is_zero(self.c[0])
+        return self.c[0].is_zero()
 
     def traceless_coords(self):
         return self.c[1:]
@@ -429,48 +429,8 @@ class QuatElem:
 
     def __repr__(self):
         terms = ["%s%s" % ("" if n == "1" else "(", "%s)%s" % (c, n) if n != "1" else c)
-                 for c, n in zip(self.c, _BASIS_NAMES) if not _ring_is_zero(c)]
+                 for c, n in zip(self.c, _BASIS_NAMES) if not c.is_zero()]
         return " + ".join(str(t) for t in terms) if terms else "0"
-
-
-def _ring_is_zero(x) -> bool:
-    return x.is_zero()
-
-
-def _int_solve(p: int, rows, rhs):
-    """Solve an integer linear system mod p; None when inconsistent."""
-    n = len(rows)
-    m = len(rows[0])
-    a = [rows[i][:] + [rhs[i] % p] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                ar = a[r]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], ar)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] % p:
-            return None
-    x = [0] * m
-    for i, c in enumerate(pivots):
-        x[c] = a[i][m]
-    return x
-
-
-def _ring_inverse(ring, x):
-    return x.inverse()
 
 
 def traceless(b: QuatAlg, coords) -> QuatElem:
@@ -518,17 +478,9 @@ class SplitIso:
         field = b.ring
         u = quat_zero_divisor(b, budget=budget)
         # 2-dimensional left ideal B*u, as a column space over F
-        cands = [x * u for x in b.basis()]
-        rows = []
-        basis = []
-        for w in cands:
-            if Mat(field, rows + [w.c]).rank() == len(rows) + 1:
-                rows.append(list(w.c))
-                basis.append(w)
-            if len(basis) == 2:
-                break
-        self.ideal_basis = basis
-        self._solve_mat = Mat(field, [[basis[j].c[i] for j in range(2)]
+        ideal = independent_subset(field, [(x * u).c for x in b.basis()], 2)
+        self.ideal_basis = [QuatElem(b, c) for c in ideal]
+        self._solve_mat = Mat(field, [[ideal[j][i] for j in range(2)]
                                       for i in range(4)])
 
     def matrix(self, x: QuatElem) -> Mat:
@@ -587,7 +539,7 @@ class SplitEmbedding:
         return m.map(lambda e: e.conj())
 
     def norm_det(self, x: QuatElem) -> Scalar:
-        d = self.matrix(x).det()
+        d = berkowitz_det(self.matrix(x))
         if not d.is_scalar():
             raise NotASplittingField("determinant not rational (internal error)")
         return d.coords()[0] if self.K.is_split else d.x
@@ -793,15 +745,15 @@ class BiquatElem:
         return BiquatElem(self.algebra, out)
 
     def plus_part(self) -> "BiquatElem":
-        half = _ring_inverse(self.algebra.ring, self.algebra.ring(2))
+        half = self.algebra.ring(2).inverse()
         return (self + self.bar()).scale(half)
 
     def minus_part(self) -> "BiquatElem":
-        half = _ring_inverse(self.algebra.ring, self.algebra.ring(2))
+        half = self.algebra.ring(2).inverse()
         return (self - self.bar()).scale(half)
 
     def in_minus_space(self) -> bool:
-        return all(_ring_is_zero(self.c[4 * s + t])
+        return all(self.c[4 * s + t].is_zero()
                    for s in range(4) for t in range(4)
                    if _BAR_SIGNS[s] * _BAR_SIGNS[t] == 1)
 
@@ -813,10 +765,10 @@ class BiquatElem:
         return AminusVector(self.algebra, x, y)
 
     def is_zero(self) -> bool:
-        return all(_ring_is_zero(a) for a in self.c)
+        return all(a.is_zero() for a in self.c)
 
     def is_scalar(self) -> bool:
-        return all(_ring_is_zero(a) for a in self.c[1:])
+        return all(a.is_zero() for a in self.c[1:])
 
     def scalar_part(self):
         return self.c[0]
@@ -825,25 +777,23 @@ class BiquatElem:
         return BiquatElem(algebra or self.algebra, [f(a) for a in self.c])
 
     def mult_matrix(self) -> Mat:
-        """Left multiplication as a 16x16 matrix over the base ring."""
-        cols = []
-        alg = self.algebra
-        for idx in range(16):
-            coords = [alg.ring.zero()] * 16
-            coords[idx] = alg.ring.one()
-            cols.append((self * BiquatElem(alg, coords)).c)
-        return Mat(alg.ring, [[cols[j][i] for j in range(16)] for i in range(16)])
+        """Left multiplication as a 16x16 matrix over the coefficient ring."""
+        cols = self._left_mult_columns()
+        return Mat(self.algebra.ring, [[cols[j][i] for j in range(16)]
+                                       for i in range(16)])
 
     def inverse(self) -> "BiquatElem":
-        ring = self.algebra.ring
-        if isinstance(ring, FieldDesc) and ring.p is not None:
-            return self._inverse_prime()
-        if isinstance(ring, EtaleQuad) and ring.field.p is not None:
-            return self._inverse_etale_prime()
-        one = [ring(1 if i == 0 else 0) for i in range(16)]
-        sol = self.mult_matrix().solve(one)
+        m = self.mult_matrix()
+        one = self.algebra.one().c
+        e = self.algebra.ring
+        if isinstance(e, EtaleQuad):
+            m = _restrict_scalars(m)
+            one = [v for z in one for v in (z.x, z.y)]
+        sol = m.solve(one)
         if sol is None:
             raise NonInvertible("bi-quaternion element is singular")
+        if isinstance(e, EtaleQuad):
+            sol = [EQElem(e, sol[k], sol[k + 1]) for k in range(0, 32, 2)]
         # x * self = 1 was solved as self * x = 1; two-sided in a CSA
         return BiquatElem(self.algebra, sol)
 
@@ -863,49 +813,6 @@ class BiquatElem:
             cols.append(col)
         return cols
 
-    def _inverse_prime(self) -> "BiquatElem":
-        field = self.algebra.ring
-        p = field.p
-        cols = self._left_mult_columns()
-        rows = [[cols[j][i].value for j in range(16)] for i in range(16)]
-        rhs = [1] + [0] * 15
-        sol = _int_solve(p, rows, rhs)
-        if sol is None:
-            raise NonInvertible("bi-quaternion element is singular")
-        return BiquatElem(self.algebra, [Scalar(field, v) for v in sol])
-
-    def _inverse_etale_prime(self) -> "BiquatElem":
-        e = self.algebra.ring
-        field = e.field
-        p = field.p
-        d = e.d.value
-        split = e.is_split
-        cols = self._left_mult_columns()
-        n = 32
-        rows = [[0] * n for _ in range(n)]
-        for i in range(16):
-            for j in range(16):
-                z = cols[j][i]
-                zx, zy = z.x.value, z.y.value
-                if zx == 0 and zy == 0:
-                    continue
-                if split:
-                    rows[2 * i][2 * j] = zx
-                    rows[2 * i + 1][2 * j + 1] = zy
-                else:
-                    rows[2 * i][2 * j] = zx
-                    rows[2 * i][2 * j + 1] = d * zy % p
-                    rows[2 * i + 1][2 * j] = zy
-                    rows[2 * i + 1][2 * j + 1] = zx
-        rhs = [0] * n
-        rhs[0] = 1
-        sol = _int_solve(p, rows, rhs)
-        if sol is None:
-            raise NonInvertible("bi-quaternion element is singular")
-        out = [EQElem(e, Scalar(field, sol[2 * k]), Scalar(field, sol[2 * k + 1]))
-               for k in range(16)]
-        return BiquatElem(self.algebra, out)
-
     def reduced_norm(self):
         return reduced_norm_A(self)
 
@@ -924,8 +831,29 @@ class BiquatElem:
             for t in range(4):
                 bs, ct = _BASIS_NAMES[s], _BASIS_NAMES[t]
                 names.append("%s(x)%s" % (bs, ct))
-        terms = ["(%s)%s" % (c, n) for c, n in zip(self.c, names) if not _ring_is_zero(c)]
+        terms = ["(%s)%s" % (c, n) for c, n in zip(self.c, names) if not c.is_zero()]
         return " + ".join(terms) if terms else "0"
+
+
+def _restrict_scalars(m: Mat) -> Mat:
+    """A matrix over E as a matrix over F on (x, y) coordinates.
+
+    x + y sqrt(d) acts as ((x, d y), (y, x)); the split (x, y) as diag(x, y).
+    """
+    e = m.ring
+    zero = e.field.zero()
+    rows = []
+    for row in m.rows:
+        top, bottom = [], []
+        for z in row:
+            if e.is_split:
+                top += (z.x, zero)
+                bottom += (zero, z.y)
+            else:
+                top += (z.x, e.d * z.y)
+                bottom += (z.y, z.x)
+        rows += (top, bottom)
+    return Mat(e.field, rows)
 
 
 class AminusVector:
@@ -1002,12 +930,8 @@ def albert_norm(u: AminusVector):
 
 def albert_pair(u: AminusVector, v: AminusVector):
     """2<u,v> = |u+v|^2 - |u|^2 - |v|^2, halved."""
-    two_inv = _ring_inverse(u.algebra.ring, u.algebra.ring(2))
+    two_inv = u.algebra.ring(2).inverse()
     return (albert_norm(u + v) - albert_norm(u) - albert_norm(v)) * two_inv
-
-
-def aminus_from_biquat(z: BiquatElem) -> AminusVector:
-    return z.to_aminus()
 
 
 # ---------------------------------------------------------------------------
@@ -1086,7 +1010,6 @@ def biquat_to_mat4(x: BiquatElem, tower: Optional[QuadTower] = None) -> Tuple[Ma
 
 def reduced_norm_A_oracle(x: BiquatElem) -> Scalar:
     """Independent reduced norm: 4x4 determinant after full splitting."""
-    from .linalg import berkowitz_det
     m, _tower = biquat_to_mat4(x)
     d = berkowitz_det(m)
     if not d.is_scalar():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -88,16 +87,15 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     config = RunConfig.from_args(args.field, args.seed, args.trials, args.budget)
-    threads = int(os.environ.get("ISOGENY_KIT_THREADS", "1"))
     if args.suite == "all":
-        results = run_all(config, threads=threads)
+        results = run_all(config)
     else:
         names = [s.strip() for s in args.suite.split(",")]
         for n in names:
             if n not in SUITES:
                 raise UnknownSuite("unknown suite %r (known: %s)"
                                    % (n, ", ".join(sorted(SUITES))))
-        results = run_all(config, names=names, threads=threads)
+        results = run_all(config, names=names)
     lines = []
     all_pass = True
     for res in results:

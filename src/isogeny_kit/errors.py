@@ -65,10 +65,6 @@ class NotASplittingField(IsogenyKitError):
     pass
 
 
-class NotSplit(IsogenyKitError):
-    pass
-
-
 class NotFullySplit(IsogenyKitError):
     pass
 

@@ -1,13 +1,18 @@
 """Small dense exact matrices over any of the package's rings.
 
-Entries are duck-typed: anything supporting +, -, *, unary -, is_zero()
-and (for field entries) inverse().  Determinants over rings with zero
-divisors use the division-free Berkowitz algorithm.
+Entries are duck-typed: anything supporting +, -, * and unary -.  Every
+elimination (det, rank, solve, inverse, independent_subset) runs through
+one forward row reduction over F_p or Q on bare values: int residues or
+Fractions.  Determinants over any other ring, including those with zero
+divisors, use the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NonInvertible
+from fractions import Fraction
+
+from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
+from .exactfield import FieldDesc, Scalar
 
 
 class Mat:
@@ -103,99 +108,52 @@ class Mat:
     def map(self, f, ring=None):
         return Mat(ring or self.ring, [[f(e) for e in r] for r in self.rows])
 
-    def det(self):
-        """Determinant by fraction-free Gaussian elimination with pivoting.
+    def _values(self):
+        """Bare entry values (F_p residues or Fractions) and the prime."""
+        if not isinstance(self.ring, FieldDesc):
+            raise TypeError("row reduction runs over F_p or Q, not %r; "
+                            "use berkowitz_det" % (self.ring,))
+        return [[e.value for e in r] for r in self.rows], self.ring.p
 
-        Requires entry inverses; see berkowitz_det for general rings.
-        """
+    def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("det of non-square matrix")
-        n = self.nrows
-        a = [row[:] for row in self.rows]
-        det = self.ring.one()
-        for k in range(n):
-            piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                return self.ring.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det = det * a[k][k]
-            inv = a[k][k].inverse()
-            for i in range(k + 1, n):
-                if a[i][k].is_zero():
-                    continue
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-        return det
+        a, p = self._values()
+        return self.ring(row_reduce(a, self.ncols, p)[1])
 
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        a = [row[:] + Mat.identity(self.ring, n).rows[i] for i, row in enumerate(self.rows)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                raise NonInvertible("singular matrix")
-            a[k], a[piv] = a[piv], a[k]
-            inv = a[k][k].inverse()
-            a[k] = [e * inv for e in a[k]]
-            for i in range(n):
-                if i != k and not a[i][k].is_zero():
-                    f = a[i][k]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[k])]
-        return Mat(self.ring, [row[n:] for row in a])
+        a, p = self._values()
+        for i, row in enumerate(a):
+            row.extend(1 if j == i else 0 for j in range(n))
+        pivots, _ = row_reduce(a, n, p)
+        if len(pivots) < n:
+            raise NonInvertible("singular matrix")
+        cols = [back_substitute(a, pivots, n, n + j, p) for j in range(n)]
+        return Mat(self.ring, [[Scalar(self.ring, c[i]) for c in cols]
+                               for i in range(n)])
 
     def solve(self, rhs):
-        """Solve self * x = rhs (rhs a coordinate list); None if inconsistent."""
-        n, m = self.nrows, self.ncols
-        a = [self.rows[i][:] + [rhs[i]] for i in range(n)]
-        pivots = []
-        r = 0
-        for c in range(m):
-            piv = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = a[r][c].inverse()
-            a[r] = [e * inv for e in a[r]]
-            for i in range(n):
-                if i != r and not a[i][c].is_zero():
-                    f = a[i][c]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if not a[i][m].is_zero():
-                return None
-        x = [self.ring.zero()] * m
-        for i, c in enumerate(pivots):
-            x[c] = a[i][m]
-        return x
+        """Solve self * x = rhs (rhs a coordinate list); None if inconsistent.
+
+        Free variables are set to 0.
+        """
+        if len(rhs) != self.nrows:
+            raise DimensionMismatch("rhs length %d vs %d rows" % (len(rhs), self.nrows))
+        a, p = self._values()
+        for row, b in zip(a, rhs):
+            row.append(b.value)
+        pivots, _ = row_reduce(a, self.ncols, p)
+        if any(row[-1] for row in a[len(pivots):]):
+            return None
+        x = back_substitute(a, pivots, self.ncols, self.ncols, p)
+        return [Scalar(self.ring, v) for v in x]
 
     def rank(self):
-        n, m = self.nrows, self.ncols
-        a = [row[:] for row in self.rows]
-        r = 0
-        for c in range(m):
-            piv = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = a[r][c].inverse()
-            a[r] = [e * inv for e in a[r]]
-            for i in range(n):
-                if i != r and not a[i][c].is_zero():
-                    f = a[i][c]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[r])]
-            r += 1
-            if r == n:
-                break
-        return r
+        a, p = self._values()
+        return len(row_reduce(a, self.ncols, p)[0])
 
     def __repr__(self):
         return "Mat(%s)" % self.rows
@@ -246,12 +204,83 @@ def sum2(ring, it):
     return acc
 
 
-def kron(ring, a: Mat, b: Mat, mul=None) -> Mat:
-    """Kronecker product; `mul` multiplies an entry of a by an entry of b."""
-    mul = mul or (lambda x, y: x * y)
+def kron(ring, a: Mat, b: Mat) -> Mat:
+    """Kronecker product."""
     rows = []
     for i in range(a.nrows):
         for k in range(b.nrows):
-            rows.append([mul(a.rows[i][j], b.rows[k][l])
+            rows.append([a.rows[i][j] * b.rows[k][l]
                          for j in range(a.ncols) for l in range(b.ncols)])
     return Mat(ring, rows)
+
+
+def row_reduce(a, ncols: int, p=None):
+    """Forward elimination of the rows `a` in place, over F_p or Q.
+
+    Entries are bare values: int residues mod p, or Fractions when p is
+    None.  Pivots are sought in the first `ncols` columns, each the first
+    nonzero entry at or below the current row; eliminating a pivot updates
+    only the entries right of its column (columns past `ncols`, such as an
+    augmented right-hand side, included), so the entries below each pivot
+    are left stale rather than zeroed.  Returns (pivot columns, determinant
+    of the first `ncols` columns), the determinant being meaningful for a
+    square block only.
+    """
+    n = len(a)
+    pivots = []
+    det = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        top = a[r]
+        pv = top[c]
+        det = det * pv
+        inv = 1 / pv if p is None else pow(pv, -1, p)
+        support = [j for j in range(c + 1, len(top)) if top[j]]
+        for row in a[r + 1:]:
+            f = row[c]
+            if f:
+                if p is None:
+                    f = f * inv
+                    for j in support:
+                        row[j] = row[j] - f * top[j]
+                else:
+                    f = f * inv % p
+                    for j in support:
+                        row[j] = (row[j] - f * top[j]) % p
+        pivots.append(c)
+    return pivots, det if p is None else det % p
+
+
+def back_substitute(a, pivots, ncols: int, k: int, p=None):
+    """The solution of the system reduced by row_reduce whose right-hand
+    side is column k of `a`, with every free variable 0."""
+    x = [0 if p else Fraction(0)] * ncols
+    for i in range(len(pivots) - 1, -1, -1):
+        row = a[i]
+        acc = row[k]
+        for j in pivots[i + 1:]:
+            if x[j]:
+                acc = acc - row[j] * x[j]
+        c = pivots[i]
+        x[c] = acc * pow(row[c], -1, p) % p if p else acc / row[c]
+    return x
+
+
+def independent_subset(field: FieldDesc, vecs, k: int):
+    """The first k vectors of vecs that are independent of those before them.
+
+    Greedy in list order: the pivot columns of the matrix whose columns
+    are vecs.  Raises DegenerateSpace when vecs span fewer than k dims.
+    """
+    rows = [[v[i].value for v in vecs] for i in range(len(vecs[0]))] if vecs else []
+    pivots, _ = row_reduce(rows, len(vecs), field.p)
+    if len(pivots) < k:
+        raise DegenerateSpace("could not complete independent set")
+    return [vecs[c] for c in pivots[:k]]

@@ -21,7 +21,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .exactfield import FieldDesc, Scalar, SquareClass, sqrt_exact, square_class
-from .linalg import Mat
+from .linalg import Mat, independent_subset
 
 
 class QuadSpace:
@@ -160,7 +160,7 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
         for b in basis:
             w = _sub_vec(b, _scale_vec(space.pairing(b, v) / c, v))
             new_basis.append(w)
-        basis = _independent_subset(field, new_basis, len(basis) - 1)
+        basis = independent_subset(field, new_basis, len(basis) - 1)
     p = Mat(field, [[out_basis[j][i] for j in range(n)] for i in range(n)])
     space._diag_cache = (p, diag)
     return p, diag
@@ -180,22 +180,6 @@ def _add_vec(u, v):
 
 def _is_zero_vec(v):
     return all(x.is_zero() for x in v)
-
-
-def _independent_subset(field: FieldDesc, vecs, k: int):
-    """k linearly independent vectors from vecs (assumed to span >= k dims)."""
-    if k == 0:
-        return []
-    out = []
-    rows = []
-    for v in vecs:
-        cand = rows + [list(v)]
-        if Mat(field, cand).rank() == len(cand):
-            rows.append(list(v))
-            out.append(v)
-            if len(out) == k:
-                return out
-    raise DegenerateSpace("could not complete independent set")
 
 
 def _anisotropic_in_span(space: QuadSpace, basis):
@@ -331,7 +315,7 @@ def split_hyperbolic(space: QuadSpace, budget: int = 10):
         w = _sub_vec(b, _scale_vec(space.pairing(b, f), e))
         w = _sub_vec(w, _scale_vec(space.pairing(w, e), f))
         comp.append(w)
-    comp = _independent_subset(field, comp, space.dim - 2)
+    comp = independent_subset(field, comp, space.dim - 2)
     gram = Mat(field, [[space.pairing(u, v) for v in comp] for u in comp])
     sub = QuadSpace(field, gram) if comp else None
     return e, f, sub, comp

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import EtaleQuad
 from .errors import BudgetExceeded
 from .exactfield import FieldDesc, Scalar, SquareClass, square_class
-from .linalg import Mat
+from .linalg import Mat, independent_subset, row_reduce
 from .quadforms import (
     Isometry,
     QuadSpace,
@@ -93,18 +93,11 @@ def _match_diagonal(b: QuadSpace, diag_a: List[int]) -> Optional[List[List[Scala
         # orthogonal complement of found inside current
         nrm = current.vnorm(found)
         comp = []
-        rows = []
         for i in range(current.dim):
             e = current.basis_vector(i)
-            w = [x - current.pairing(e, found) / nrm * y
-                 for x, y in zip(e, found)]
-            if all(x.is_zero() for x in w):
-                continue
-            if Mat(field, rows + [w]).rank() == len(rows) + 1:
-                rows.append(w)
-                comp.append(w)
-            if len(comp) == current.dim - 1:
-                break
+            comp.append([x - current.pairing(e, found) / nrm * y
+                         for x, y in zip(e, found)])
+        comp = independent_subset(field, comp, current.dim - 1)
         gram = Mat(field, [[current.pairing(u, w) for w in comp] for u in comp])
         embed = [_lift(field, w, embed) for w in comp]
         current = QuadSpace(field, gram)
@@ -203,27 +196,6 @@ def enumerate_isometry_columns(diag: List[int], p: int):
                 yield from rec(cols + (v,))
 
     yield from rec(())
-
-
-def _int_det(cols, p: int) -> int:
-    n = len(cols)
-    a = [[cols[j][i] % p for j in range(n)] for i in range(n)]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv % p
-                for j in range(k, n):
-                    a[i][j] = (a[i][j] - f * a[k][j]) % p
-    return det % p
 
 
 def enumerate_isometries(space: QuadSpace):
@@ -341,7 +313,8 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
                 count = count_so = count_plus = 0
                 for cols in enumerate_isometry_columns(diag, p):
                     count += 1
-                    if _int_det(cols, p) == 1:
+                    # det(M) = det(M^t): the columns serve as rows
+                    if row_reduce([list(c) for c in cols], dim, p)[1] == 1:
                         count_so += 1
                         if filter_spinor:
                             m = Mat(field, [[field(cols[j][i]) for j in range(dim)]

@@ -248,10 +248,6 @@ def vec8_space(algebra: BiquatAlg) -> QuadSpace:
     return orthogonal_sum(algebra.albert_space(), hyp)
 
 
-def vec8_norm(u: Vec8):
-    return u.vnorm()
-
-
 def hat_psi(u: Vec8) -> Vec8:
     return u.hat_psi()
 
@@ -473,10 +469,6 @@ def psi(x: CoveredGSpElem) -> CoveredGSpElem:
     return CoveredGSpElem(out, new_t, check=False)
 
 
-def cover_from_gsp(g: GSpElem, t) -> CoveredGSpElem:
-    return CoveredGSpElem(gsp_decompose(g), t)
-
-
 def cover_mul(x: CoveredGSpElem, y: CoveredGSpElem) -> CoveredGSpElem:
     """Product in the double cover, with the root tracked through the
     generic-form product formula."""
@@ -485,7 +477,6 @@ def cover_mul(x: CoveredGSpElem, y: CoveredGSpElem) -> CoveredGSpElem:
     m_prod = x.gf.m * y.gf.m
     target = GSpElem(prod, m_prod)
     # one v must serve both x and the product
-    xg = GSpElem(mx, x.gf.m)
     gf_prod = gsp_decompose(target, v_constraints=[mx])
     v = gf_prod.v
     x2 = x.reparam(v)
@@ -927,10 +918,6 @@ class RhoQ8Elem:
 
 def rhoQ8_membership(tw8: Twisted8, g: M2A) -> Optional[RhoQ8Elem]:
     return tw8.membership(g)
-
-
-def rhoQ8_act(elem: RhoQ8Elem, v: Vec8) -> Vec8:
-    return elem.act_on(v)
 
 
 def ref8igen_lift(tw8: Twisted8, g: Vec8) -> RhoQ8Elem:

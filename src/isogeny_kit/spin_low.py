@@ -281,15 +281,6 @@ def split_quat_of_mat2(b: QuatAlg, m: Mat) -> QuatElem:
     return b.elem([a, bb, c, d])
 
 
-def sym_gram_space(field: FieldDesc) -> QuadSpace:
-    """Symmetric 2x2 matrices with the determinant form, basis
-    (E11, E22, E12+E21)."""
-    inv2 = field(2).inverse()
-    return QuadSpace(field, [[field(0), inv2, field(0)],
-                             [inv2, field(0), field(0)],
-                             [field(0), field(0), field(-1)]])
-
-
 _R2 = None
 
 

@@ -6,7 +6,7 @@ groups (dimension 5), and the rho-twisted spaces of general discriminant
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .algebras import (
     AminusVector,
@@ -28,7 +28,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .exactfield import Scalar, is_square
-from .linalg import Mat
+from .linalg import Mat, independent_subset
 from .quadforms import Isometry, QuadSpace, cartan_dieudonne
 from .spin_low import isometry_from_images
 
@@ -78,10 +78,6 @@ def cover_mul(a: CoveredElem, b: CoveredElem) -> CoveredElem:
     return a * b
 
 
-def cover_act(a: CoveredElem, u: AminusVector) -> AminusVector:
-    return a.act_on(u)
-
-
 def cover_act_isometry(a: CoveredElem, space: QuadSpace) -> Isometry:
     """Matrix of the action on the Albert basis of A^-."""
     alg = a.g.algebra
@@ -105,12 +101,6 @@ def ref6d1_map(g: AminusVector) -> Callable[[AminusVector], AminusVector]:
         return (ge * theta(u).embed() * ge.bar()).scale(ninv).to_aminus()
 
     return refl
-
-
-def ref6d1_lift(g: AminusVector) -> Tuple[CoveredElem, bool]:
-    """The cover element (g, |g|^2); composing its action with theta gives
-    the reflection in g (flag True = compose with theta first)."""
-    return cover_from_aminus(g), True
 
 
 def pair_lift(v: AminusVector, w: AminusVector) -> CoveredElem:
@@ -208,20 +198,12 @@ def perp_basis_of_q(albert: QuadSpace, q_coords) -> List[List[Scalar]]:
     """Five independent vectors spanning Q^perp inside the Albert space."""
     field = albert.field
     nq = albert.vnorm(q_coords)
-    out = []
-    rows = []
+    projected = []
     for i in range(6):
         b = albert.basis_vector(i)
         coeff = albert.pairing(b, q_coords) / nq
-        w = [x - coeff * y for x, y in zip(b, q_coords)]
-        if all(x.is_zero() for x in w):
-            continue
-        if Mat(field, rows + [w]).rank() == len(rows) + 1:
-            rows.append(w)
-            out.append(w)
-        if len(out) == 5:
-            break
-    return out
+        projected.append([x - coeff * y for x, y in zip(b, q_coords)])
+    return independent_subset(field, projected, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +341,6 @@ def rhoQ_membership(ts: TwistedSpace, g: BiquatElem) -> Optional[RhoQGroupElem]:
     if n != ts.E.from_scalar(t * t):
         return None
     return RhoQGroupElem(g, t, ts)
-
-
-def rhoQ_act(elem: RhoQGroupElem, u: BiquatElem) -> BiquatElem:
-    return elem.act_on(u)
 
 
 def ref6gen_lift(ts: TwistedSpace, g: BiquatElem):

@@ -1210,13 +1210,6 @@ def run_suite(name: str, config: RunConfig) -> SuiteResult:
     return _run(name, config, SUITES[name])
 
 
-def run_all(config: RunConfig, names: Optional[List[str]] = None,
-            threads: int = 1) -> List[SuiteResult]:
-    names = names or sorted(SUITES)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: run_suite(n, config), names))
-    else:
-        results = [run_suite(n, config) for n in names]
+def run_all(config: RunConfig, names: Optional[List[str]] = None) -> List[SuiteResult]:
+    results = [run_suite(n, config) for n in names or sorted(SUITES)]
     return sorted(results, key=lambda r: r.name)

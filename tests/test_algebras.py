@@ -129,17 +129,23 @@ def test_embed_split_examples():
     assert j_img[0, 1] == k.from_scalar(F5(3))
     assert j_img[1, 0] == k.one()
     assert emb.matrix(bq.one()) == Mat.identity(k, 2)
+    # a split K = F x F has zero divisors; norm_det must not divide by them
+    split_bq = QuatAlg(F5, 4, 2)
+    split_k = EtaleQuad(F5, 4)
+    assert split_k.is_split
     rng = random.Random(3)
-    for _ in range(80):
-        x = bq.elem([rng.randrange(5) for _ in range(4)])
-        y = bq.elem([rng.randrange(5) for _ in range(4)])
-        assert emb.matrix(x * y) == emb.matrix(x) * emb.matrix(y)
-        assert emb.norm_det(x) == x.norm()
-        # bar goes to the matrix adjoint
-        xb = emb.matrix(x.bar())
-        m = emb.matrix(x)
-        adj = Mat(k, [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        assert xb == adj
+    for bq, k, emb in ((bq, k, emb),
+                       (split_bq, split_k, SplitEmbedding(split_bq, split_k, 2))):
+        for _ in range(80):
+            x = bq.elem([rng.randrange(5) for _ in range(4)])
+            y = bq.elem([rng.randrange(5) for _ in range(4)])
+            assert emb.matrix(x * y) == emb.matrix(x) * emb.matrix(y)
+            assert emb.norm_det(x) == x.norm()
+            # bar goes to the matrix adjoint
+            xb = emb.matrix(x.bar())
+            m = emb.matrix(x)
+            adj = Mat(k, [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            assert xb == adj
 
 
 def test_embed_split_rejects_wrong_symbol():
@@ -300,6 +306,22 @@ def test_biquat_inverse_paths():
     x = aq.elem([1, 0, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
     if not reduced_norm_A(x).is_zero():
         assert x * x.inverse() == aq.one()
+    # split etale bases E = F x F, whose unit (1, 1) has both components set
+    for field in (GF(7), QQ):
+        e = EtaleQuad(field)
+        a = BiquatAlg(QuatAlg(e, 2, 3), QuatAlg(e, 1, 2))
+        inverted = 0
+        for _ in range(30):
+            x = a.elem([EQElem(e, field(rng.randrange(-3, 4)), field(rng.randrange(-3, 4)))
+                        for _ in range(16)])
+            if reduced_norm_A(x).norm().is_zero():
+                with pytest.raises(NonInvertible):
+                    x.inverse()
+                continue
+            assert x * x.inverse() == a.one()
+            assert x.inverse() * x == a.one()
+            inverted += 1
+        assert inverted >= 10
 
 
 def test_mat4_split_embedding_is_ring_hom():

@@ -44,7 +44,7 @@ def test_suites_deterministic():
 
 def test_run_all_threaded():
     res = run_all(RunConfig.from_args("p=3", seed=1, trials=3),
-                  names=["Sadjt", "BEpol", "normsq"], threads=2)
+                  names=["Sadjt", "BEpol", "normsq"])
     assert [r.name for r in res] == ["BEpol", "Sadjt", "normsq"]
     assert all(r.passed for r in res)
 
