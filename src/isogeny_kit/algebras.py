@@ -2,9 +2,14 @@
 split embeddings into 2x2 matrices, and bi-quaternion algebras B (x) C
 with the involution bar = iota_B (x) iota_C.
 
-Quaternion and bi-quaternion arithmetic is generic over the coefficient
-ring (F_p, Q, an etale quadratic algebra, or a multi-quadratic tower), so
-the same code serves B, B_E, and the split-embedding norm oracles.
+Quaternion and bi-quaternion algebras are subclasses of the structure-
+constant core in `towers` (`TableAlgebra`, `TableElem`), which gives their
+coercion, linear operations, equality, table product and regular-
+representation inverse; here they add only their structure tables, the
+involutions, norms and traces, and the A^- maps.  The arithmetic is
+generic over the coefficient ring (F_p, Q, an etale quadratic algebra, or
+a multi-quadratic tower), so the same code serves B, B_E, and the
+split-embedding norm oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
 from .exactfield import FieldDesc, Scalar, is_square, sqrt_exact
 from .linalg import Mat, berkowitz_det, independent_subset, kron
 from .quadforms import QuadSpace, find_isotropic
-from .towers import QuadTower
+from .towers import QuadTower, TableAlgebra, TableElem
 
 
 class EtaleQuad:
@@ -76,7 +81,7 @@ class EtaleQuad:
 
     def __call__(self, x) -> "EQElem":
         if isinstance(x, EQElem):
-            if x.algebra != self:
+            if x.algebra is not self and x.algebra != self:
                 raise AlgebraMismatch("element of %r used in %r" % (x.algebra, self))
             return x
         return self.from_scalar(x)
@@ -92,6 +97,29 @@ class EtaleQuad:
             raise ValueError("cannot enumerate over Q")
         return [EQElem(self, a, b)
                 for a in self.field.elements() for b in self.field.elements()]
+
+    def solve_restricted(self, m: Mat, rhs):
+        """Solve m x = rhs over E as a system over F; None if inconsistent.
+
+        x + y sqrt(d) acts on (x, y) coordinates as ((x, d y), (y, x)), and
+        the split (x, y) as diag(x, y).
+        """
+        zero = self.field.zero()
+        rows = []
+        for row in m.rows:
+            top, bottom = [], []
+            for z in row:
+                if self.is_split:
+                    top += (z.x, zero)
+                    bottom += (zero, z.y)
+                else:
+                    top += (z.x, self.d * z.y)
+                    bottom += (z.y, z.x)
+            rows += (top, bottom)
+        sol = Mat(self.field, rows).solve([v for z in rhs for v in (z.x, z.y)])
+        if sol is None:
+            return None
+        return [EQElem(self, sol[k], sol[k + 1]) for k in range(0, len(sol), 2)]
 
     def units(self):
         return [z for z in self.elements() if not z.norm().is_zero()]
@@ -116,7 +144,7 @@ class EQElem:
 
     def _coerce(self, other):
         if isinstance(other, EQElem):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise AlgebraMismatch("mixed etale algebras")
             return other
         if isinstance(other, (int, Scalar)):
@@ -124,7 +152,7 @@ class EQElem:
         return NotImplemented
 
     def __add__(self, other):
-        if type(other) is not EQElem:
+        if type(other) is not EQElem or other.algebra is not self.algebra:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -133,7 +161,7 @@ class EQElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not EQElem:
+        if type(other) is not EQElem or other.algebra is not self.algebra:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -146,7 +174,7 @@ class EQElem:
         return EQElem(self.algebra, -self.x, -self.y)
 
     def __mul__(self, other):
-        if type(other) is not EQElem:
+        if type(other) is not EQElem or other.algebra is not self.algebra:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -232,12 +260,50 @@ _BASIS_NAMES = ("1", "i", "j", "k")
 _BAR_SIGNS = (1, -1, -1, -1)
 
 
-class QuatAlg:
+class QuatElem(TableElem):
+    __slots__ = ()
+    _SCALARS = (int, Scalar, EQElem)
+
+    def bar(self) -> "QuatElem":
+        """Main involution: x -> Tr(x) - x."""
+        return QuatElem(self.algebra, [self.c[0], -self.c[1], -self.c[2], -self.c[3]])
+
+    def norm(self):
+        a = self.algebra
+        return (self.c[0] * self.c[0] - a.alpha * self.c[1] * self.c[1]
+                - a.beta * self.c[2] * self.c[2]
+                + a.alpha * a.beta * self.c[3] * self.c[3])
+
+    def trace(self):
+        return self.c[0] + self.c[0]
+
+    def inverse(self) -> "QuatElem":
+        n = self.norm()
+        if n.is_zero():
+            raise NonInvertible("quaternion of norm zero")
+        return self.bar().scale(n.inverse())
+
+    def is_traceless(self) -> bool:
+        return self.c[0].is_zero()
+
+    def traceless_coords(self):
+        return self.c[1:]
+
+    def __repr__(self):
+        terms = ["%s%s" % ("" if n == "1" else "(", "%s)%s" % (c, n) if n != "1" else c)
+                 for c, n in zip(self.c, _BASIS_NAMES) if not c.is_zero()]
+        return " + ".join(str(t) for t in terms) if terms else "0"
+
+
+class QuatAlg(TableAlgebra):
     """Quaternion algebra (alpha, beta / ring): i^2=alpha, j^2=beta, ij=-ji.
 
     The ring may be a FieldDesc, an EtaleQuad, or a QuadTower; elements
     hold four ring coefficients over the basis (1, i, j, ij).
     """
+
+    Elem = QuatElem
+    dim = 4
 
     def __init__(self, ring, alpha, beta):
         self.ring = ring
@@ -245,15 +311,15 @@ class QuatAlg:
         self.beta = ring(beta)
         if self.alpha.is_zero() or self.beta.is_zero():
             raise ValueError("quaternion symbol entries must be nonzero")
+
+    def _build_table(self):
         a, b = self.alpha, self.beta
-        ab = a * b
-        one = ring.one()
-        # (target index, coefficient) for products of basis elements
-        self._tab = (
+        one = self.ring.one()
+        return (
             ((0, one), (1, one), (2, one), (3, one)),
             ((1, one), (0, a), (3, one), (2, a)),
             ((2, one), (3, -one), (0, b), (1, -b)),
-            ((3, one), (2, -a), (1, b), (0, -ab)),
+            ((3, one), (2, -a), (1, b), (0, -(a * b))),
         )
 
     def __eq__(self, other):
@@ -266,35 +332,13 @@ class QuatAlg:
     def __repr__(self):
         return "(%s, %s / %r)" % (self.alpha, self.beta, self.ring)
 
-    def elem(self, coeffs) -> "QuatElem":
-        return QuatElem(self, [self.ring(c) for c in coeffs])
-
-    def zero(self) -> "QuatElem":
-        z = self.ring.zero()
-        return QuatElem(self, [z, z, z, z])
-
-    def one(self) -> "QuatElem":
-        z = self.ring.zero()
-        return QuatElem(self, [self.ring.one(), z, z, z])
-
-    def from_scalar(self, s) -> "QuatElem":
-        z = self.ring.zero()
-        return QuatElem(self, [self.ring(s), z, z, z])
-
-    def __call__(self, x) -> "QuatElem":
-        if isinstance(x, QuatElem):
-            if x.algebra != self:
-                raise AlgebraMismatch("element of %r used in %r" % (x.algebra, self))
-            return x
-        return self.from_scalar(x)
-
-    def i(self) -> "QuatElem":
+    def i(self) -> QuatElem:
         return self.elem([0, 1, 0, 0])
 
-    def j(self) -> "QuatElem":
+    def j(self) -> QuatElem:
         return self.elem([0, 0, 1, 0])
 
-    def k(self) -> "QuatElem":
+    def k(self) -> QuatElem:
         return self.elem([0, 0, 0, 1])
 
     def basis(self):
@@ -316,126 +360,6 @@ class QuatAlg:
         f = self.ring
         return QuadSpace.diagonal(
             f, [f(1), -self.alpha, -self.beta, self.alpha * self.beta])
-
-
-class QuatElem:
-    __slots__ = ("algebra", "c")
-
-    def __init__(self, algebra: QuatAlg, coeffs):
-        self.algebra = algebra
-        self.c = list(coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, QuatElem):
-            if other.algebra != self.algebra:
-                raise AlgebraMismatch("mixed quaternion algebras")
-            return other
-        if isinstance(other, (int, Scalar, EQElem)):
-            return self.algebra.from_scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuatElem(self.algebra, [a + b for a, b in zip(self.c, other.c)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuatElem(self.algebra, [a - b for a, b in zip(self.c, other.c)])
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return QuatElem(self.algebra, [-a for a in self.c])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, EQElem)) and not isinstance(other, QuatElem):
-            s = self.algebra.ring(other)
-            return QuatElem(self.algebra, [a * s for a in self.c])
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        tab = self.algebra._tab
-        zero = self.algebra.ring.zero()
-        out = [zero, zero, zero, zero]
-        for s in range(4):
-            a = self.c[s]
-            if a.is_zero():
-                continue
-            row = tab[s]
-            for u in range(4):
-                b = other.c[u]
-                if b.is_zero():
-                    continue
-                w, f = row[u]
-                out[w] = out[w] + a * b * f
-        return QuatElem(self.algebra, out)
-
-    def __rmul__(self, other):
-        # ring scalars are central
-        if isinstance(other, (int, Scalar, EQElem)):
-            return self * other
-        return NotImplemented
-
-    def scale(self, s) -> "QuatElem":
-        s = self.algebra.ring(s)
-        return QuatElem(self.algebra, [a * s for a in self.c])
-
-    def bar(self) -> "QuatElem":
-        """Main involution: x -> Tr(x) - x."""
-        return QuatElem(self.algebra, [self.c[0], -self.c[1], -self.c[2], -self.c[3]])
-
-    def norm(self):
-        a = self.algebra
-        return (self.c[0] * self.c[0] - a.alpha * self.c[1] * self.c[1]
-                - a.beta * self.c[2] * self.c[2]
-                + a.alpha * a.beta * self.c[3] * self.c[3])
-
-    def trace(self):
-        return self.c[0] + self.c[0]
-
-    def inverse(self) -> "QuatElem":
-        n = self.norm()
-        if n.is_zero():
-            raise NonInvertible("quaternion of norm zero")
-        return self.bar().scale(n.inverse())
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
-
-    def is_traceless(self) -> bool:
-        return self.c[0].is_zero()
-
-    def traceless_coords(self):
-        return self.c[1:]
-
-    def map_coeffs(self, f, algebra: Optional["QuatAlg"] = None) -> "QuatElem":
-        return QuatElem(algebra or self.algebra, [f(a) for a in self.c])
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.c, other.c))
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(self.c)))
-
-    def __repr__(self):
-        terms = ["%s%s" % ("" if n == "1" else "(", "%s)%s" % (c, n) if n != "1" else c)
-                 for c, n in zip(self.c, _BASIS_NAMES) if not c.is_zero()]
-        return " + ".join(str(t) for t in terms) if terms else "0"
-
-
-def traceless(b: QuatAlg, coords) -> QuatElem:
-    return b.elem([0, coords[0], coords[1], coords[2]])
-
 
 # ---------------------------------------------------------------------------
 # splitting
@@ -565,173 +489,24 @@ def quat_to_mat2_tower(x: QuatElem, tower: QuadTower, root_index: int,
 # bi-quaternion algebras
 # ---------------------------------------------------------------------------
 
-class BiquatAlg:
-    """A = B (x) C with the orthogonal involution iota_B (x) iota_C.
+class BiquatElem(TableElem):
+    __slots__ = ()
+    _SCALARS = (int, Scalar, EQElem)
 
-    Elements hold 16 ring coefficients indexed by (s, t) -> 4*s + t over
-    the basis b_s (x) c_t.
-    """
-
-    def __init__(self, b: QuatAlg, c: QuatAlg):
-        if b.ring != c.ring:
-            raise AlgebraMismatch("B and C over different rings")
-        self.B = b
-        self.C = c
-        self.ring = b.ring
-        self._tab16 = None
-
-    def tab16(self):
-        """Fused structure constants: tab[i][j] = (target, coeff or None)."""
-        if self._tab16 is None:
-            one = self.ring.one()
-            tab = []
-            for sb in range(4):
-                for tb in range(4):
-                    row = []
-                    for ub in range(4):
-                        wb, fb = self.B._tab[sb][ub]
-                        for vb in range(4):
-                            wc, fc = self.C._tab[tb][vb]
-                            coeff = fb * fc
-                            row.append((4 * wb + wc,
-                                        None if coeff == one else coeff))
-                    tab.append(row)
-            self._tab16 = tab
-        return self._tab16
-
-    def __eq__(self, other):
-        return isinstance(other, BiquatAlg) and self.B == other.B and self.C == other.C
-
-    def __hash__(self):
-        return hash(("BiquatAlg", self.B, self.C))
-
-    def __repr__(self):
-        return "%r (x) %r" % (self.B, self.C)
-
-    def elem(self, coords) -> "BiquatElem":
-        return BiquatElem(self, [self.ring(v) for v in coords])
-
-    def zero(self) -> "BiquatElem":
-        z = self.ring.zero()
-        return BiquatElem(self, [z] * 16)
-
-    def one(self) -> "BiquatElem":
-        c = [self.ring.zero()] * 16
-        c[0] = self.ring.one()
-        return BiquatElem(self, c)
-
-    def from_scalar(self, s) -> "BiquatElem":
-        c = [self.ring.zero()] * 16
-        c[0] = self.ring(s)
-        return BiquatElem(self, c)
-
-    def __call__(self, x) -> "BiquatElem":
-        if isinstance(x, BiquatElem):
-            if x.algebra != self:
-                raise AlgebraMismatch("element of another bi-quaternion algebra")
-            return x
-        return self.from_scalar(x)
-
-    def tensor(self, b: QuatElem, c: QuatElem) -> "BiquatElem":
-        coords = [self.ring.zero()] * 16
-        for s in range(4):
-            for t in range(4):
-                coords[4 * s + t] = b.c[s] * c.c[t]
-        return BiquatElem(self, coords)
-
-    def basis_elem(self, s: int, t: int) -> "BiquatElem":
-        coords = [self.ring.zero()] * 16
-        coords[4 * s + t] = self.ring.one()
-        return BiquatElem(self, coords)
-
-    def aminus(self, x_coords, y_coords) -> "AminusVector":
-        return AminusVector(self, [self.ring(v) for v in x_coords],
-                            [self.ring(v) for v in y_coords])
-
-    def albert_space(self) -> QuadSpace:
-        """The Albert form on A^-: diag of B_0-part and negated C_0-part."""
-        b, c = self.B, self.C
-        return QuadSpace.diagonal(self.ring, [
-            -b.alpha, -b.beta, b.alpha * b.beta,
-            c.alpha, c.beta, -c.alpha * c.beta,
-        ])
-
-
-class BiquatElem:
-    __slots__ = ("algebra", "c")
-
-    def __init__(self, algebra: BiquatAlg, coords):
-        self.algebra = algebra
-        self.c = list(coords)
+    # the shared product and inverse, bound here so that per-class tracing
+    # (perfbench) counts bi-quaternion products and inverses by name
+    __mul__ = TableElem.__mul__
+    inverse = TableElem.inverse
 
     def _coerce(self, other):
-        if isinstance(other, BiquatElem):
-            if other.algebra != self.algebra:
-                raise AlgebraMismatch("mixed bi-quaternion algebras")
-            return other
-        if isinstance(other, (int, Scalar, EQElem)):
-            return self.algebra.from_scalar(other)
         if isinstance(other, AminusVector):
             return other.embed()
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiquatElem(self.algebra, [a + b for a, b in zip(self.c, other.c)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiquatElem(self.algebra, [a - b for a, b in zip(self.c, other.c)])
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return BiquatElem(self.algebra, [-a for a in self.c])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, EQElem)) and not isinstance(other, BiquatElem):
-            s = self.algebra.ring(other)
-            return BiquatElem(self.algebra, [a * s for a in self.c])
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        tab = self.algebra.tab16()
-        zero = self.algebra.ring.zero()
-        out = [zero] * 16
-        oc = other.c
-        for i in range(16):
-            a = self.c[i]
-            if a.is_zero():
-                continue
-            row = tab[i]
-            for j in range(16):
-                b = oc[j]
-                if b.is_zero():
-                    continue
-                target, coeff = row[j]
-                term = a * b
-                if coeff is not None:
-                    term = term * coeff
-                out[target] = out[target] + term
-        return BiquatElem(self.algebra, out)
+        return TableElem._coerce(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar, EQElem)):
-            return self * other
         if isinstance(other, AminusVector):
             return other.embed() * self
-        return NotImplemented
-
-    def scale(self, s) -> "BiquatElem":
-        s = self.algebra.ring(s)
-        return BiquatElem(self.algebra, [a * s for a in self.c])
+        return TableElem.__rmul__(self, other)
 
     def bar(self) -> "BiquatElem":
         """The involution iota_B (x) iota_C."""
@@ -764,66 +539,8 @@ class BiquatElem:
         y = [self.c[0 + t] for t in (1, 2, 3)]
         return AminusVector(self.algebra, x, y)
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
-
-    def is_scalar(self) -> bool:
-        return all(a.is_zero() for a in self.c[1:])
-
-    def scalar_part(self):
-        return self.c[0]
-
-    def map_coeffs(self, f, algebra: Optional["BiquatAlg"] = None) -> "BiquatElem":
-        return BiquatElem(algebra or self.algebra, [f(a) for a in self.c])
-
-    def mult_matrix(self) -> Mat:
-        """Left multiplication as a 16x16 matrix over the coefficient ring."""
-        cols = self._left_mult_columns()
-        return Mat(self.algebra.ring, [[cols[j][i] for j in range(16)]
-                                       for i in range(16)])
-
-    def inverse(self) -> "BiquatElem":
-        m = self.mult_matrix()
-        one = self.algebra.one().c
-        e = self.algebra.ring
-        if isinstance(e, EtaleQuad):
-            m = _restrict_scalars(m)
-            one = [v for z in one for v in (z.x, z.y)]
-        sol = m.solve(one)
-        if sol is None:
-            raise NonInvertible("bi-quaternion element is singular")
-        if isinstance(e, EtaleQuad):
-            sol = [EQElem(e, sol[k], sol[k + 1]) for k in range(0, 32, 2)]
-        # x * self = 1 was solved as self * x = 1; two-sided in a CSA
-        return BiquatElem(self.algebra, sol)
-
-    def _left_mult_columns(self):
-        """Columns of the left-multiplication map over the base ring."""
-        tab = self.algebra.tab16()
-        zero = self.algebra.ring.zero()
-        cols = []
-        for j in range(16):
-            col = [zero] * 16
-            for i in range(16):
-                a = self.c[i]
-                if a.is_zero():
-                    continue
-                target, coeff = tab[i][j]
-                col[target] = col[target] + (a if coeff is None else a * coeff)
-            cols.append(col)
-        return cols
-
     def reduced_norm(self):
         return reduced_norm_A(self)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.c, other.c))
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(self.c)))
 
     def __repr__(self):
         names = []
@@ -835,25 +552,61 @@ class BiquatElem:
         return " + ".join(terms) if terms else "0"
 
 
-def _restrict_scalars(m: Mat) -> Mat:
-    """A matrix over E as a matrix over F on (x, y) coordinates.
+class BiquatAlg(TableAlgebra):
+    """A = B (x) C with the orthogonal involution iota_B (x) iota_C.
 
-    x + y sqrt(d) acts as ((x, d y), (y, x)); the split (x, y) as diag(x, y).
+    Elements hold 16 ring coefficients indexed by (s, t) -> 4*s + t over
+    the basis b_s (x) c_t.
     """
-    e = m.ring
-    zero = e.field.zero()
-    rows = []
-    for row in m.rows:
-        top, bottom = [], []
-        for z in row:
-            if e.is_split:
-                top += (z.x, zero)
-                bottom += (zero, z.y)
-            else:
-                top += (z.x, e.d * z.y)
-                bottom += (z.y, z.x)
-        rows += (top, bottom)
-    return Mat(e.field, rows)
+
+    Elem = BiquatElem
+    dim = 16
+
+    def __init__(self, b: QuatAlg, c: QuatAlg):
+        if b.ring != c.ring:
+            raise AlgebraMismatch("B and C over different rings")
+        self.B = b
+        self.C = c
+        self.ring = b.ring
+
+    def _build_table(self):
+        """The tab16 fusion: (b_s c_t)(b_u c_v) = fb fc b_wb c_wc."""
+        tb, tc = self.B._build_table(), self.C._build_table()
+        return [[(4 * wb + wc, fb * fc) for wb, fb in tb[s] for wc, fc in tc[t]]
+                for s in range(4) for t in range(4)]
+
+    def __eq__(self, other):
+        return isinstance(other, BiquatAlg) and self.B == other.B and self.C == other.C
+
+    def __hash__(self):
+        return hash(("BiquatAlg", self.B, self.C))
+
+    def __repr__(self):
+        return "%r (x) %r" % (self.B, self.C)
+
+    def tensor(self, b: QuatElem, c: QuatElem) -> BiquatElem:
+        coords = [self.ring.zero()] * 16
+        for s in range(4):
+            for t in range(4):
+                coords[4 * s + t] = b.c[s] * c.c[t]
+        return BiquatElem(self, coords)
+
+    def basis_elem(self, s: int, t: int) -> BiquatElem:
+        coords = [self.ring.zero()] * 16
+        coords[4 * s + t] = self.ring.one()
+        return BiquatElem(self, coords)
+
+    def aminus(self, x_coords, y_coords) -> "AminusVector":
+        return AminusVector(self, [self.ring(v) for v in x_coords],
+                            [self.ring(v) for v in y_coords])
+
+    def albert_space(self) -> QuadSpace:
+        """The Albert form on A^-: diag of B_0-part and negated C_0-part."""
+        b, c = self.B, self.C
+        return QuadSpace.diagonal(self.ring, [
+            -b.alpha, -b.beta, b.alpha * b.beta,
+            c.alpha, c.beta, -c.alpha * c.beta,
+        ])
 
 
 class AminusVector:

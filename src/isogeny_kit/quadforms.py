@@ -126,14 +126,6 @@ class Isometry:
         return "Isometry(%s)" % self.matrix.rows
 
 
-def pairing(space: QuadSpace, u, v) -> Scalar:
-    return space.pairing(u, v)
-
-
-def vnorm(space: QuadSpace, v) -> Scalar:
-    return space.vnorm(v)
-
-
 def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
     """Basis change P with P^t G P diagonal (nonzero entries).
 
@@ -345,17 +337,7 @@ def witt_decompose(space: QuadSpace, budget: int = 10):
 
 def reflect(space: QuadSpace, v) -> Isometry:
     """The reflection inverting v: x -> x - 2<x,v>/|v|^2 v."""
-    c = space.vnorm(v)
-    if c.is_zero():
-        raise IsotropicMirror("mirror vector is isotropic")
-    field = space.field
-    two = field(2)
-    cols = []
-    for j in range(space.dim):
-        b = space.basis_vector(j)
-        img = _sub_vec(b, _scale_vec(two * space.pairing(b, v) / c, v))
-        cols.append(img)
-    m = Mat(field, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)])
+    m = _reflect_matrix_left(space, v, Mat.identity(space.field, space.dim))
     return Isometry(space, m, check=False)
 
 

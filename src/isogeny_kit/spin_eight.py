@@ -248,10 +248,6 @@ def vec8_space(algebra: BiquatAlg) -> QuadSpace:
     return orthogonal_sum(algebra.albert_space(), hyp)
 
 
-def hat_psi(u: Vec8) -> Vec8:
-    return u.hat_psi()
-
-
 class GSpElem:
     """Member of GSp_A((1,0),(0,-1)) with multiplier m."""
 
@@ -264,15 +260,11 @@ class GSpElem:
     def inverse_matrix(self) -> M2A:
         """M^-1 = J bar_adj(M) J / m, from the GSp relation."""
         j = _j_mat(self.mat.A)
-        return (j * self.mat.bar_adjoint() * j).scale(_inv(self.mat.A.ring, self.m))
+        return (j * self.mat.bar_adjoint() * j).scale(self.m.inverse())
 
     def to_json(self):
         return {"blocks": [[repr(c) for c in e.c] for e in self.mat.entries()],
                 "multiplier": repr(self.m)}
-
-
-def _inv(ring, x):
-    return x.inverse()
 
 
 def gsp_membership(m: M2A, check_norm: bool = True) -> Optional[GSpElem]:
@@ -495,12 +487,12 @@ def cover_identity(algebra: BiquatAlg) -> CoveredGSpElem:
 def cover_inverse(x: CoveredGSpElem) -> CoveredGSpElem:
     """(g, t)^-1; root solved from the product formula against identity."""
     inv_mat = x.as_gsp().inverse_matrix()
-    m_inv = _inv(x.gf.A.ring, x.gf.m)
+    m_inv = x.gf.m.inverse()
     gf_inv = gsp_decompose(GSpElem(inv_mat, m_inv), v_constraints=[x.matrix()])
     # reuse the cover_mul bookkeeping with unknown y-root solved for root 1
     x2 = x.reparam(_find_common_v(x, inv_mat))
     dd = D(x2.gf.alpha + gf_inv.v, gf_inv.beta)
-    t_inv = _inv(x.gf.A.ring, x2.t * dd)
+    t_inv = (x2.t * dd).inverse()
     return CoveredGSpElem(gf_inv, t_inv, check=False)
 
 
@@ -883,7 +875,6 @@ class Twisted8:
         root = eq_sqrt(na)
         if root is None:
             return None
-        target_rho = None
         for cand in (root, -root):
             x = CoveredGSpElem(gf, cand, check=False)
             if self.psi_qhat(x) == self.rho(x):

@@ -281,9 +281,6 @@ def split_quat_of_mat2(b: QuatAlg, m: Mat) -> QuatElem:
     return b.elem([a, bb, c, d])
 
 
-_R2 = None
-
-
 def r2_matrix(field: FieldDesc) -> Mat:
     """The 2x2 matrix ((0,1),(-1,0)) used for all Sadjt-style twists."""
     return Mat(field, [[field(0), field(1)], [field(-1), field(0)]])

@@ -940,13 +940,21 @@ def suite_sp6gen(rec, rng, config):
                   "rho-is-reflection-in-hQ")
 
 
+DIM7RD_EXTRA_DRAWS = 32
+
+
 def suite_dim7rd(rec, rng, config):
     field = config.field
     algebra = biquat_instances(field)[0]
     delta = nonsquare_of(field)
     q = spin_eight.dim7_q(algebra, delta)
     stab_count = 0
-    for _ in range(config.trials):
+    draws = 0
+    # most generators fall outside GSp over small fields; a run whose first
+    # `trials` draws give no stabilizer keeps drawing from the same stream
+    # until one does, up to DIM7RD_EXTRA_DRAWS more
+    while draws < config.trials + (0 if stab_count else DIM7RD_EXTRA_DRAWS):
+        draws += 1
         v = random_aminus(algebra, rng)
         mat = spin_eight.M2A(algebra, v.embed(), algebra.from_scalar(delta),
                              algebra.one(), -algebras.theta(v).embed())

@@ -271,7 +271,7 @@ def in_span(ring, field: FieldDesc, gens: List, vec: List) -> bool:
         out = []
         for c in v:
             if isinstance(c, TowerElem):
-                out.extend(c.coords)
+                out.extend(c.c)
             else:
                 out.append(c)
         return out

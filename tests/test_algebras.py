@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from isogeny_kit.errors import NonInvertible, NotASplittingField
+from isogeny_kit.errors import AlgebraMismatch, NonInvertible, NotASplittingField
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.algebras import (
     BiquatAlg,
@@ -336,3 +336,34 @@ def test_mat4_split_embedding_is_ring_hom():
         my, _ = biquat_to_mat4(y, tower)
         mxy, _ = biquat_to_mat4(x * y, tower)
         assert mx * my == mxy
+
+
+def _mixing_pairs():
+    """(element of X, element of another X, element of an equal X built apart)."""
+    q1, q2 = QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2)
+    a1, a2 = BiquatAlg(q1, q2), BiquatAlg(q2, q1)
+    e1, e2 = EtaleQuad(F5, 2), EtaleQuad(F5, 3)
+    return [
+        (q1.elem([1, 2, 3, 4]), q2.one(), QuatAlg(F5, 2, 3).elem([0, 1, 0, 1])),
+        (a1.basis_elem(1, 2), a2.one(),
+         BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2)).basis_elem(2, 1)),
+        (e1.gen0() + 1, e2.one(), EtaleQuad(F5, 2).gen0()),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(3), ids=["quat", "biquat", "etale"])
+def test_coercion_between_algebras(kind):
+    x, other, same = _mixing_pairs()[kind]
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u == v):
+        with pytest.raises(AlgebraMismatch):
+            op(x, other)
+    with pytest.raises(AlgebraMismatch):
+        x.algebra(other)
+    # distinct but equal descriptors still mix, and their elements compare equal
+    assert same.algebra is not x.algebra and same.algebra == x.algebra
+    assert (x + same) - same == x
+    assert x * same == x * x.algebra(same)
+    twin = x * 1
+    assert twin == x and hash(twin) == hash(x)
+    assert x.algebra(same) is same

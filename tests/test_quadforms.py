@@ -154,6 +154,14 @@ def test_reflect_examples():
     assert (r * r).matrix == Mat.identity(QQ, 2)
     with pytest.raises(IsotropicMirror):
         reflect(h, [QQ(1), QQ(0)])
+    # a non-diagonal Gram: each column is e_j - 2<e_j, v>/|v|^2 v
+    g = QuadSpace(QQ, [[2, 1, 0], [1, 3, 1], [0, 1, -1]])
+    v = [QQ(1), QQ(-2), QQ(3)]
+    r = reflect(g, v)
+    for j in range(3):
+        e = g.basis_vector(j)
+        f = QQ(2) * g.pairing(e, v) / g.vnorm(v)
+        assert r.apply(e) == [a - f * b for a, b in zip(e, v)]
 
 
 def test_reflect_fixes_perp_exhaustive_f3():

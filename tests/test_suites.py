@@ -4,7 +4,7 @@ must make a named suite fail)."""
 
 import pytest
 
-from isogeny_kit import algebras, spin_eight, spin_six
+from isogeny_kit import algebras, spin_eight, spin_six, suites
 from isogeny_kit.algebras import AminusVector
 from isogeny_kit.errors import UnknownSuite
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
@@ -40,6 +40,18 @@ def test_suites_deterministic():
     r1 = run_suite("normsq", FAST_CONFIG)
     r2 = run_suite("normsq", FAST_CONFIG)
     assert r1.cases == r2.cases and r1.failures == r2.failures
+
+
+def test_dim7rd_redraws_after_stabilizer_shortfall(monkeypatch):
+    # at p=3, seed 0, none of the first three generators lies in GSp
+    config = RunConfig.from_args("p=3", seed=0, trials=3)
+    res = run_suite("dim7rd", config)
+    assert res.passed, res.failures[:3]
+    assert res.cases > 1
+    # once the redraws run out, the shortfall is still a failure
+    monkeypatch.setattr(suites, "DIM7RD_EXTRA_DRAWS", 0)
+    res = run_suite("dim7rd", config)
+    assert [f["case"] for f in res.failures] == ["sampled-any-stabilizers"]
 
 
 def test_run_all_threaded():
