@@ -636,11 +636,21 @@ class AminusVector:
     def albert_norm(self):
         return albert_norm(self)
 
+    def _same_algebra(self, other: "AminusVector") -> bool:
+        return other.algebra is self.algebra or other.algebra == self.algebra
+
+    def _check(self, other: "AminusVector") -> None:
+        if not self._same_algebra(other):
+            raise AlgebraMismatch("A^- vector of %r used with %r"
+                                  % (other.algebra, self.algebra))
+
     def __add__(self, other: "AminusVector") -> "AminusVector":
+        self._check(other)
         return AminusVector(self.algebra, [a + b for a, b in zip(self.x, other.x)],
                             [a + b for a, b in zip(self.y, other.y)])
 
     def __sub__(self, other: "AminusVector") -> "AminusVector":
+        self._check(other)
         return AminusVector(self.algebra, [a - b for a, b in zip(self.x, other.x)],
                             [a - b for a, b in zip(self.y, other.y)])
 
@@ -656,7 +666,7 @@ class AminusVector:
         return all(v.is_zero() for v in self.coords())
 
     def __eq__(self, other):
-        return (isinstance(other, AminusVector) and self.algebra == other.algebra
+        return (isinstance(other, AminusVector) and self._same_algebra(other)
                 and self.x == other.x and self.y == other.y)
 
     def __hash__(self):

@@ -77,6 +77,10 @@ class CoverInvariantViolated(IsogenyKitError):
     """Pair (g, t) does not satisfy N(g) = t**2."""
 
 
+class InvariantViolated(IsogenyKitError):
+    """A computed result failed its own cross-check (a library fault)."""
+
+
 class DecompositionFailed(IsogenyKitError):
     pass
 

@@ -38,6 +38,13 @@ class QuadSpace:
             raise ValueError("Gram matrix is not symmetric")
         if self.gram.det().is_zero():
             raise DegenerateSpace("Gram matrix is singular")
+        # diagonal entries of a diagonal Gram matrix (G v in O(n)), else None
+        rows = self.gram.rows
+        n = self.dim
+        self.diag = ([rows[i][i] for i in range(n)]
+                     if all(rows[i][j].is_zero()
+                            for i in range(n) for j in range(n) if i != j)
+                     else None)
 
     @classmethod
     def diagonal(cls, field: FieldDesc, entries):
@@ -54,10 +61,16 @@ class QuadSpace:
         return (isinstance(other, QuadSpace) and self.field == other.field
                 and self.gram == other.gram)
 
+    def _gram_apply(self, v):
+        """G v as a coordinate list."""
+        if self.diag is not None:
+            return [d * x for d, x in zip(self.diag, v)]
+        return self.gram.apply(v)
+
     def pairing(self, u, v) -> Scalar:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector does not conform to space")
-        gv = self.gram.apply(v)
+        gv = self._gram_apply(v)
         acc = self.field.zero()
         for a, b in zip(u, gv):
             acc = acc + a * b
@@ -347,7 +360,7 @@ def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
     if c.is_zero():
         raise IsotropicMirror("mirror vector is isotropic")
     n = space.dim
-    gv = space.gram.apply(v)
+    gv = space._gram_apply(v)
     factor = space.field(2) / c
     s = []
     for j in range(n):

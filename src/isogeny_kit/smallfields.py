@@ -5,16 +5,21 @@ cardinality cross-checks.
 
 Enumeration internals run on raw ints mod p for speed; results are exact
 counts, with orbit-stabilizer recursion replacing matrix enumeration in
-dimensions 5 and 6.
+dimensions 5 and 6.  Isometries are enumerated column by column in the
+diagonal model: each remaining column keeps a pool of sphere vectors of
+its norm, and choosing a column cuts every later pool once to the vectors
+orthogonal to it, so no candidate is re-checked against earlier columns.
+A failed count cross-check raises InvariantViolated.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import EtaleQuad
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .exactfield import FieldDesc, Scalar, SquareClass, square_class
 from .linalg import Mat, independent_subset, row_reduce
 from .quadforms import (
@@ -67,7 +72,8 @@ def explicit_isometry(a: QuadSpace, b: QuadSpace) -> Optional[Mat]:
     m_cols = Mat(field, [[cols_in_b[j][i] for j in range(a.dim)]
                          for i in range(a.dim)])
     out = m_cols * pa.inverse()
-    assert out.T * b.gram * out == a.gram, "explicit isometry failed"
+    if out.T * b.gram * out != a.gram:
+        raise InvariantViolated("explicit isometry failed")
     return out
 
 
@@ -132,12 +138,14 @@ def so_plus_index(space: QuadSpace) -> Tuple[int, Optional[Isometry]]:
             v_ns = v
         if v_sq and v_ns:
             break
-    assert v_sq is not None and v_ns is not None, "both square classes occur"
+    if v_sq is None or v_ns is None:
+        raise InvariantViolated("a square class of nonzero norms does not occur")
     w1 = p_mat.apply([field(x) for x in v_sq])
     w2 = p_mat.apply([field(x) for x in v_ns])
     witness = Isometry(space, reflect(space, w1).matrix * reflect(space, w2).matrix,
                        check=False)
-    assert not spinor_norm(witness).is_trivial()
+    if spinor_norm(witness).is_trivial():
+        raise InvariantViolated("SO+ index witness has trivial spinor norm")
     return 2, witness
 
 
@@ -152,7 +160,8 @@ def norm_surjectivity(e: EtaleQuad) -> Dict[int, object]:
         witnesses.setdefault(n.value, z)
         if len(witnesses) == field.p - 1:
             break
-    assert len(witnesses) == field.p - 1, "norm map missed a class"
+    if len(witnesses) != field.p - 1:
+        raise InvariantViolated("norm map missed a class")
     return witnesses
 
 
@@ -183,19 +192,18 @@ def enumerate_isometry_columns(diag: List[int], p: int):
         spheres[c % p] = [v for v in itertools.product(range(p), repeat=n)
                           if any(v) and _norm_int(diag, v, p) == c % p]
 
-    def dot(u, v):
-        return sum(d * x * y for d, x, y in zip(diag, u, v)) % p
-
-    def rec(cols):
-        k = len(cols)
-        if k == n:
+    def rec(cols, pools):
+        # pools[i]: candidates for column len(cols) + i, orthogonal to cols
+        if not pools:
             yield cols
             return
-        for v in spheres[diag[k] % p]:
-            if all(dot(v, c) == 0 for c in cols):
-                yield from rec(cols + (v,))
+        for v in pools[0]:
+            dv = [d * x for d, x in zip(diag, v)]
+            yield from rec(cols + (v,), [
+                [w for w in pool if sum(map(mul, dv, w)) % p == 0]
+                for pool in pools[1:]])
 
-    yield from rec(())
+    yield from rec((), [spheres[d % p] for d in diag])
 
 
 def enumerate_isometries(space: QuadSpace):
@@ -322,18 +330,27 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
                             iso = Isometry(dspace, m, check=False)
                             if spinor_norm(iso).is_trivial():
                                 count_plus += 1
-                assert count == orthogonal_order(diag, p)
-                assert count_so == so
+                if count != orthogonal_order(diag, p):
+                    raise InvariantViolated("enumerated %d isometries, |O| = %d"
+                                            % (count, orthogonal_order(diag, p)))
+                if count_so != so:
+                    raise InvariantViolated("enumerated %d of det 1, |SO| = %d"
+                                            % (count_so, so))
                 if filter_spinor:
                     so_plus = count_plus
-                    assert so_plus * 2 == so, "SO+ index is not 2"
+                    if so_plus * 2 != so:
+                        raise InvariantViolated("SO+ index is not 2")
             if so_plus is None:
                 idx, _w = so_plus_index(space)
-                assert idx == 2
+                if idx != 2:
+                    raise InvariantViolated("SO+ index is %d, not 2" % idx)
                 so_plus = so // 2
             key = (dim, None) if dim % 2 == 1 else (dim, trivial)
             formula, ident = CLASSICAL[key]
-            assert so == formula(p), (dim, trivial, so, formula(p))
+            if so != formula(p):
+                raise InvariantViolated(
+                    "|SO| = %d, classical order %d (dim %d, trivial disc %s)"
+                    % (so, formula(p), dim, trivial))
             disc_rep = "1" if trivial else str(field.least_nonresidue().value)
             rows.append(CensusRow(dim, disc_rep, so, so_plus, ident, method))
     return CensusReport(p, rows)

@@ -367,3 +367,21 @@ def test_coercion_between_algebras(kind):
     twin = x * 1
     assert twin == x and hash(twin) == hash(x)
     assert x.algebra(same) is same
+
+
+def test_aminus_vectors_of_different_algebras_do_not_mix():
+    a1 = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2))
+    a2 = BiquatAlg(QuatAlg(F5, 2, 2), QuatAlg(F5, 2, 3))
+    u = a1.aminus([1, 0, 0], [0, 0, 0])
+    w = a2.aminus([0, 1, 0], [0, 0, 0])
+    with pytest.raises(AlgebraMismatch):
+        u + w
+    with pytest.raises(AlgebraMismatch):
+        u - w
+    assert u != a2.aminus([1, 0, 0], [0, 0, 0])
+    # a separately built but equal descriptor still mixes
+    a1b = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2))
+    v = a1b.aminus([0, 1, 0], [0, 0, 0])
+    assert (u + v).coords() == [F5(1), F5(1), F5(0), F5(0), F5(0), F5(0)]
+    assert (u - v) == a1.aminus([1, -1, 0], [0, 0, 0])
+    assert u == a1b.aminus([1, 0, 0], [0, 0, 0])

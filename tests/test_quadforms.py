@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from isogeny_kit.errors import IsotropicMirror, NoIsotropicVector
+from isogeny_kit.errors import DimensionMismatch, IsotropicMirror, NoIsotropicVector
 from isogeny_kit.exactfield import GF, QQ, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
@@ -34,6 +34,32 @@ def test_pairing_examples():
     assert h.pairing([QQ(1), QQ(0)], [QQ(0), QQ(1)]) == QQ(1)
     s = QuadSpace.diagonal(F3, [1, -1])
     assert s.vnorm([F3(1), F3(1)]).is_zero()
+
+
+def test_diagonal_pairing_matches_dense_gram():
+    """The O(n) pairing of a diagonal space equals u^t G v; errors unchanged."""
+    rng = random.Random(4)
+    for field in (F5, QQ):
+        for n in (1, 3, 5):
+            entries = [rng.choice([1, 2, 3, -1]) for _ in range(n)]
+            s = QuadSpace.diagonal(field, entries)
+            assert s.diag == [field(e) for e in entries]
+            for _ in range(10):
+                u, v = s.random_vector(rng), s.random_vector(rng)
+                dense = sum((a * b for a, b in zip(u, s.gram.apply(v))),
+                            field.zero())
+                assert s.pairing(u, v) == dense
+                if not s.vnorm(v).is_zero():
+                    m = reflect(s, v).matrix
+                    assert m.T * s.gram * m == s.gram
+                    assert m.apply(v) == [-x for x in v]
+            with pytest.raises(DimensionMismatch):
+                s.pairing(s.zero_vector() + [field(1)], s.zero_vector())
+            with pytest.raises(DimensionMismatch):
+                reflect(s, s.basis_vector(0) + [field(1)])
+    assert hyperbolic_plane(F5).diag is None
+    with pytest.raises(IsotropicMirror):
+        reflect(QuadSpace.diagonal(F5, [1, 1]), [F5(1), F5(2)])
 
 
 def test_polarization_identity():

@@ -1,10 +1,19 @@
 """Form classification, SO+ index, norm surjectivity, and the census."""
 
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import isogeny_kit
+from isogeny_kit import smallfields
 from isogeny_kit.algebras import EtaleQuad
-from isogeny_kit.errors import BudgetExceeded
+from isogeny_kit.errors import BudgetExceeded, InvariantViolated
 from isogeny_kit.exactfield import GF
+from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import QuadSpace, find_isotropic
 from isogeny_kit.smallfields import (
     EUCLIDEAN_NOTE,
@@ -12,6 +21,7 @@ from isogeny_kit.smallfields import (
     census_space,
     classify_form,
     enumerate_isometries,
+    enumerate_isometry_columns,
     explicit_isometry,
     norm_surjectivity,
     orthogonal_order,
@@ -153,3 +163,78 @@ def test_classify_invariant_under_base_change():
         s2 = QuadSpace(F3, p.T * s.gram * p)
         k1, k2 = classify_form(s), classify_form(s2)
         assert k1[0] == k2[0] and k1[1] == k2[1]
+
+
+def _bruteforce_columns(diag, p):
+    """Every tuple of sphere vectors, kept when pairwise orthogonal."""
+    n = len(diag)
+
+    def dot(u, v):
+        return sum(d * x * y for d, x, y in zip(diag, u, v)) % p
+
+    spheres = [[v for v in itertools.product(range(p), repeat=n)
+                if any(v) and dot(v, v) == d % p] for d in diag]
+    return [cols for cols in itertools.product(*spheres)
+            if all(dot(cols[i], cols[j]) == 0
+                   for i in range(n) for j in range(i + 1, n))]
+
+
+def test_isometry_columns_match_bruteforce():
+    """Pool-pruned enumeration = filtered product, in the same order."""
+    for p in (3, 5, 7):
+        field = GF(p)
+        nr = field.least_nonresidue().value
+        cases = [[1], [nr], [1, 1], [1, nr], [nr, nr],
+                 [1, 1, 1], [1, 1, nr], [nr, 1, nr]]
+        for diag in cases:
+            got = list(enumerate_isometry_columns(diag, p))
+            assert got == _bruteforce_columns(diag, p), (diag, p)
+            assert len(got) == orthogonal_order(diag, p)
+            n = len(diag)
+            d = Mat(field, [[field(diag[i] if i == j else 0) for j in range(n)]
+                            for i in range(n)])
+            for cols in got:
+                m = Mat(field, [[field(cols[j][i]) for j in range(n)]
+                                for i in range(n)])
+                assert m.T * d * m == d
+
+
+def _drop_first(real):
+    def enum(diag, p):
+        it = real(diag, p)
+        next(it)
+        yield from it
+    return enum
+
+
+def test_census_count_check_raises_named_error(monkeypatch):
+    monkeypatch.setattr(smallfields, "enumerate_isometry_columns",
+                        _drop_first(enumerate_isometry_columns))
+    with pytest.raises(InvariantViolated):
+        census(3, 3)
+
+
+def test_census_count_check_survives_assert_stripping():
+    code = textwrap.dedent("""
+        from isogeny_kit import smallfields
+        from isogeny_kit.errors import InvariantViolated
+        assert False, "asserts are live"
+        real = smallfields.enumerate_isometry_columns
+
+        def enum(diag, p):
+            it = real(diag, p)
+            next(it)
+            yield from it
+
+        smallfields.enumerate_isometry_columns = enum
+        try:
+            smallfields.census(3, 3)
+        except InvariantViolated as exc:
+            print("raised", exc)
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised enumerated")
