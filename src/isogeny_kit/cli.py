@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from .algebras import BiquatAlg, QuatAlg
-from .errors import IsogenyKitError, ParseError, UnknownSuite
+from .errors import IsogenyKitError, InvariantViolated, ParseError, UnknownSuite
 from .exactfield import parse_field
 from .linalg import Mat
 from .quadforms import (
@@ -136,7 +136,8 @@ def cmd_decompose(args) -> int:
         print("not a GSp member")
         return 1
     gf = spin_eight.gsp_decompose(member)
-    assert gf.assemble() == mat
+    if gf.assemble() != mat:
+        raise InvariantViolated("generic form failed to reassemble")
     report = {
         "multiplier": repr(member.m),
         "v": [repr(c) for c in gf.v.coords()],
@@ -149,6 +150,11 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _check_lift(image, iso):
+    if image.matrix != iso.matrix:
+        raise InvariantViolated("the lift does not act as the given isometry")
+
+
 def cmd_lift(args) -> int:
     with open(args.isometry) as fh:
         obj = json.load(fh)
@@ -159,7 +165,7 @@ def cmd_lift(args) -> int:
         b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
         model = Dim3Model(b)
         g = model.lift(iso)
-        assert model.act(g).matrix == iso.matrix
+        _check_lift(model.act(g), iso)
         report = {"model": "dim3", "lift": [repr(c) for c in g.c]}
     elif args.model == "dim6d1":
         from . import spin_six
@@ -167,8 +173,7 @@ def cmd_lift(args) -> int:
         c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
         algebra = BiquatAlg(b, c)
         x = spin_six.dim6d1_lift(iso, algebra)
-        assert spin_six.cover_act_isometry(x, algebra.albert_space()).matrix \
-            == iso.matrix
+        _check_lift(spin_six.cover_act_isometry(x, algebra.albert_space()), iso)
         report = {"model": "dim6d1", "g": [repr(v) for v in x.g.c],
                   "t": repr(x.t)}
     elif args.model == "dim8id1":
@@ -177,8 +182,7 @@ def cmd_lift(args) -> int:
         c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
         algebra = BiquatAlg(b, c)
         x = spin_eight.dim8_lift(iso, algebra)
-        assert spin_eight.act8_isometry(
-            x, spin_eight.vec8_space(algebra)).matrix == iso.matrix
+        _check_lift(spin_eight.act8_isometry(x, spin_eight.vec8_space(algebra)), iso)
         report = {"model": "dim8id1",
                   "blocks": [[repr(v) for v in e.c]
                              for e in x.matrix().entries()],

@@ -260,6 +260,14 @@ def parse_field(spec: str) -> FieldDesc:
     raise ValueError("bad field spec %r (expected 'p=N' or 'Q')" % spec)
 
 
+def _ints_over_lcm(values):
+    """Rationals (Fractions or ints) as (numerators, d) over d, the lcm of
+    their denominators: the integer kernels' view of a row over Q."""
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+
 # ---------------------------------------------------------------------------
 # squares and square classes
 # ---------------------------------------------------------------------------

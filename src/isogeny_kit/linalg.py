@@ -2,9 +2,11 @@
 
 Entries are duck-typed: anything supporting +, -, * and unary -.  Every
 elimination (det, rank, solve, inverse, independent_subset) runs through
-one forward row reduction over F_p or Q on bare values: int residues or
-Fractions.  Determinants over any other ring, including those with zero
-divisors, use the division-free Berkowitz algorithm.
+one forward row reduction over F_p or Q on bare values: int residues mod
+p, or over Q rows scaled to ints and eliminated fraction-free (Bareiss),
+so no Fraction is formed until the solutions are divided through by one
+determinant.  Determinants over any other ring, including those with
+zero divisors, use the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
-from .exactfield import FieldDesc, Scalar
+from .exactfield import FieldDesc, Scalar, _ints_over_lcm
 
 
 class Mat:
@@ -217,18 +219,32 @@ def kron(ring, a: Mat, b: Mat) -> Mat:
 def row_reduce(a, ncols: int, p=None):
     """Forward elimination of the rows `a` in place, over F_p or Q.
 
-    Entries are bare values: int residues mod p, or Fractions when p is
-    None.  Pivots are sought in the first `ncols` columns, each the first
-    nonzero entry at or below the current row; eliminating a pivot updates
-    only the entries right of its column (columns past `ncols`, such as an
-    augmented right-hand side, included), so the entries below each pivot
-    are left stale rather than zeroed.  Returns (pivot columns, determinant
-    of the first `ncols` columns), the determinant being meaningful for a
-    square block only.
+    Entries are bare values: int residues mod p, or Fractions (or ints)
+    when p is None.  Pivots are sought in the first `ncols` columns, each
+    the first nonzero entry at or below the current row; eliminating a
+    pivot updates only the entries right of its column (columns past
+    `ncols`, such as an augmented right-hand side, included), so the
+    entries below each pivot are left stale rather than zeroed.  Returns
+    (pivot columns, determinant of the first `ncols` columns), the
+    determinant being meaningful for a square block only.
+
+    Over Q the elimination is fraction-free (Bareiss): each row is first
+    scaled to ints by the lcm of its denominators, and eliminating pivot
+    pv with the previous pivot prev sets row[j] = (pv*row[j] - f*top[j])
+    // prev on every row below, the division being exact.  Each reduced
+    row is then a nonzero multiple of the row Fraction elimination would
+    give, so the pivots and the solutions of back_substitute are the same;
+    the rows of `a` are left as those ints.
     """
     n = len(a)
     pivots = []
-    det = 1
+    det = 1     # over Q only the sign: the last pivot carries the rest
+    if p is None:
+        scale = 1
+        for row in a:
+            row[:], s = _ints_over_lcm(row)
+            scale *= s
+        prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, n) if a[i][c]), None)
@@ -240,37 +256,58 @@ def row_reduce(a, ncols: int, p=None):
             det = -det
         top = a[r]
         pv = top[c]
-        det = det * pv
-        inv = 1 / pv if p is None else pow(pv, -1, p)
-        support = [j for j in range(c + 1, len(top)) if top[j]]
-        for row in a[r + 1:]:
-            f = row[c]
-            if f:
-                if p is None:
-                    f = f * inv
-                    for j in support:
-                        row[j] = row[j] - f * top[j]
+        if p is None:
+            # every row below is rescaled, even where f == 0, so that the
+            # next pivot's division by pv stays exact
+            rest = top[c + 1:]
+            for row in a[r + 1:]:
+                f = row[c]
+                if f:
+                    row[c + 1:] = [(pv * x - f * t) // prev
+                                   for x, t in zip(row[c + 1:], rest)]
                 else:
+                    row[c + 1:] = [pv * x // prev for x in row[c + 1:]]
+            prev = pv
+        else:
+            det = det * pv
+            inv = pow(pv, -1, p)
+            support = [j for j in range(c + 1, len(top)) if top[j]]
+            for row in a[r + 1:]:
+                f = row[c]
+                if f:
                     f = f * inv % p
                     for j in support:
                         row[j] = (row[j] - f * top[j]) % p
         pivots.append(c)
-    return pivots, det if p is None else det % p
+    if p is not None:
+        return pivots, det % p
+    if det:
+        # the last pivot is the determinant of the rows scaled to ints
+        det = Fraction(det * prev, scale)
+    return pivots, det
 
 
 def back_substitute(a, pivots, ncols: int, k: int, p=None):
     """The solution of the system reduced by row_reduce whose right-hand
-    side is column k of `a`, with every free variable 0."""
-    x = [0 if p else Fraction(0)] * ncols
+    side is column k of `a`, with every free variable 0.
+
+    Over Q the rows are row_reduce's ints and the last pivot d is the
+    determinant of the pivot block, so d times the solution is integral
+    (Cramer): it is found on ints with exact divisions and divided
+    through by d as Fractions at the end.
+    """
+    if p is None:
+        d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    x = [0] * ncols
     for i in range(len(pivots) - 1, -1, -1):
         row = a[i]
-        acc = row[k]
+        acc = row[k] if p else row[k] * d
         for j in pivots[i + 1:]:
             if x[j]:
                 acc = acc - row[j] * x[j]
         c = pivots[i]
-        x[c] = acc * pow(row[c], -1, p) % p if p else acc / row[c]
-    return x
+        x[c] = acc * pow(row[c], -1, p) % p if p else acc // row[c]
+    return x if p else [Fraction(v, d) for v in x]
 
 
 def independent_subset(field: FieldDesc, vecs, k: int):

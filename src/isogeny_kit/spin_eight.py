@@ -22,6 +22,7 @@ from .algebras import (
 )
 from .errors import (
     DecompositionFailed,
+    InvariantViolated,
     IsotropicMirror,
     NonInvertible,
     NotFullySplit,
@@ -377,7 +378,8 @@ def _decompose_at(g: GSpElem, v: Optional[AminusVector]) -> GenForm:
     alpha = (a_inv * b).to_aminus()
     beta = (g.mat.c * a_inv).to_aminus()
     gf = GenForm(algebra, v, a, alpha, beta, g.m)
-    assert gf.assemble() == g.mat, "generic form failed to reassemble"
+    if gf.assemble() != g.mat:
+        raise InvariantViolated("generic form failed to reassemble")
     return gf
 
 
@@ -406,7 +408,8 @@ def comp_reparam(gf: GenForm, new_v: AminusVector) -> Tuple[GenForm, object]:
     gamma_e = gf.alpha.embed() - (gf.a.inverse() * mid.embed()
                                   * gf.a.bar().inverse()).scale(gf.m)
     out = GenForm(algebra, new_v, c, gamma_e.to_aminus(), delta, gf.m)
-    assert out.assemble() == gf.assemble(), "reparametrization changed the matrix"
+    if out.assemble() != gf.assemble():
+        raise InvariantViolated("reparametrization changed the matrix")
     return out, dd
 
 
@@ -797,14 +800,15 @@ def triality_kernels(algebra: BiquatAlg) -> dict:
     def psi_proj_trivial(x):
         return psi(x).matrix() == M2A.identity(algebra)
 
-    assert acts_trivially(minus_minus) and not proj_trivial(minus_minus) \
-        and not psi_proj_trivial(minus_minus)
-    assert proj_trivial(plus_minus) and not acts_trivially(plus_minus) \
-        and not psi_proj_trivial(plus_minus)
-    assert psi_proj_trivial(minus_plus) and not acts_trivially(minus_plus) \
-        and not proj_trivial(minus_plus)
-    return {"action": minus_minus, "projection": plus_minus,
-            "psi_projection": minus_plus}
+    kernels = {"action": acts_trivially, "projection": proj_trivial,
+               "psi_projection": psi_proj_trivial}
+    elems = {"action": minus_minus, "projection": plus_minus,
+             "psi_projection": minus_plus}
+    for name, x in elems.items():
+        # each element lies in its own kernel and in neither of the others
+        if [k for k, trivial in kernels.items() if trivial(x)] != [name]:
+            raise InvariantViolated("the %s kernel element is misplaced" % name)
+    return elems
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .algebras import (
 )
 from .errors import (
     CoverInvariantViolated,
+    InvariantViolated,
     IsotropicMirror,
     IsotropicQ,
     NonInvertible,
@@ -171,7 +172,8 @@ def dim5_stabilizer(g: BiquatElem, q: AminusVector) -> Optional[QStabElem]:
     if t is None:
         return None
     # Lemma AFQAF2: the multiplier squares to the reduced norm
-    assert reduced_norm_A(g) == t * t, "N(g) != t(g)^2 on a stabilizer element"
+    if reduced_norm_A(g) != t * t:
+        raise InvariantViolated("N(g) != t(g)^2 on a stabilizer element")
     return QStabElem(g, q, t)
 
 

@@ -11,6 +11,13 @@ gives coercion, the linear operations, equality and hash, the table
 product, and an inverse by solving the regular representation; the
 subclasses keep only their own involutions, norms and conjugations.
 
+Over F_p or Q the table product and `mult_matrix` work on ints: the
+structure constants are kept once per algebra as ints over one
+denominator, the operands are unwrapped to residues or to numerators over
+their lcm denominator, and each output coordinate is wrapped once, with
+one `% p` or one Fraction.  Over the non-field rings (EtaleQuad,
+QuadTower) the product loops over the ring's own arithmetic.
+
 Tower elements carry 2^k coordinates indexed by subsets of the adjoined
 roots (bitmask order).  These towers back the split embeddings of
 quaternion algebras and the exterior-square constructions; they are
@@ -20,11 +27,27 @@ degenerates.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, FieldMismatch, NonInvertible
-from .exactfield import FieldDesc, Scalar, is_square
+from .exactfield import FieldDesc, Scalar, _ints_over_lcm, is_square
 from .linalg import Mat
+
+
+def _bare(field: FieldDesc, scalars):
+    """Scalars over F_p or Q as ints over one denominator: (ints, d)."""
+    values = [s.value for s in scalars]
+    if field.p is None:
+        return _ints_over_lcm(values)
+    return values, 1
+
+
+def _wrap(field: FieldDesc, ints, d):
+    """Scalars ints / d, reduced once each."""
+    if field.p is None:
+        return [Scalar(field, Fraction(v, d)) for v in ints]
+    return [Scalar(field, v % field.p) for v in ints]
 
 
 class TableElem:
@@ -81,8 +104,21 @@ class TableElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        ring = self.algebra.ring
+        if isinstance(ring, FieldDesc):
+            tab, den = self.algebra._int_table()
+            xs, dx = _bare(ring, self.c)
+            ys, dy = _bare(ring, other.c)
+            out = [0] * len(xs)
+            right = [(j, b) for j, b in enumerate(ys) if b]
+            for a, row in zip(xs, tab):
+                if a:
+                    for j, b in right:
+                        target, coeff = row[j]
+                        out[target] += a * b * coeff
+            return type(self)(self.algebra, _wrap(ring, out, dx * dy * den))
         tab = self.algebra.table()
-        out = [self.algebra.ring.zero()] * len(self.c)
+        out = [ring.zero()] * len(self.c)
         right = [(j, b) for j, b in enumerate(other.c) if not b.is_zero()]
         for i, a in enumerate(self.c):
             if a.is_zero():
@@ -106,6 +142,15 @@ class TableElem:
         """Left multiplication x -> self * x as a matrix over the ring."""
         ring = self.algebra.ring
         n = len(self.c)
+        if isinstance(ring, FieldDesc):
+            tab, den = self.algebra._int_table()
+            xs, dx = _bare(ring, self.c)
+            rows = [[0] * n for _ in range(n)]
+            for a, row in zip(xs, tab):
+                if a:
+                    for j, (target, coeff) in enumerate(row):
+                        rows[target][j] += a * coeff
+            return Mat(ring, [_wrap(ring, r, dx * den) for r in rows])
         rows = [[ring.zero()] * n for _ in range(n)]
         tab = self.algebra.table()
         for i, a in enumerate(self.c):
@@ -164,6 +209,7 @@ class TableAlgebra:
 
     Mismatch = AlgebraMismatch
     _tab = None
+    _int_tab = None
 
     def table(self):
         """Structure constants tab[i][j] = (target, coeff or None), built once."""
@@ -172,6 +218,18 @@ class TableAlgebra:
             self._tab = [[(t, None if f == one else f) for t, f in row]
                          for row in self._build_table()]
         return self._tab
+
+    def _int_table(self):
+        """The table over F_p or Q on ints, built once: (tab, d) with
+        tab[i][j] = (target, n), n / d the coefficient of e_i e_j (n a
+        residue and d = 1 over F_p)."""
+        if self._int_tab is None:
+            tab, one = self.table(), self.ring.one()
+            nums, d = _bare(self.ring, [one if f is None else f
+                                        for row in tab for _, f in row])
+            it = iter(nums)
+            self._int_tab = ([[(t, next(it)) for t, _ in row] for row in tab], d)
+        return self._int_tab
 
     def elem(self, coeffs):
         return self.Elem(self, [self.ring(v) for v in coeffs])

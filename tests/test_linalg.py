@@ -126,3 +126,115 @@ def test_elimination_needs_a_field():
     with pytest.raises(TypeError):
         m.det()
     assert berkowitz_det(m) == e.gen0()
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination over Q against a naive Fraction elimination
+# ---------------------------------------------------------------------------
+
+def naive_rref(rows, ncols):
+    """Gauss-Jordan on Fractions with the kernel's pivot rule (the first
+    nonzero entry at or below the current row): (rref rows, pivot
+    columns, determinant of the first ncols columns)."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    pivots, det = [], Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        pv = a[r][c]
+        det *= pv
+        a[r] = [v / pv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * t for v, t in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, det
+
+
+def q_samples(seed):
+    """Random rational matrices: square up to 12x12, wide, tall, with a
+    repeated row, with zero columns and with many zero entries."""
+    rng = random.Random(seed)
+
+    def entry(zero_share):
+        if rng.random() < zero_share:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    out = []
+    for n, m in ((1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (12, 12), (3, 6),
+                 (4, 9), (6, 3), (9, 4), (7, 7)):
+        for zero_share in (0.0, 0.5, 0.8):
+            rows = [[entry(zero_share) for _ in range(m)] for _ in range(n)]
+            out.append(rows)
+            if n > 1:
+                dup = [list(r) for r in rows]
+                dup[rng.randrange(1, n)] = list(dup[0])
+                out.append(dup)
+            zcols = rng.sample(range(m), max(1, m // 3))
+            out.append([[Fraction(0) if j in zcols else v for j, v in enumerate(r)]
+                        for r in rows])
+    return [Mat(QQ, [[QQ(v) for v in r] for r in rows]) for rows in out], rng
+
+
+def values(vec):
+    return [v.value for v in vec]
+
+
+def test_q_det_and_rank_match_naive():
+    mats, _ = q_samples(11)
+    for a in mats:
+        _, pivots, det = naive_rref([values(r) for r in a.rows], a.ncols)
+        assert a.rank() == len(pivots)
+        if a.nrows == a.ncols:
+            assert a.det().value == det
+
+
+def test_q_solve_matches_naive():
+    mats, rng = q_samples(12)
+    for a in mats:
+        consistent = a.apply([QQ(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                              for _ in range(a.ncols)])
+        arbitrary = [QQ(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                     for _ in range(a.nrows)]
+        for b in (consistent, arbitrary):
+            red, pivots, _ = naive_rref([values(r) + [v.value] for r, v in zip(a.rows, b)],
+                                        a.ncols)
+            x = a.solve(b)
+            if any(row[-1] for row in red[len(pivots):]):
+                assert x is None
+                continue
+            # the reduced echelon form reads off the solution with free variables 0
+            want = [Fraction(0)] * a.ncols
+            for i, c in enumerate(pivots):
+                want[c] = red[i][-1]
+            assert values(x) == want
+
+
+def test_q_inverse_and_independent_subset_match_naive():
+    mats, _ = q_samples(13)
+    inverted = 0
+    for a in mats:
+        n = a.ncols
+        _, pivots, _ = naive_rref([[r[i].value for r in a.rows] for i in range(n)],
+                                  a.nrows)
+        for k in range(len(pivots) + 1):
+            assert independent_subset(QQ, a.rows, k) == [a.rows[c] for c in pivots[:k]]
+        if a.nrows != n:
+            continue
+        red, pivots, _ = naive_rref([values(r) + [Fraction(int(i == j)) for j in range(n)]
+                                     for i, r in enumerate(a.rows)], n)
+        if len(pivots) < n:
+            with pytest.raises(NonInvertible):
+                a.inverse()
+            continue
+        inverted += 1
+        assert [values(r) for r in a.inverse().rows] == [row[n:] for row in red]
+    assert inverted > 10

@@ -2,11 +2,17 @@
 harness (every single-sign flip in theta, D, or the psi diagonal rule
 must make a named suite fail)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import isogeny_kit
 from isogeny_kit import algebras, spin_eight, spin_six, suites
 from isogeny_kit.algebras import AminusVector
-from isogeny_kit.errors import UnknownSuite
+from isogeny_kit.errors import InvariantViolated, UnknownSuite
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
 
 FAST_CONFIG = RunConfig.from_args("p=3", seed=11, trials=8)
@@ -101,14 +107,58 @@ def test_mutation_theta_negate_all(monkeypatch):
     assert not all(run_mutation_suites().values())
 
 
+def bad_d_pairing(eta, omega):
+    """spin_eight.D with the sign of its pairing term flipped."""
+    ring = eta.algebra.ring
+    pr = algebras.albert_pair(eta, algebras.theta(omega))
+    return ring.one() - pr - pr + \
+        algebras.albert_norm(omega) * algebras.albert_norm(eta)
+
+
+COMP_CONFIG = RunConfig.from_args("p=5", seed=0, trials=20)
+
+
 def test_mutation_d_flip_pairing_sign(monkeypatch):
-    def bad_d(eta, omega):
-        ring = eta.algebra.ring
-        pr = algebras.albert_pair(eta, algebras.theta(omega))
-        return ring.one() - pr - pr + \
-            algebras.albert_norm(omega) * algebras.albert_norm(eta)
-    monkeypatch.setattr(spin_eight, "D", bad_d)
+    monkeypatch.setattr(spin_eight, "D", bad_d_pairing)
     assert not all(run_mutation_suites().values())
+
+
+def test_comp_catches_d_flip_pairing_sign(monkeypatch):
+    # comp_reparam's own check fails on a share of the cases; suite_comp
+    # skips only SingularReparam, so the InvariantViolated is not a pass
+    assert run_suite("comp", COMP_CONFIG).passed
+    monkeypatch.setattr(spin_eight, "D", bad_d_pairing)
+    try:
+        passed = run_suite("comp", COMP_CONFIG).passed
+    except InvariantViolated:
+        passed = False
+    assert not passed
+
+
+def test_comp_check_survives_assert_stripping():
+    code = textwrap.dedent("""
+        from isogeny_kit import algebras, spin_eight
+        from isogeny_kit.errors import InvariantViolated
+        from isogeny_kit.suites import RunConfig, run_suite
+        assert False, "asserts are live"
+
+        def bad_d(eta, omega):
+            pr = algebras.albert_pair(eta, algebras.theta(omega))
+            return eta.algebra.ring.one() - pr - pr + \\
+                algebras.albert_norm(omega) * algebras.albert_norm(eta)
+
+        spin_eight.D = bad_d
+        try:
+            run_suite("comp", RunConfig.from_args("p=5", seed=0, trials=20))
+        except InvariantViolated as exc:
+            print("raised", exc)
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised reparametrization changed the matrix")
 
 
 def test_mutation_d_flip_norm_sign(monkeypatch):

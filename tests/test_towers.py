@@ -3,9 +3,11 @@ ring axioms and Galois conjugation on seeded elements, inverses, zero
 divisors of degenerate towers, and coercion between towers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from isogeny_kit.algebras import BiquatAlg, QuatAlg
 from isogeny_kit.errors import FieldMismatch, NonInvertible
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.towers import QuadTower
@@ -116,3 +118,75 @@ def test_coercion_between_towers():
     assert x * y == a.elem([3 + 8 * 2, 4 + 6])
     assert x == a2.elem([1, 2]) and hash(x) == hash(a2.elem([1, 2]))
     assert a2(x) is x
+
+
+# ---------------------------------------------------------------------------
+# the integer table product over F_p and Q against the structure table
+# ---------------------------------------------------------------------------
+
+F3 = GF(3)
+HALF, M3_5, M2_3, P5_4 = (Fraction(1, 2), Fraction(-3, 5), Fraction(-2, 3),
+                          Fraction(5, 4))
+
+
+def table_algebras():
+    """Quaternions, bi-quaternions and towers over F_3, F_7 and Q, the
+    rational ones with non-integral symbols."""
+    out = []
+    for field, s1, s2 in ((F3, (2, 1), (1, 2)), (F7, (3, 5), (6, 3)),
+                          (QQ, (HALF, M3_5), (M2_3, P5_4))):
+        b, c = QuatAlg(field, *s1), QuatAlg(field, *s2)
+        out += [b, BiquatAlg(b, c), QuadTower(field, [*s1])]
+    return out
+
+
+TABLE_ALGEBRAS = table_algebras()
+TABLE_IDS = ["%s/%s" % (type(a).__name__, a.ring) for a in TABLE_ALGEBRAS]
+
+
+def table_samples(alg, rng):
+    field = alg.ring
+
+    def coeff():
+        if rng.random() < 0.4:
+            return 0
+        if field.p is None:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+        return rng.randrange(field.p)
+
+    xs = [alg.elem([coeff() for _ in range(alg.dim)]) for _ in range(6)]
+    return xs + [alg.zero(), alg.one(), alg.from_scalar(HALF if field.p is None else 2)]
+
+
+def naive_product(x, y):
+    """sum a_i b_j coeff_ij e_target on Scalars, read off table()."""
+    alg = x.algebra
+    one = alg.ring.one()
+    out = [alg.ring.zero()] * alg.dim
+    for i, a in enumerate(x.c):
+        for j, b in enumerate(y.c):
+            target, coeff = alg.table()[i][j]
+            out[target] = out[target] + a * b * (one if coeff is None else coeff)
+    return out
+
+
+@pytest.mark.parametrize("alg", TABLE_ALGEBRAS, ids=TABLE_IDS)
+def test_int_table_product_matches_table(alg):
+    tab = alg.table()
+    assert any(f is None for row in tab for _, f in row)
+    if alg.ring.p is None:
+        assert any(f is not None and f.value.denominator > 1
+                   for row in tab for _, f in row)
+    xs = table_samples(alg, random.Random(alg.dim * 7 + (alg.ring.p or 0)))
+    for x in xs:
+        m = x.mult_matrix()
+        for y in xs:
+            prod = x * y
+            assert prod.c == naive_product(x, y)
+            assert all(v.field == alg.ring for v in prod.c)
+            assert m.apply(y.c) == prod.c
+        assert m.rows == [[sum((a * (alg.ring.one() if tab[i][j][1] is None
+                                     else tab[i][j][1])
+                                for i, a in enumerate(x.c) if tab[i][j][0] == t),
+                               alg.ring.zero())
+                           for j in range(alg.dim)] for t in range(alg.dim)]
