@@ -6,10 +6,10 @@ Quaternion and bi-quaternion algebras are subclasses of the structure-
 constant core in `towers` (`TableAlgebra`, `TableElem`), which gives their
 coercion, linear operations, equality, table product and regular-
 representation inverse; here they add only their structure tables, the
-involutions, norms and traces, and the A^- maps.  The arithmetic is
-generic over the coefficient ring (F_p, Q, an etale quadratic algebra, or
-a multi-quadratic tower), so the same code serves B, B_E, and the
-split-embedding norm oracles.
+involutions, norms and traces, and the A^- maps.  The coefficient ring
+is F_p, Q or an etale quadratic algebra E (restriction of scalars to F),
+so the same code serves B and B_E; the split-embedding norm oracles use
+matrices over multi-quadratic towers.
 """
 
 from __future__ import annotations
@@ -98,28 +98,14 @@ class EtaleQuad:
         return [EQElem(self, a, b)
                 for a in self.field.elements() for b in self.field.elements()]
 
-    def solve_restricted(self, m: Mat, rhs):
-        """Solve m x = rhs over E as a system over F; None if inconsistent.
-
-        x + y sqrt(d) acts on (x, y) coordinates as ((x, d y), (y, x)), and
-        the split (x, y) as diag(x, y).
-        """
-        zero = self.field.zero()
-        rows = []
-        for row in m.rows:
-            top, bottom = [], []
-            for z in row:
-                if self.is_split:
-                    top += (z.x, zero)
-                    bottom += (zero, z.y)
-                else:
-                    top += (z.x, self.d * z.y)
-                    bottom += (z.y, z.x)
-            rows += (top, bottom)
-        sol = Mat(self.field, rows).solve([v for z in rhs for v in (z.x, z.y)])
-        if sol is None:
-            return None
-        return [EQElem(self, sol[k], sol[k + 1]) for k in range(0, len(sol), 2)]
+    def basis_products(self):
+        """E as an F-algebra on the basis u = (1, sqrt(d)), or the two
+        idempotents when split: products[a][b] lists the (c, n) with
+        u_a u_b = sum n u_c, n the bare value of a scalar of F.  The
+        F-coordinates of an element on u are its (x, y)."""
+        if self.is_split:
+            return [[[(0, 1)], []], [[], [(1, 1)]]]
+        return [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, self.d.value)]]]
 
     def units(self):
         return [z for z in self.elements() if not z.norm().is_zero()]
@@ -252,6 +238,9 @@ class EQElem:
         return "(%s + %s*sqrt(%s))" % (self.x, self.y, self.algebra.d)
 
 
+EtaleQuad.Elem = EQElem   # the coefficients that `towers` rebuilds from F-coordinates
+
+
 # ---------------------------------------------------------------------------
 # quaternion algebras
 # ---------------------------------------------------------------------------
@@ -298,8 +287,8 @@ class QuatElem(TableElem):
 class QuatAlg(TableAlgebra):
     """Quaternion algebra (alpha, beta / ring): i^2=alpha, j^2=beta, ij=-ji.
 
-    The ring may be a FieldDesc, an EtaleQuad, or a QuadTower; elements
-    hold four ring coefficients over the basis (1, i, j, ij).
+    The ring is a FieldDesc or an EtaleQuad; elements hold four ring
+    coefficients over the basis (1, i, j, ij).
     """
 
     Elem = QuatElem
@@ -312,7 +301,7 @@ class QuatAlg(TableAlgebra):
         if self.alpha.is_zero() or self.beta.is_zero():
             raise ValueError("quaternion symbol entries must be nonzero")
 
-    def _build_table(self):
+    def table(self):
         a, b = self.alpha, self.beta
         one = self.ring.one()
         return (
@@ -539,9 +528,6 @@ class BiquatElem(TableElem):
         y = [self.c[0 + t] for t in (1, 2, 3)]
         return AminusVector(self.algebra, x, y)
 
-    def reduced_norm(self):
-        return reduced_norm_A(self)
-
     def __repr__(self):
         names = []
         for s in range(4):
@@ -569,9 +555,9 @@ class BiquatAlg(TableAlgebra):
         self.C = c
         self.ring = b.ring
 
-    def _build_table(self):
+    def table(self):
         """The tab16 fusion: (b_s c_t)(b_u c_v) = fb fc b_wb c_wc."""
-        tb, tc = self.B._build_table(), self.C._build_table()
+        tb, tc = self.B.table(), self.C.table()
         return [[(4 * wb + wc, fb * fc) for wb, fb in tb[s] for wc, fc in tc[t]]
                 for s in range(4) for t in range(4)]
 

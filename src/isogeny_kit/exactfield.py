@@ -61,10 +61,6 @@ class FieldDesc:
         self._nonresidue: Optional[int] = None
 
     @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
-    @property
     def is_rational(self) -> bool:
         return self.p is None
 

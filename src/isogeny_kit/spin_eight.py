@@ -80,9 +80,6 @@ class M2A:
         """((a,b),(c,d)) -> ((bar d, -bar b), (-bar c, bar a))."""
         return M2A(self.A, self.d.bar(), -self.b.bar(), -self.c.bar(), self.a.bar())
 
-    def map_entries(self, f, algebra: Optional[BiquatAlg] = None) -> "M2A":
-        return M2A(algebra or self.A, f(self.a), f(self.b), f(self.c), f(self.d))
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

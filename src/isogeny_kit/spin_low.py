@@ -64,11 +64,6 @@ class Dim2Model:
                 for i in range(2)]
         return isometry_from_images(self.space, cols)
 
-    def rho_isometry(self) -> Isometry:
-        cols = [self.to_vec(self.from_vec(self.space.basis_vector(i)).conj())
-                for i in range(2)]
-        return isometry_from_images(self.space, cols)
-
     def reflection_on(self, g: EQElem, z: EQElem, h: EQElem = None) -> EQElem:
         """z -> (gh) z^rho (gh)^(-rho), the reflection inverting g."""
         if g.norm().is_zero():

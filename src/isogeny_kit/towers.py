@@ -4,19 +4,19 @@ F(sqrt(d1), ..., sqrt(dk)) over F_p or Q built on them.
 `TableAlgebra` and `TableElem` are the one algebra core shared by the
 quaternion and bi-quaternion algebras of `algebras` and the towers here.
 An algebra is free of rank `dim` over its coefficient ring, and its basis
-products come from a structure table: tab[i][j] = (target, coeff or None)
-means e_i e_j = coeff * e_target, with None for a coefficient of one.
+products come from a structure table: tab[i][j] = (target, coeff) means
+e_i e_j = coeff * e_target.
 Elements hold their `dim` coefficients in the list `c`.  The element base
 gives coercion, the linear operations, equality and hash, the table
 product, and an inverse by solving the regular representation; the
 subclasses keep only their own involutions, norms and conjugations.
 
-Over F_p or Q the table product and `mult_matrix` work on ints: the
-structure constants are kept once per algebra as ints over one
-denominator, the operands are unwrapped to residues or to numerators over
-their lcm denominator, and each output coordinate is wrapped once, with
-one `% p` or one Fraction.  Over the non-field rings (EtaleQuad,
-QuadTower) the product loops over the ring's own arithmetic.
+The coefficient ring is F_p, Q or an etale quadratic algebra E over one
+of them (any other raises TypeError on the first product).  By
+restriction of scalars an algebra of rank n over E is one of rank 2n
+over F, so there is one product and one inverse path, both on the
+F-coordinates as ints over one denominator: the structure constants are
+kept so once per algebra, and each output coordinate is wrapped once.
 
 Tower elements carry 2^k coordinates indexed by subsets of the adjoined
 roots (bitmask order).  These towers back the split embeddings of
@@ -27,27 +27,94 @@ degenerates.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import AlgebraMismatch, FieldMismatch, NonInvertible
 from .exactfield import FieldDesc, Scalar, _ints_over_lcm, is_square
-from .linalg import Mat
+from .linalg import Mat, back_substitute, row_reduce
 
 
-def _bare(field: FieldDesc, scalars):
-    """Scalars over F_p or Q as ints over one denominator: (ints, d)."""
-    values = [s.value for s in scalars]
-    if field.p is None:
-        return _ints_over_lcm(values)
-    return values, 1
+class _Restriction:
+    """An algebra of rank n over R in {F_p, Q, E} as an F-algebra of rank
+    r n on the basis e_i (x) u_a (index r i + a): r = 1 when R = F, else
+    r = 2 and u is E's basis over F, on which E's coordinates are (x, y).
+    e_I e_J = sum n / den e_T over the (T, n) = tab[I][J] of each of the
+    `layers`, n a nonzero int (a residue over F_p, den = 1); a zero
+    product, such as split E's mixed ones, is None and skipped.
+    """
 
+    __slots__ = ("ring", "field", "r", "layers", "den")
 
-def _wrap(field: FieldDesc, ints, d):
-    """Scalars ints / d, reduced once each."""
-    if field.p is None:
-        return [Scalar(field, Fraction(v, d)) for v in ints]
-    return [Scalar(field, v % field.p) for v in ints]
+    def __init__(self, algebra: "TableAlgebra"):
+        ring = self.ring = algebra.ring
+        if isinstance(ring, FieldDesc):
+            self.field, self.r, units = ring, 1, [[[(0, 1)]]]
+        elif hasattr(ring, "basis_products"):
+            self.field, self.r, units = ring.field, 2, ring.basis_products()
+        else:
+            raise TypeError("table products run over F_p, Q or an etale "
+                            "quadratic algebra, not %r" % (ring,))
+        r, p = self.r, self.field.p
+        # (e_i u_a)(e_j u_b) = k e_t u_a u_b with k = sum_g k_g u_g, on values
+        entries = []
+        for i, row in enumerate(algebra.table()):
+            for j, (t, k) in enumerate(row):
+                kc = (k.value,) if r == 1 else (k.x.value, k.y.value)
+                for a, b in itertools.product(range(r), repeat=2):
+                    out = [0] * r
+                    for c, m in units[a][b]:
+                        for g, kg in enumerate(kc):
+                            for h, n in units[g][c] if kg else ():
+                                out[h] += kg * m * n
+                    if p:
+                        out = [v % p for v in out]
+                    entries += [(r * i + a, r * j + b, r * t + h, v)
+                                for h, v in enumerate(out) if v]
+        values = [v for *_, v in entries]
+        nums, self.den = _ints_over_lcm(values) if p is None else (values, 1)
+        # a product with two targets (over a field E, a symbol outside F)
+        # puts the second in a second layer
+        self.layers = []
+        for (i, j, t, _), n in zip(entries, nums):
+            tab = next((tab for tab in self.layers if tab[i][j] is None), None)
+            if tab is None:
+                tab = [[None] * (r * algebra.dim) for _ in range(r * algebra.dim)]
+                self.layers.append(tab)
+            tab[i][j] = (t, n)
+
+    def unwrap(self, coeffs):
+        """The F-coordinates of ring coefficients as ints over one denominator."""
+        values = ([s.value for s in coeffs] if self.r == 1 else
+                  [v for z in coeffs for v in (z.x.value, z.y.value)])
+        return _ints_over_lcm(values) if self.field.p is None else (values, 1)
+
+    def scalars(self, ints, d):
+        """Scalars of F equal to ints / d, reduced once each."""
+        f = self.field
+        if f.p is None:
+            return [Scalar(f, Fraction(v, d)) for v in ints]
+        return [Scalar(f, v % f.p) for v in ints]
+
+    def coeffs(self, scalars):
+        """Ring coefficients from their F-coordinates."""
+        if self.r == 1:
+            return scalars
+        ring, it = self.ring, iter(scalars)
+        return [ring.Elem(ring, x, y) for x, y in zip(it, it)]
+
+    def left_rows(self, coeffs):
+        """Left multiplication by coeffs on the F-coordinates: int rows over d."""
+        xs, dx = self.unwrap(coeffs)
+        rows = [[0] * len(xs) for _ in xs]
+        for tab in self.layers:
+            for a, row in zip(xs, tab):
+                if a:
+                    for j, e in enumerate(row):
+                        if e:
+                            rows[e[0]][j] += a * e[1]
+        return rows, dx * self.den
 
 
 class TableElem:
@@ -104,33 +171,21 @@ class TableElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.algebra.ring
-        if isinstance(ring, FieldDesc):
-            tab, den = self.algebra._int_table()
-            xs, dx = _bare(ring, self.c)
-            ys, dy = _bare(ring, other.c)
-            out = [0] * len(xs)
-            right = [(j, b) for j, b in enumerate(ys) if b]
+        res = self.algebra._restriction()
+        xs, dx = res.unwrap(self.c)
+        ys, dy = res.unwrap(other.c)
+        out = [0] * len(xs)
+        right = [(j, b) for j, b in enumerate(ys) if b]
+        for tab in res.layers:
             for a, row in zip(xs, tab):
                 if a:
                     for j, b in right:
-                        target, coeff = row[j]
-                        out[target] += a * b * coeff
-            return type(self)(self.algebra, _wrap(ring, out, dx * dy * den))
-        tab = self.algebra.table()
-        out = [ring.zero()] * len(self.c)
-        right = [(j, b) for j, b in enumerate(other.c) if not b.is_zero()]
-        for i, a in enumerate(self.c):
-            if a.is_zero():
-                continue
-            row = tab[i]
-            for j, b in right:
-                target, coeff = row[j]
-                term = a * b
-                if coeff is not None:
-                    term = term * coeff
-                out[target] = out[target] + term
-        return type(self)(self.algebra, out)
+                        e = row[j]
+                        if e:
+                            t, n = e
+                            out[t] += a * b * n
+        return type(self)(self.algebra,
+                          res.coeffs(res.scalars(out, dx * dy * res.den)))
 
     def __rmul__(self, other):
         # ring scalars are central
@@ -139,43 +194,29 @@ class TableElem:
         return NotImplemented
 
     def mult_matrix(self) -> Mat:
-        """Left multiplication x -> self * x as a matrix over the ring."""
-        ring = self.algebra.ring
-        n = len(self.c)
-        if isinstance(ring, FieldDesc):
-            tab, den = self.algebra._int_table()
-            xs, dx = _bare(ring, self.c)
-            rows = [[0] * n for _ in range(n)]
-            for a, row in zip(xs, tab):
-                if a:
-                    for j, (target, coeff) in enumerate(row):
-                        rows[target][j] += a * coeff
-            return Mat(ring, [_wrap(ring, r, dx * den) for r in rows])
-        rows = [[ring.zero()] * n for _ in range(n)]
-        tab = self.algebra.table()
-        for i, a in enumerate(self.c):
-            if a.is_zero():
-                continue
-            for j, (target, coeff) in enumerate(tab[i]):
-                rows[target][j] = rows[target][j] + (a if coeff is None else a * coeff)
-        return Mat(ring, rows)
+        """Left multiplication x -> self * x as a matrix over the base field
+        F on the F-coordinates: over E, the (x, y) of each coefficient."""
+        res = self.algebra._restriction()
+        rows, d = res.left_rows(self.c)
+        return Mat(res.field, [res.scalars(r, d) for r in rows])
 
     def inverse(self):
         """Inverse via the regular representation; NonInvertible if singular.
 
-        Solves self * x = 1; a one-sided inverse is two-sided in a
-        finite-dimensional algebra.  Over a non-field coefficient ring
-        (an EtaleQuad) the ring solves by restriction of scalars.
+        Solves self * x = 1 over F on ints: (rows / d) x = ones.  A
+        one-sided inverse is two-sided in a finite-dimensional algebra.
         """
-        ring = self.algebra.ring
-        m, one = self.mult_matrix(), self.algebra.one().c
-        if isinstance(ring, FieldDesc):
-            sol = m.solve(one)
-        else:
-            sol = ring.solve_restricted(m, one)
-        if sol is None:
+        res = self.algebra._restriction()
+        rows, d = res.left_rows(self.c)
+        ones, _ = res.unwrap(self.algebra.one().c)
+        f, n = res.field, len(rows)
+        rows = [[v % f.p if f.p else v for v in row] + [o * d]
+                for row, o in zip(rows, ones)]
+        pivots, _ = row_reduce(rows, n, f.p)
+        if len(pivots) < n:
             raise NonInvertible("%s is a zero divisor" % type(self).__name__)
-        return type(self)(self.algebra, sol)
+        x = back_substitute(rows, pivots, n, n, f.p)
+        return type(self)(self.algebra, res.coeffs([Scalar(f, v) for v in x]))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.c)
@@ -204,32 +245,17 @@ class TableAlgebra:
 
     Subclasses set `ring` and `dim`, name their element class `Elem` and
     the error raised on mixing algebras `Mismatch`, and return their basis
-    products from `_build_table` as (target, coeff) pairs.
+    products from `table` as (target, coeff) pairs.
     """
 
     Mismatch = AlgebraMismatch
-    _tab = None
-    _int_tab = None
+    _res = None
 
-    def table(self):
-        """Structure constants tab[i][j] = (target, coeff or None), built once."""
-        if self._tab is None:
-            one = self.ring.one()
-            self._tab = [[(t, None if f == one else f) for t, f in row]
-                         for row in self._build_table()]
-        return self._tab
-
-    def _int_table(self):
-        """The table over F_p or Q on ints, built once: (tab, d) with
-        tab[i][j] = (target, n), n / d the coefficient of e_i e_j (n a
-        residue and d = 1 over F_p)."""
-        if self._int_tab is None:
-            tab, one = self.table(), self.ring.one()
-            nums, d = _bare(self.ring, [one if f is None else f
-                                        for row in tab for _, f in row])
-            it = iter(nums)
-            self._int_tab = ([[(t, next(it)) for t, _ in row] for row in tab], d)
-        return self._int_tab
+    def _restriction(self) -> _Restriction:
+        """The algebra over F on ints (`_Restriction`), built once."""
+        if self._res is None:
+            self._res = _Restriction(self)
+        return self._res
 
     def elem(self, coeffs):
         return self.Elem(self, [self.ring(v) for v in coeffs])
@@ -238,9 +264,7 @@ class TableAlgebra:
         return self.Elem(self, [self.ring.zero()] * self.dim)
 
     def one(self):
-        c = [self.ring.zero()] * self.dim
-        c[0] = self.ring.one()
-        return self.Elem(self, c)
+        return self.from_scalar(self.ring.one())
 
     def from_scalar(self, s):
         c = [self.ring.zero()] * self.dim
@@ -291,7 +315,7 @@ class QuadTower(TableAlgebra):
         # as etale algebras; record which generators are redundant.
         self.degenerate_gens = [i for i, d in enumerate(self.gens) if is_square(d)]
 
-    def _build_table(self):
+    def table(self):
         # the product of the roots in m1 and in m2: sqrt(d_i)^2 = d_i on the overlap
         tab = []
         for m1 in range(self.dim):

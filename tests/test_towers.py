@@ -1,15 +1,20 @@
 """Multi-quadratic towers F(sqrt(d1), ..., sqrt(dk)): root relations, the
 ring axioms and Galois conjugation on seeded elements, inverses, zero
-divisors of degenerate towers, and coercion between towers."""
+divisors of degenerate towers, and coercion between towers.  The table
+core's int product over F_p and Q against the structure table, and over
+an etale E (by restriction of scalars) against the product over EQElem
+coefficients."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isogeny_kit.algebras import BiquatAlg, QuatAlg
+from isogeny_kit.algebras import BiquatAlg, EQElem, EtaleQuad, QuatAlg
 from isogeny_kit.errors import FieldMismatch, NonInvertible
 from isogeny_kit.exactfield import GF, QQ
+from isogeny_kit.linalg import Mat
 from isogeny_kit.towers import QuadTower
 
 F5 = GF(5)
@@ -159,24 +164,24 @@ def table_samples(alg, rng):
 
 
 def naive_product(x, y):
-    """sum a_i b_j coeff_ij e_target on Scalars, read off table()."""
+    """sum a_i b_j coeff_ij e_target in the coefficient ring, read off table()."""
     alg = x.algebra
-    one = alg.ring.one()
+    tab = alg.table()
     out = [alg.ring.zero()] * alg.dim
     for i, a in enumerate(x.c):
         for j, b in enumerate(y.c):
-            target, coeff = alg.table()[i][j]
-            out[target] = out[target] + a * b * (one if coeff is None else coeff)
+            if a.is_zero() or b.is_zero():
+                continue
+            target, coeff = tab[i][j]
+            out[target] = out[target] + a * b * coeff
     return out
 
 
 @pytest.mark.parametrize("alg", TABLE_ALGEBRAS, ids=TABLE_IDS)
 def test_int_table_product_matches_table(alg):
     tab = alg.table()
-    assert any(f is None for row in tab for _, f in row)
     if alg.ring.p is None:
-        assert any(f is not None and f.value.denominator > 1
-                   for row in tab for _, f in row)
+        assert any(f.value.denominator > 1 for row in tab for _, f in row)
     xs = table_samples(alg, random.Random(alg.dim * 7 + (alg.ring.p or 0)))
     for x in xs:
         m = x.mult_matrix()
@@ -185,8 +190,132 @@ def test_int_table_product_matches_table(alg):
             assert prod.c == naive_product(x, y)
             assert all(v.field == alg.ring for v in prod.c)
             assert m.apply(y.c) == prod.c
-        assert m.rows == [[sum((a * (alg.ring.one() if tab[i][j][1] is None
-                                     else tab[i][j][1])
+        assert m.rows == [[sum((a * tab[i][j][1]
                                 for i, a in enumerate(x.c) if tab[i][j][0] == t),
                                alg.ring.zero())
                            for j in range(alg.dim)] for t in range(alg.dim)]
+
+
+# ---------------------------------------------------------------------------
+# algebras over an etale E: the restriction of scalars to F against the
+# product over EQElem coefficients (hypothesis drives the operands)
+# ---------------------------------------------------------------------------
+
+def etale_algebras():
+    """Quaternions and bi-quaternions over split and field E at F_3, F_7
+    and Q: symbols from F (non-integral over Q), and one quaternion
+    algebra with a symbol outside F, whose table entries have two targets
+    on the F-basis."""
+    out = []
+    for field, d, s1, s2 in ((F3, 2, (2, 1), (1, 2)), (F7, 3, (3, 5), (6, 3)),
+                             (QQ, M2_3, (HALF, M3_5), (M2_3, P5_4))):
+        for e in (EtaleQuad(field), EtaleQuad(field, d)):
+            b, c = QuatAlg(e, *s1), QuatAlg(e, *s2)
+            out += [b, BiquatAlg(b, c),
+                    QuatAlg(e, EQElem(e, field(s1[0]), field(1)), s2[1])]
+    return out
+
+
+ETALE_ALGEBRAS = etale_algebras()
+ETALE_IDS = ["%s/%s/%s" % (type(a).__name__, a.ring.field,
+                           "split" if a.ring.is_split else "field")
+             for a in ETALE_ALGEBRAS]
+
+
+def f_coords(x):
+    """The F-coordinates of an element over E: the (x, y) of each coefficient."""
+    return [v for z in x.c for v in (z.x, z.y)]
+
+
+def from_f_coords(alg, values):
+    e = alg.ring
+    values = [e.field(v) for v in values]
+    return alg.Elem(alg, [EQElem(e, x, y) for x, y in zip(values[::2], values[1::2])])
+
+
+def naive_left_matrix(x):
+    """Left multiplication by x on the F-coordinates, one naive product per
+    F-basis element e_j u_b."""
+    alg, n = x.algebra, 2 * x.algebra.dim
+    cols = []
+    for k in range(n):
+        unit = [0] * n
+        unit[k] = 1
+        cols.append(f_coords(alg.Elem(alg, naive_product(x, from_f_coords(alg, unit)))))
+    return Mat(alg.ring.field, [[col[i] for col in cols] for i in range(n)])
+
+
+@st.composite
+def etale_operand(draw, alg):
+    """An element of alg over E: general, zero, a scalar of E, or (split E)
+    a zero divisor with every coefficient in the first factor."""
+    field, n = alg.ring.field, 2 * alg.dim
+    if field.p is None:
+        coord = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    else:
+        coord = st.integers(0, field.p - 1)
+    coords = draw(st.lists(st.one_of(st.just(0), coord), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["general", "general", "zero", "scalar", "divisor"]))
+    if kind == "zero":
+        return alg.zero()
+    if kind == "scalar":
+        return alg.from_scalar(EQElem(alg.ring, field(coords[0]), field(coords[1])))
+    if kind == "divisor" and alg.ring.is_split:
+        coords[1::2] = [0] * alg.dim
+    return from_f_coords(alg, coords)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("alg", ETALE_ALGEBRAS, ids=ETALE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_etale_product_matches_eqelem_product(alg, data):
+    x = data.draw(etale_operand(alg), label="x")
+    y = data.draw(etale_operand(alg), label="y")
+    prod = x * y
+    assert prod.c == naive_product(x, y)
+    m = x.mult_matrix()
+    assert m.ring == alg.ring.field and m.nrows == m.ncols == 2 * alg.dim
+    assert m == naive_left_matrix(x)
+    assert m.apply(f_coords(y)) == f_coords(prod)
+
+
+@pytest.mark.parametrize("alg", ETALE_ALGEBRAS, ids=ETALE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_etale_inverse_both_sides(alg, data):
+    x = data.draw(etale_operand(alg), label="x")
+    one = alg.one().c
+    if naive_left_matrix(x).rank() < 2 * alg.dim:
+        with pytest.raises(NonInvertible):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert naive_product(x, inv) == one and naive_product(inv, x) == one
+
+
+@pytest.mark.parametrize("field", [F3, F7, QQ], ids=["F3", "F7", "Q"])
+def test_split_etale_zero_divisor_raises(field):
+    e = EtaleQuad(field)
+    for alg in (QuatAlg(e, 2, 1), BiquatAlg(QuatAlg(e, 2, 1), QuatAlg(e, 1, 2))):
+        first = alg.elem([EQElem(e, field(1), field(0))] * alg.dim)
+        second = alg.from_scalar(EQElem(e, field(0), field(1)))
+        assert (first * second).is_zero()
+        for x in (first, second, alg.zero()):
+            with pytest.raises(NonInvertible):
+                x.inverse()
+
+
+def test_products_off_f_and_e_raise_type_error():
+    """A quaternion algebra over a tower has no int product path: its first
+    product, left-multiplication matrix or table inverse names the ring."""
+    tower = QuadTower(F5, [2])
+    b = QuatAlg(tower, 2, 3)
+    x = b.i() + b.j()
+    y = BiquatAlg(b, b).one() + BiquatAlg(b, b).basis_elem(1, 0)
+    for op in (lambda: x * x, x.mult_matrix, lambda: y * y, y.inverse):
+        with pytest.raises(TypeError, match=r"QuadTower\(F_5, \[2\]\)"):
+            op()
