@@ -247,6 +247,8 @@ EtaleQuad.Elem = EQElem   # the coefficients that `towers` rebuilds from F-coord
 
 _BASIS_NAMES = ("1", "i", "j", "k")
 _BAR_SIGNS = (1, -1, -1, -1)
+# bar on A = B (x) C: the sign of b_s (x) c_t at index 4 s + t
+_BAR_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in _BAR_SIGNS)
 
 
 class QuatElem(TableElem):
@@ -255,7 +257,7 @@ class QuatElem(TableElem):
 
     def bar(self) -> "QuatElem":
         """Main involution: x -> Tr(x) - x."""
-        return QuatElem(self.algebra, [self.c[0], -self.c[1], -self.c[2], -self.c[3]])
+        return self._signed(_BAR_SIGNS)
 
     def norm(self):
         a = self.algebra
@@ -273,7 +275,8 @@ class QuatElem(TableElem):
         return self.bar().scale(n.inverse())
 
     def is_traceless(self) -> bool:
-        return self.c[0].is_zero()
+        v, _ = self._ints()
+        return not any(v[:len(v) // 4])
 
     def traceless_coords(self):
         return self.c[1:]
@@ -499,14 +502,7 @@ class BiquatElem(TableElem):
 
     def bar(self) -> "BiquatElem":
         """The involution iota_B (x) iota_C."""
-        out = []
-        for s in range(4):
-            for t in range(4):
-                v = self.c[4 * s + t]
-                if _BAR_SIGNS[s] * _BAR_SIGNS[t] == -1:
-                    v = -v
-                out.append(v)
-        return BiquatElem(self.algebra, out)
+        return self._signed(_BAR_SIGNS16)
 
     def plus_part(self) -> "BiquatElem":
         half = self.algebra.ring(2).inverse()
@@ -517,9 +513,9 @@ class BiquatElem(TableElem):
         return (self - self.bar()).scale(half)
 
     def in_minus_space(self) -> bool:
-        return all(self.c[4 * s + t].is_zero()
-                   for s in range(4) for t in range(4)
-                   if _BAR_SIGNS[s] * _BAR_SIGNS[t] == 1)
+        v, _ = self._ints()
+        r = len(v) // 16
+        return not any(v[i] for i in range(len(v)) if _BAR_SIGNS16[i // r] == 1)
 
     def to_aminus(self) -> "AminusVector":
         if not self.in_minus_space():

@@ -355,21 +355,26 @@ def reflect(space: QuadSpace, v) -> Isometry:
 
 
 def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
-    """R_v * M as a rank-one update: M - v (2/|v|^2) (v^t G M)."""
+    """R_v * M as a rank-one update M - v s, s = (2/|v|^2) (v^t G M), on
+    bare values: s sums over the nonzero entries of G v only, the rows
+    where v is 0 are kept, and each new entry is wrapped once."""
     c = space.vnorm(v)
     if c.is_zero():
         raise IsotropicMirror("mirror vector is isotropic")
-    n = space.dim
-    gv = space._gram_apply(v)
-    factor = space.field(2) / c
-    s = []
-    for j in range(n):
-        acc = space.field.zero()
-        for i in range(n):
-            acc = acc + gv[i] * m.rows[i][j]
-        s.append(acc * factor)
-    rows = [[m.rows[i][j] - v[i] * s[j] for j in range(n)] for i in range(n)]
-    return Mat(space.field, rows)
+    f = space.field
+    p = f.p
+    gv = [(g.value, row) for g, row in zip(space._gram_apply(v), m.rows) if g.value]
+    factor = (f(2) / c).value
+    s = [factor * sum(g * row[j].value for g, row in gv) for j in range(space.dim)]
+    rows = []
+    for a, row in zip(v, m.rows):
+        a = a.value
+        if a and p:
+            row = [Scalar(f, (e.value - a * t) % p) for e, t in zip(row, s)]
+        elif a:
+            row = [Scalar(f, e.value - a * t) for e, t in zip(row, s)]
+        rows.append(row)
+    return Mat(f, rows)
 
 
 def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):

@@ -6,17 +6,19 @@ quaternion and bi-quaternion algebras of `algebras` and the towers here.
 An algebra is free of rank `dim` over its coefficient ring, and its basis
 products come from a structure table: tab[i][j] = (target, coeff) means
 e_i e_j = coeff * e_target.
-Elements hold their `dim` coefficients in the list `c`.  The element base
-gives coercion, the linear operations, equality and hash, the table
-product, and an inverse by solving the regular representation; the
-subclasses keep only their own involutions, norms and conjugations.
 
 The coefficient ring is F_p, Q or an etale quadratic algebra E over one
-of them (any other raises TypeError on the first product).  By
-restriction of scalars an algebra of rank n over E is one of rank 2n
-over F, so there is one product and one inverse path, both on the
-F-coordinates as ints over one denominator: the structure constants are
-kept so once per algebra, and each output coordinate is wrapped once.
+of them (any other raises TypeError on the first arithmetic operation).
+By restriction of scalars an algebra of rank n over E is one of rank 2n
+over F, and ints are the state of an element: its F-coordinates over one
+denominator, canonical so that equal elements hold equal ints.  Sums,
+products, scaling, the sign-mask involutions, equality and the inverse
+all run on those ints, with the structure constants kept as ints once
+per descriptor.  The ring coefficients `c` (Scalars, or EQElems over E)
+are a cached, read-only view built on first read; an element built from
+coefficients reads its ints from them once, on its first arithmetic
+operation.  The subclasses keep only their own involutions, norms and
+conjugations.
 
 Tower elements carry 2^k coordinates indexed by subsets of the adjoined
 roots (bitmask order).  These towers back the split embeddings of
@@ -27,7 +29,9 @@ degenerates.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,13 +46,15 @@ class _Restriction:
     r = 2 and u is E's basis over F, on which E's coordinates are (x, y).
     e_I e_J = sum n / den e_T over the (T, n) = tab[I][J] of each of the
     `layers`, n a nonzero int (a residue over F_p, den = 1); a zero
-    product, such as split E's mixed ones, is None and skipped.
+    product, such as split E's mixed ones, is None and skipped.  E's own
+    products u_a u_b = sum n / unit_den u_c are the (a, b, c, n) of
+    `units`, and `one` holds the F-coordinates of the unit.
     """
 
-    __slots__ = ("ring", "field", "r", "layers", "den")
+    __slots__ = ("field", "r", "layers", "den", "units", "unit_den", "one")
 
     def __init__(self, algebra: "TableAlgebra"):
-        ring = self.ring = algebra.ring
+        ring = algebra.ring
         if isinstance(ring, FieldDesc):
             self.field, self.r, units = ring, 1, [[[(0, 1)]]]
         elif hasattr(ring, "basis_products"):
@@ -72,23 +78,43 @@ class _Restriction:
                         out = [v % p for v in out]
                     entries += [(r * i + a, r * j + b, r * t + h, v)
                                 for h, v in enumerate(out) if v]
-        values = [v for *_, v in entries]
-        nums, self.den = _ints_over_lcm(values) if p is None else (values, 1)
+        entries, self.den = self._over_den(entries)
         # a product with two targets (over a field E, a symbol outside F)
         # puts the second in a second layer
         self.layers = []
-        for (i, j, t, _), n in zip(entries, nums):
+        for i, j, t, n in entries:
             tab = next((tab for tab in self.layers if tab[i][j] is None), None)
             if tab is None:
                 tab = [[None] * (r * algebra.dim) for _ in range(r * algebra.dim)]
                 self.layers.append(tab)
             tab[i][j] = (t, n)
+        self.units, self.unit_den = self._over_den(
+            [(a, b, c, n) for a, row in enumerate(units)
+             for b, cell in enumerate(row) for c, n in cell])
+        self.one = self.unwrap(algebra.one().c)[0]
+
+    def _over_den(self, entries):
+        """The entries with the values that end them as ints over one
+        denominator (residues over F_p), and that denominator."""
+        values = [e[-1] for e in entries]
+        nums, den = (_ints_over_lcm(values) if self.field.p is None
+                     else ([v % self.field.p for v in values], 1))
+        return [(*e[:-1], n) for e, n in zip(entries, nums)], den
 
     def unwrap(self, coeffs):
         """The F-coordinates of ring coefficients as ints over one denominator."""
         values = ([s.value for s in coeffs] if self.r == 1 else
                   [v for z in coeffs for v in (z.x.value, z.y.value)])
         return _ints_over_lcm(values) if self.field.p is None else (values, 1)
+
+    def reduce(self, ints, d):
+        """ints / d in canonical form: residues mod p over F_p (d = 1), and
+        over Q a positive d prime to every numerator."""
+        p = self.field.p
+        if p:
+            return [v % p for v in ints], 1
+        g = math.gcd(d, *ints)
+        return ([v // g for v in ints], d // g) if g > 1 else (ints, d)
 
     def scalars(self, ints, d):
         """Scalars of F equal to ints / d, reduced once each."""
@@ -97,16 +123,15 @@ class _Restriction:
             return [Scalar(f, Fraction(v, d)) for v in ints]
         return [Scalar(f, v % f.p) for v in ints]
 
-    def coeffs(self, scalars):
-        """Ring coefficients from their F-coordinates."""
+    def coeffs(self, ring, scalars):
+        """Coefficients in `ring` from their F-coordinates."""
         if self.r == 1:
             return scalars
-        ring, it = self.ring, iter(scalars)
+        it = iter(scalars)
         return [ring.Elem(ring, x, y) for x, y in zip(it, it)]
 
-    def left_rows(self, coeffs):
-        """Left multiplication by coeffs on the F-coordinates: int rows over d."""
-        xs, dx = self.unwrap(coeffs)
+    def left_rows(self, xs, dx):
+        """Left multiplication by xs / dx on the F-coordinates: int rows over d."""
         rows = [[0] * len(xs) for _ in xs]
         for tab in self.layers:
             for a, row in zip(xs, tab):
@@ -118,17 +143,46 @@ class _Restriction:
 
 
 class TableElem:
-    """Element base: coefficients `c` over `algebra.ring`.
+    """Element base: F-coordinates `_v` over the denominator `_d`.
+
+    Over F_p the `_v` are residues and `_d` is 1; over Q, `_d` is positive
+    and prime to every entry of `_v`.  `c`, the coefficients over
+    `algebra.ring`, is a cached view that nothing may mutate.  An element
+    built from coefficients keeps them as that view and sets `_v` from
+    them on its first arithmetic operation.
 
     `_SCALARS` lists the types that act as central ring scalars.
     """
 
-    __slots__ = ("algebra", "c")
+    __slots__ = ("algebra", "_v", "_d", "_c")
     _SCALARS = (int, Scalar)
 
     def __init__(self, algebra: "TableAlgebra", coeffs):
         self.algebra = algebra
-        self.c = list(coeffs)
+        self._c = list(coeffs)
+        self._v = self._d = None
+
+    @classmethod
+    def _of(cls, algebra: "TableAlgebra", v, d):
+        """The element with F-coordinates v / d (any ints, d > 0)."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x._v, x._d = algebra._restriction().reduce(v, d)
+        x._c = None
+        return x
+
+    @property
+    def c(self):
+        if self._c is None:
+            res = self.algebra._restriction()
+            self._c = res.coeffs(self.algebra.ring, res.scalars(self._v, self._d))
+        return self._c
+
+    def _ints(self):
+        """(F-coordinates, denominator), read once from `c` if built from it."""
+        if self._v is None:
+            self._v, self._d = self.algebra._restriction().unwrap(self._c)
+        return self._v, self._d
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -141,11 +195,18 @@ class TableElem:
             return self.algebra.from_scalar(other)
         return NotImplemented
 
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the denominators."""
+        (xs, dx), (ys, dy) = self._ints(), other._ints()
+        d = dx * dy // math.gcd(dx, dy)
+        fx, fy = d // dx, sign * (d // dy)
+        return self._of(self.algebra, [a * fx + b * fy for a, b in zip(xs, ys)], d)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return type(self)(self.algebra, [a + b for a, b in zip(self.c, other.c)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -153,17 +214,36 @@ class TableElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return type(self)(self.algebra, [a - b for a, b in zip(self.c, other.c)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return type(self)(self.algebra, [-a for a in self.c])
+        v, d = self._ints()
+        return self._of(self.algebra, [-a for a in v], d)
+
+    def _signed(self, signs):
+        """The element with its i-th coefficient times signs[i] = +-1."""
+        v, d = self._ints()
+        r = len(v) // len(signs)
+        return self._of(self.algebra, [-a if signs[i // r] < 0 else a
+                                       for i, a in enumerate(v)], d)
 
     def scale(self, s):
-        s = self.algebra.ring(s)
-        return type(self)(self.algebra, [a * s for a in self.c])
+        """s * self for s in F (on the ints) or in E (E's own products)."""
+        res = self.algebra._restriction()
+        v, d = self._ints()
+        if res.r == 1 or isinstance(s, (int, Fraction, Scalar)):
+            s = res.field(s).value
+            return self._of(self.algebra, [a * s.numerator for a in v],
+                            d * s.denominator)
+        zs, dz = res.unwrap([self.algebra.ring(s)])
+        out = [0] * len(v)
+        for i in range(0, len(v), 2):
+            for a, b, t, n in res.units:
+                out[i + t] += zs[a] * v[i + b] * n
+        return self._of(self.algebra, out, d * dz * res.unit_den)
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
@@ -172,8 +252,8 @@ class TableElem:
         if other is NotImplemented:
             return NotImplemented
         res = self.algebra._restriction()
-        xs, dx = res.unwrap(self.c)
-        ys, dy = res.unwrap(other.c)
+        xs, dx = self._ints()
+        ys, dy = other._ints()
         out = [0] * len(xs)
         right = [(j, b) for j, b in enumerate(ys) if b]
         for tab in res.layers:
@@ -184,8 +264,7 @@ class TableElem:
                         if e:
                             t, n = e
                             out[t] += a * b * n
-        return type(self)(self.algebra,
-                          res.coeffs(res.scalars(out, dx * dy * res.den)))
+        return self._of(self.algebra, out, dx * dy * res.den)
 
     def __rmul__(self, other):
         # ring scalars are central
@@ -197,7 +276,7 @@ class TableElem:
         """Left multiplication x -> self * x as a matrix over the base field
         F on the F-coordinates: over E, the (x, y) of each coefficient."""
         res = self.algebra._restriction()
-        rows, d = res.left_rows(self.c)
+        rows, d = res.left_rows(*self._ints())
         return Mat(res.field, [res.scalars(r, d) for r in rows])
 
     def inverse(self):
@@ -207,22 +286,22 @@ class TableElem:
         one-sided inverse is two-sided in a finite-dimensional algebra.
         """
         res = self.algebra._restriction()
-        rows, d = res.left_rows(self.c)
-        ones, _ = res.unwrap(self.algebra.one().c)
-        f, n = res.field, len(rows)
-        rows = [[v % f.p if f.p else v for v in row] + [o * d]
-                for row, o in zip(rows, ones)]
-        pivots, _ = row_reduce(rows, n, f.p)
+        rows, d = res.left_rows(*self._ints())
+        p, n = res.field.p, len(rows)
+        rows = [[v % p if p else v for v in row] + [o * d]
+                for row, o in zip(rows, res.one)]
+        pivots, _ = row_reduce(rows, n, p)
         if len(pivots) < n:
             raise NonInvertible("%s is a zero divisor" % type(self).__name__)
-        x = back_substitute(rows, pivots, n, n, f.p)
-        return type(self)(self.algebra, res.coeffs([Scalar(f, v) for v in x]))
+        x = back_substitute(rows, pivots, n, n, p)
+        return self._of(self.algebra, *(_ints_over_lcm(x) if p is None else (x, 1)))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c)
+        return not any(self._ints()[0])
 
     def is_scalar(self) -> bool:
-        return all(a.is_zero() for a in self.c[1:])
+        v, _ = self._ints()
+        return not any(v[len(v) // self.algebra.dim:])
 
     def scalar_part(self):
         return self.c[0]
@@ -234,27 +313,35 @@ class TableElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.c == other.c
+        return self._ints() == other._ints()
 
     def __hash__(self):
         return hash((self.algebra, tuple(self.c)))
+
+
+@functools.lru_cache(maxsize=256)
+def _restriction_of(algebra: "TableAlgebra") -> _Restriction:
+    """One `_Restriction` per equal descriptor (by its __eq__/__hash__)."""
+    return _Restriction(algebra)
 
 
 class TableAlgebra:
     """Descriptor base for an algebra of rank `dim` over `ring`.
 
     Subclasses set `ring` and `dim`, name their element class `Elem` and
-    the error raised on mixing algebras `Mismatch`, and return their basis
-    products from `table` as (target, coeff) pairs.
+    the error raised on mixing algebras `Mismatch`, return their basis
+    products from `table` as (target, coeff) pairs, and define __eq__ and
+    __hash__ on what the table is built from.
     """
 
     Mismatch = AlgebraMismatch
     _res = None
 
     def _restriction(self) -> _Restriction:
-        """The algebra over F on ints (`_Restriction`), built once."""
+        """The algebra over F on ints (`_Restriction`), shared by equal
+        descriptors and looked up once per descriptor."""
         if self._res is None:
-            self._res = _Restriction(self)
+            self._res = _restriction_of(self)
         return self._res
 
     def elem(self, coeffs):
@@ -341,11 +428,8 @@ class QuadTower(TableAlgebra):
 
     def root(self, i: int) -> TowerElem:
         """The adjoined square root of gens[i]."""
-        c = [self.field.zero()] * self.dim
-        c[1 << i] = self.field.one()
-        return TowerElem(self, c)
+        return TowerElem._of(self, [int(m == 1 << i) for m in range(self.dim)], 1)
 
     def conj(self, x: TowerElem, i: int) -> TowerElem:
         """Galois conjugation negating the i-th root."""
-        return TowerElem(self, [(-v if (mask >> i) & 1 else v)
-                                for mask, v in enumerate(x.c)])
+        return self(x)._signed([-1 if (m >> i) & 1 else 1 for m in range(self.dim)])

@@ -310,12 +310,152 @@ def test_split_etale_zero_divisor_raises(field):
 
 
 def test_products_off_f_and_e_raise_type_error():
-    """A quaternion algebra over a tower has no int product path: its first
-    product, left-multiplication matrix or table inverse names the ring."""
+    """A quaternion algebra over a tower has no int coordinates: its first
+    arithmetic operation (a sum, difference, negation, scaling, product,
+    left-multiplication matrix or table inverse) names the ring."""
     tower = QuadTower(F5, [2])
     b = QuatAlg(tower, 2, 3)
-    x = b.i() + b.j()
-    y = BiquatAlg(b, b).one() + BiquatAlg(b, b).basis_elem(1, 0)
-    for op in (lambda: x * x, x.mult_matrix, lambda: y * y, y.inverse):
+    a = BiquatAlg(b, b)
+    x = b.elem([1, 1, 0, 0])
+    y = a.elem([1] + [0] * 3 + [1] + [0] * 11)
+    ops = [op for z in (x, y) for op in (
+        lambda z=z: z + z, lambda z=z: z - z, lambda z=z: -z,
+        lambda z=z: z.scale(2), lambda z=z: z * z, z.mult_matrix, z.inverse)]
+    for op in ops:
         with pytest.raises(TypeError, match=r"QuadTower\(F_5, \[2\]\)"):
             op()
+
+
+def test_equal_descriptors_share_one_restriction():
+    """Equal but distinct descriptors over E look up one int table."""
+    def biquat():
+        e = EtaleQuad(QQ, M2_3)
+        return BiquatAlg(QuatAlg(e, HALF, M3_5), QuatAlg(e, M2_3, P5_4))
+
+    a1, a2 = biquat(), biquat()
+    assert a1 is not a2 and a1 == a2
+    assert a1._restriction() is a2._restriction()
+    x, y = a1.basis_elem(1, 2), a2.basis_elem(2, 1)
+    assert (x * y).c == (a2(x) * y).c
+
+
+# ---------------------------------------------------------------------------
+# ints as the state: a result computed on ints against its copy built from
+# the coefficients it shows (hypothesis drives the operands)
+# ---------------------------------------------------------------------------
+
+def int_state_algebras():
+    """Quaternions and bi-quaternions over F and over split and field E,
+    at F_3, F_7 and Q (non-integral symbols over Q)."""
+    out = []
+    for field, d, s1, s2 in ((F3, 2, (2, 1), (1, 2)), (F7, 3, (3, 5), (6, 3)),
+                             (QQ, M2_3, (HALF, M3_5), (M2_3, P5_4))):
+        for ring in (field, EtaleQuad(field), EtaleQuad(field, d)):
+            b = QuatAlg(ring, *s1)
+            out += [b, BiquatAlg(b, QuatAlg(ring, *s2))]
+    return out
+
+
+INT_STATE_ALGEBRAS = int_state_algebras()
+INT_STATE_IDS = ["%s/%s" % (type(a).__name__, a.ring) for a in INT_STATE_ALGEBRAS]
+
+
+def base_field(alg):
+    return getattr(alg.ring, "field", alg.ring)
+
+
+def coordinate(field):
+    if field.p is None:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def table_operand(draw, alg):
+    """An element of alg, general, zero or a ring scalar, built from its
+    coefficients or (drawn) as the int-born result of a sum."""
+    field = base_field(alg)
+    r = 1 if alg.ring is field else 2
+    coords = draw(st.lists(st.one_of(st.just(0), coordinate(field)),
+                           min_size=r * alg.dim, max_size=r * alg.dim))
+    kind = draw(st.sampled_from(["general", "general", "zero", "scalar"]))
+    if kind == "zero":
+        coords = [0] * len(coords)
+    elif kind == "scalar":
+        coords[r:] = [0] * (len(coords) - r)
+    x = alg.elem(coords) if r == 1 else from_f_coords(alg, coords)
+    return x + alg.zero() if draw(st.booleans()) else x
+
+
+def e_scalar(draw, alg):
+    e, field = alg.ring, base_field(alg)
+    return EQElem(e, field(draw(coordinate(field))), field(draw(coordinate(field))))
+
+
+def assert_like_scalar_born(z):
+    """z equals, and hashes like, its copy built from its coefficients."""
+    w = z.algebra.Elem(z.algebra, list(z.c))
+    assert z == w and w == z and hash(z) == hash(w)
+    assert w.c == z.c and (w + w).c == (z + z).c
+
+
+@pytest.mark.parametrize("alg", INT_STATE_ALGEBRAS, ids=INT_STATE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_int_born_results_match_scalar_born_copies(alg, data):
+    x = data.draw(table_operand(alg), label="x")
+    y = data.draw(table_operand(alg), label="y")
+    field = base_field(alg)
+    s = field(data.draw(coordinate(field), label="s"))
+    signs = [1, -1, -1, -1] if alg.dim == 4 else [
+        a * b for a in (1, -1, -1, -1) for b in (1, -1, -1, -1)]
+    bar = x.bar()
+    assert bar.c == [v if sign > 0 else -v for v, sign in zip(x.c, signs)]
+    f_scaled = [x.scale(s), x * s, s * x, x.scale(s.value)]
+    assert all(z.c == [v * s for v in x.c] for z in f_scaled)
+    results = [x * y, x + y, x - y, -x, bar, *f_scaled]
+    if alg.ring is not field:
+        z = e_scalar(data.draw, alg)
+        e_scaled = [x.scale(z), x * z, z * x]
+        assert all(w.c == [v * z for v in x.c] for w in e_scaled)
+        results += e_scaled
+    try:
+        inv = x.inverse()
+    except NonInvertible:
+        assert x.mult_matrix().rank() < len(x._ints()[0])
+    else:
+        assert x * inv == alg.one()
+        results.append(inv)
+    for z in results:
+        assert_like_scalar_born(z)
+
+
+Q_ALGEBRAS = [a for a in INT_STATE_ALGEBRAS if base_field(a) == QQ]
+
+
+@pytest.mark.parametrize("alg", Q_ALGEBRAS,
+                         ids=["%s/%s" % (type(a).__name__, a.ring) for a in Q_ALGEBRAS])
+def test_cancelling_denominators_compare_equal(alg):
+    rng = random.Random(alg.dim)
+    thirds = alg.elem([Fraction(rng.randint(-5, 5), 3) for _ in range(alg.dim)])
+    sixths = alg.elem([Fraction(rng.randint(-5, 5), 6) for _ in range(alg.dim)])
+    for x in (thirds, sixths, thirds * sixths):
+        back = x.scale(Fraction(7, 6)).scale(Fraction(6, 7))
+        assert back == x and hash(back) == hash(x)
+        assert (x + sixths) - sixths == x
+        assert x.scale(6) - x.scale(5) == x
+        assert_like_scalar_born((x + sixths) - sixths)
+    half = alg.from_scalar(HALF)
+    assert half + half == alg.one() and (half + half).c == alg.one().c
+    assert (sixths.scale(6) - sixths.scale(6)).is_zero()
+
+
+@pytest.mark.parametrize("alg", INT_STATE_ALGEBRAS, ids=INT_STATE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_zero_and_scalar_tests_are_coefficientwise(alg, data):
+    x = data.draw(table_operand(alg), label="x")
+    y = data.draw(table_operand(alg), label="y")
+    for z in (x, y, x * y, x - x, x + y - y, x.bar() + x):
+        assert z.is_zero() == all(a.is_zero() for a in z.c)
+        assert z.is_scalar() == all(a.is_zero() for a in z.c[1:])
