@@ -2,19 +2,23 @@
 split embeddings into 2x2 matrices, and bi-quaternion algebras B (x) C
 with the involution bar = iota_B (x) iota_C.
 
-Quaternion and bi-quaternion algebras are subclasses of the structure-
-constant core in `towers` (`TableAlgebra`, `TableElem`), which gives their
-coercion, linear operations, equality, table product and regular-
-representation inverse; here they add only their structure tables, the
-involutions, norms and traces, and the A^- maps.  The coefficient ring
-is F_p, Q or an etale quadratic algebra E (restriction of scalars to F),
-so the same code serves B and B_E; the split-embedding norm oracles use
-matrices over multi-quadratic towers.
+The etale E, the quaternion and the bi-quaternion algebras are
+subclasses of the structure-constant core in `towers` (`TableAlgebra`,
+`TableElem`), which gives their coercion, linear operations, equality,
+table product and regular-representation inverse; here they add only
+their structure tables, the involutions, norms and traces, and the A^-
+maps.  E is of rank 2 over F on the basis (1, g), g^2 = d, with g =
+(1, -1) when E = F x F; its elements keep a conj/N inverse and the (x, y)
+views of the pair or of x + y sqrt(d).  The coefficient ring of the
+others is F_p, Q or E (restriction of scalars to F), so the same code
+serves B and B_E; the split-embedding norm oracles use matrices over
+multi-quadratic towers.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (
@@ -29,208 +33,51 @@ from .quadforms import QuadSpace, find_isotropic
 from .towers import QuadTower, TableAlgebra, TableElem
 
 
-class EtaleQuad:
-    """F + F*sqrt(d), or F x F when d is a square (or by request).
+class EQElem(TableElem):
+    """Element of an etale quadratic algebra: coordinates on (1, g).
 
-    The constructor normalizes adjoin_sqrt(square) to the split algebra.
+    rho negates g.  The views x, y are the pair (x, y) when split, with
+    rho swapping them, and x + y*sqrt(d) otherwise.
     """
 
-    def __init__(self, field: FieldDesc, d=None):
-        self.field = field
-        if d is not None:
-            d = field(d)
-            if d.is_zero():
-                raise ValueError("cannot adjoin sqrt(0)")
-        if d is None or is_square(d):
-            self.kind = "split"
-            self.d = field(1)
-            self._split_root = None if d is None else sqrt_exact(d)
-        else:
-            self.kind = "adjoin"
-            self.d = d
+    __slots__ = ()
 
     @property
-    def is_split(self) -> bool:
-        return self.kind == "split"
+    def x(self) -> Scalar:
+        a, b = self.c
+        return a + b if self.algebra.is_split else a
 
-    def __eq__(self, other):
-        return (isinstance(other, EtaleQuad) and self.field == other.field
-                and self.kind == other.kind and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.field, self.kind, self.d))
-
-    def __repr__(self):
-        if self.is_split:
-            return "%r x %r" % (self.field, self.field)
-        return "%r(sqrt %s)" % (self.field, self.d)
-
-    def zero(self) -> "EQElem":
-        return EQElem(self, self.field.zero(), self.field.zero())
-
-    def one(self) -> "EQElem":
-        if self.is_split:
-            return EQElem(self, self.field.one(), self.field.one())
-        return EQElem(self, self.field.one(), self.field.zero())
-
-    def from_scalar(self, s) -> "EQElem":
-        s = self.field(s)
-        if self.is_split:
-            return EQElem(self, s, s)
-        return EQElem(self, s, self.field.zero())
-
-    def __call__(self, x) -> "EQElem":
-        if isinstance(x, EQElem):
-            if x.algebra is not self and x.algebra != self:
-                raise AlgebraMismatch("element of %r used in %r" % (x.algebra, self))
-            return x
-        return self.from_scalar(x)
-
-    def gen0(self) -> "EQElem":
-        """Generator of E_0 (the trace-zero line): sqrt(d), or (1,-1)."""
-        if self.is_split:
-            return EQElem(self, self.field.one(), -self.field.one())
-        return EQElem(self, self.field.zero(), self.field.one())
-
-    def elements(self):
-        if self.field.p is None:
-            raise ValueError("cannot enumerate over Q")
-        return [EQElem(self, a, b)
-                for a in self.field.elements() for b in self.field.elements()]
-
-    def basis_products(self):
-        """E as an F-algebra on the basis u = (1, sqrt(d)), or the two
-        idempotents when split: products[a][b] lists the (c, n) with
-        u_a u_b = sum n u_c, n the bare value of a scalar of F.  The
-        F-coordinates of an element on u are its (x, y)."""
-        if self.is_split:
-            return [[[(0, 1)], []], [[], [(1, 1)]]]
-        return [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, self.d.value)]]]
-
-    def units(self):
-        return [z for z in self.elements() if not z.norm().is_zero()]
-
-    def norm_one_elements(self):
-        return [z for z in self.elements() if z.norm() == self.field(1)]
-
-
-class EQElem:
-    """Element of an etale quadratic algebra.
-
-    Split: the pair (x, y) with rho swapping coordinates.
-    Field case: x + y*sqrt(d) with rho negating y.
-    """
-
-    __slots__ = ("algebra", "x", "y")
-
-    def __init__(self, algebra: EtaleQuad, x: Scalar, y: Scalar):
-        self.algebra = algebra
-        self.x = x
-        self.y = y
-
-    def _coerce(self, other):
-        if isinstance(other, EQElem):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise AlgebraMismatch("mixed etale algebras")
-            return other
-        if isinstance(other, (int, Scalar)):
-            return self.algebra.from_scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if type(other) is not EQElem or other.algebra is not self.algebra:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return EQElem(self.algebra, self.x + other.x, self.y + other.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not EQElem or other.algebra is not self.algebra:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return EQElem(self.algebra, self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return EQElem(self.algebra, -self.x, -self.y)
-
-    def __mul__(self, other):
-        if type(other) is not EQElem or other.algebra is not self.algebra:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if self.algebra.is_split:
-            return EQElem(self.algebra, self.x * other.x, self.y * other.y)
-        return EQElem(self.algebra,
-                      self.x * other.x + self.algebra.d * self.y * other.y,
-                      self.x * other.y + self.y * other.x)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+    @property
+    def y(self) -> Scalar:
+        a, b = self.c
+        return a - b if self.algebra.is_split else b
 
     def conj(self) -> "EQElem":
         """The nontrivial automorphism rho."""
-        if self.algebra.is_split:
-            return EQElem(self.algebra, self.y, self.x)
-        return EQElem(self.algebra, self.x, -self.y)
+        return self._signed((1, -1))
 
     def norm(self) -> Scalar:
-        if self.algebra.is_split:
-            return self.x * self.y
-        return self.x * self.x - self.algebra.d * self.y * self.y
+        """a^2 - d b^2 on the ints a, b over den (x y when split)."""
+        (a, b), den = self._ints()
+        e = self.algebra
+        n = a * a - e.d.value * b * b
+        return e.field(n if den == 1 else Fraction(n, den * den))
 
     def trace(self) -> Scalar:
-        if self.algebra.is_split:
-            return self.x + self.y
-        return self.x + self.x
+        a = self.c[0]
+        return a + a
 
     def inverse(self) -> "EQElem":
+        """conj / N, on the ints."""
         n = self.norm()
-        if self.algebra.is_split:
-            if self.x.is_zero() or self.y.is_zero():
-                raise NonInvertible("zero divisor in split algebra")
-            return EQElem(self.algebra, self.x.inverse(), self.y.inverse())
         if n.is_zero():
-            raise NonInvertible("norm zero element")
-        c = self.conj()
-        ninv = n.inverse()
-        return EQElem(self.algebra, c.x * ninv, c.y * ninv)
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero()
-
-    def is_scalar(self) -> bool:
-        if self.algebra.is_split:
-            return self.x == self.y
-        return self.y.is_zero()
-
-    def scalar_part(self) -> Scalar:
-        """The F-coordinate when is_scalar(); split uses the diagonal."""
-        return self.x
+            raise NonInvertible("zero divisor in split algebra" if self.algebra.is_split
+                                else "norm zero element")
+        return self.conj().scale(n.inverse())
 
     def coords(self) -> Tuple[Scalar, Scalar]:
         """Coordinates over the F-basis (1, gen0)."""
-        if self.algebra.is_split:
-            two_inv = self.algebra.field(2).inverse()
-            return ((self.x + self.y) * two_inv, (self.x - self.y) * two_inv)
-        return (self.x, self.y)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.algebra, self.x, self.y))
+        return tuple(self.c)
 
     def __repr__(self):
         if self.algebra.is_split:
@@ -238,7 +85,66 @@ class EQElem:
         return "(%s + %s*sqrt(%s))" % (self.x, self.y, self.algebra.d)
 
 
-EtaleQuad.Elem = EQElem   # the coefficients that `towers` rebuilds from F-coordinates
+class EtaleQuad(TableAlgebra):
+    """F + F*sqrt(d), or F x F when d is a square (or by request).
+
+    A table algebra of rank 2 over F on the basis (1, g), g = gen0():
+    g^2 = d for F(sqrt d) and g^2 = 1 for F x F, where g = (1, -1).  The
+    constructor normalizes adjoin_sqrt(square) to the split algebra, so
+    E is split exactly when d = 1.
+    """
+
+    Elem = EQElem
+    dim = 2
+    coefficient_ring = True
+
+    def __init__(self, field: FieldDesc, d=None):
+        self.field = self.ring = field
+        d = field(1 if d is None else d)
+        if d.is_zero():
+            raise ValueError("cannot adjoin sqrt(0)")
+        self.is_split = is_square(d)
+        self.d = field(1) if self.is_split else d
+
+    def table(self):
+        one = self.field.one()
+        return (((0, one), (1, one)), ((1, one), (0, self.d)))
+
+    def __eq__(self, other):
+        return (isinstance(other, EtaleQuad) and self.field == other.field
+                and self.d == other.d)
+
+    def __hash__(self):
+        return hash((self.field, self.d))
+
+    def __repr__(self):
+        if self.is_split:
+            return "%r x %r" % (self.field, self.field)
+        return "%r(sqrt %s)" % (self.field, self.d)
+
+    def from_xy(self, x, y) -> "EQElem":
+        """The pair (x, y) when split, else x + y*sqrt(d)."""
+        x, y = self.field(x), self.field(y)
+        if self.is_split:
+            half = self.field(2).inverse()
+            x, y = (x + y) * half, (x - y) * half
+        return self.elem([x, y])
+
+    def gen0(self) -> "EQElem":
+        """Generator of E_0 (the trace-zero line): sqrt(d), or (1,-1)."""
+        return self.elem([0, 1])
+
+    def elements(self):
+        if self.field.p is None:
+            raise ValueError("cannot enumerate over Q")
+        return [self.from_xy(a, b)
+                for a in self.field.elements() for b in self.field.elements()]
+
+    def units(self):
+        return [z for z in self.elements() if not z.norm().is_zero()]
+
+    def norm_one_elements(self):
+        return [z for z in self.elements() if z.norm() == self.field(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +342,13 @@ class SplitEmbedding:
         self.algebra = b
         self.K = k
         self.delta = delta
-        if k.is_split:
-            r = sqrt_exact(b.alpha)
-            self._s = EQElem(k, r, -r)  # image of i in F x F
-        else:
-            self._s = k.gen0()
+        # the image of i: sqrt(alpha) g = (r, -r) in F x F, else g
+        self._s = k.gen0() * sqrt_exact(b.alpha) if k.is_split else k.gen0()
 
     def matrix(self, x: QuatElem) -> Mat:
         k = self.K
-        a, bb, c, d = [k.from_scalar(v) for v in x.c]
-        z = a + self._s * bb
-        w = c + self._s * d
-        return Mat(k, [[z, k.from_scalar(self.delta) * w],
-                       [w.conj(), z.conj()]])
+        return _split_mat2(k, [k(v) for v in x.c], self._s, EQElem.conj,
+                           k(self.delta))
 
     def sigma(self, m: Mat) -> Mat:
         """Entrywise Galois action Id_B (x) sigma on M_2(K)."""
@@ -458,7 +358,17 @@ class SplitEmbedding:
         d = berkowitz_det(self.matrix(x))
         if not d.is_scalar():
             raise NotASplittingField("determinant not rational (internal error)")
-        return d.coords()[0] if self.K.is_split else d.x
+        return d.scalar_part()
+
+
+def _split_mat2(ring, coeffs, s, conj, delta) -> Mat:
+    """a + b i + c j + d k = z + w j  |->  ((z, delta w), (w^sigma, z^sigma))
+    in M_2(ring): z = a + s b and w = c + s d for s the image of i, and
+    sigma = conj; the coefficients and delta already lie in ring."""
+    a, b, c, d = coeffs
+    z = a + s * b
+    w = c + s * d
+    return Mat(ring, [[z, delta * w], [conj(w), conj(z)]])
 
 
 def quat_to_mat2_tower(x: QuatElem, tower: QuadTower, root_index: int,
@@ -468,13 +378,8 @@ def quat_to_mat2_tower(x: QuatElem, tower: QuadTower, root_index: int,
     `lift` carries base-ring coefficients into the tower; delta is the
     j^2 symbol entry (lifted).  Requires root^2 = lifted alpha.
     """
-    s = tower.root(root_index)
-    a, b, c, d = [lift(v) for v in x.c]
-    z = a + s * b
-    w = c + s * d
-    zc = tower.conj(z, root_index)
-    wc = tower.conj(w, root_index)
-    return Mat(tower, [[z, delta * w], [wc, zc]])
+    return _split_mat2(tower, [lift(v) for v in x.c], tower.root(root_index),
+                       lambda v: tower.conj(v, root_index), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -490,20 +490,22 @@ def cover_inverse(x: CoveredGSpElem) -> CoveredGSpElem:
     m_inv = x.gf.m.inverse()
     gf_inv = gsp_decompose(GSpElem(inv_mat, m_inv), v_constraints=[x.matrix()])
     # reuse the cover_mul bookkeeping with unknown y-root solved for root 1
-    x2 = x.reparam(_find_common_v(x, inv_mat))
+    x2 = x.reparam(_find_common_v(x))
     dd = D(x2.gf.alpha + gf_inv.v, gf_inv.beta)
     t_inv = (x2.t * dd).inverse()
     return CoveredGSpElem(gf_inv, t_inv, check=False)
 
 
-def _find_common_v(x: CoveredGSpElem, other_mat: M2A) -> AminusVector:
-    """v making both x's and the identity's sheared blocks invertible;
-    since the identity allows any v, reuse x's search."""
+def _find_common_v(x: CoveredGSpElem) -> AminusVector:
+    """v making x's sheared block a - v c invertible (the identity's is
+    for any v)."""
     algebra = x.gf.A
+    zero = algebra.ring.zero()
+    zero_v = algebra.aminus([zero] * 3, [zero] * 3)
+    m = x.matrix()
     for v in _unipotent_shift_candidates(algebra):
-        zero_v = algebra.aminus([algebra.ring.zero()] * 3, [algebra.ring.zero()] * 3)
         vv = v if v is not None else zero_v
-        a_blk = x.matrix().a - vv.embed() * x.matrix().c
+        a_blk = m.a - vv.embed() * m.c
         if not reduced_norm_A(a_blk).is_zero():
             return vv
     raise DecompositionFailed("no common unipotent shift")
@@ -580,19 +582,18 @@ def _sqrt_in_ring(ring, x):
 def eq_sqrt(z: EQElem) -> Optional[EQElem]:
     """A square root in an etale quadratic algebra, if one exists."""
     e = z.algebra
-    field = e.field
     if e.is_split:
         rx, ry = sqrt_exact(z.x), sqrt_exact(z.y)
         if rx is None or ry is None:
             return None
-        return EQElem(e, rx, ry)
+        return e.from_xy(rx, ry)
     if z.y.is_zero():
         r = sqrt_exact(z.x)
         if r is not None:
-            return EQElem(e, r, field.zero())
+            return e.from_xy(r, 0)
         r = sqrt_exact(z.x / e.d)
         if r is not None:
-            return EQElem(e, field.zero(), r)
+            return e.from_xy(0, r)
         return None
     disc = sqrt_exact(z.norm())
     if disc is None:
@@ -603,7 +604,7 @@ def eq_sqrt(z: EQElem) -> Optional[EQElem]:
         if y is None or y.is_zero():
             continue
         x = z.y / (y + y)
-        cand = EQElem(e, x, y)
+        cand = e.from_xy(x, y)
         if cand * cand == z:
             return cand
     return None

@@ -2,23 +2,24 @@
 F(sqrt(d1), ..., sqrt(dk)) over F_p or Q built on them.
 
 `TableAlgebra` and `TableElem` are the one algebra core shared by the
-quaternion and bi-quaternion algebras of `algebras` and the towers here.
-An algebra is free of rank `dim` over its coefficient ring, and its basis
-products come from a structure table: tab[i][j] = (target, coeff) means
-e_i e_j = coeff * e_target.
+etale quadratic E, the quaternion and bi-quaternion algebras of
+`algebras` and the towers here.  An algebra is free of rank `dim` over
+its coefficient ring, and its basis products come from a structure
+table: tab[i][j] = (target, coeff) means e_i e_j = coeff * e_target.
 
 The coefficient ring is F_p, Q or an etale quadratic algebra E over one
 of them (any other raises TypeError on the first arithmetic operation).
-By restriction of scalars an algebra of rank n over E is one of rank 2n
-over F, and ints are the state of an element: its F-coordinates over one
+E is itself a table algebra of rank 2 over F on the basis (1, g), and by
+restriction of scalars an algebra of rank n over E is one of rank 2n
+over F.  Ints are the state of an element: its F-coordinates over one
 denominator, canonical so that equal elements hold equal ints.  Sums,
 products, scaling, the sign-mask involutions, equality and the inverse
 all run on those ints, with the structure constants kept as ints once
-per descriptor.  The ring coefficients `c` (Scalars, or EQElems over E)
-are a cached, read-only view built on first read; an element built from
-coefficients reads its ints from them once, on its first arithmetic
-operation.  The subclasses keep only their own involutions, norms and
-conjugations.
+per descriptor.  The ring coefficients `c` (Scalars, or elements of E
+over E) are a cached, read-only view built on first read; an element
+built from coefficients reads its ints from them once, on its first
+arithmetic operation.  The subclasses keep only their own involutions,
+norms and conjugations.
 
 Tower elements carry 2^k coordinates indexed by subsets of the adjoined
 roots (bitmask order).  These towers back the split embeddings of
@@ -43,40 +44,43 @@ from .linalg import Mat, back_substitute, row_reduce
 class _Restriction:
     """An algebra of rank n over R in {F_p, Q, E} as an F-algebra of rank
     r n on the basis e_i (x) u_a (index r i + a): r = 1 when R = F, else
-    r = 2 and u is E's basis over F, on which E's coordinates are (x, y).
-    e_I e_J = sum n / den e_T over the (T, n) = tab[I][J] of each of the
-    `layers`, n a nonzero int (a residue over F_p, den = 1); a zero
-    product, such as split E's mixed ones, is None and skipped.  E's own
-    products u_a u_b = sum n / unit_den u_c are the (a, b, c, n) of
-    `units`, and `one` holds the F-coordinates of the unit.
+    r = 2 and u = (1, g) is E's own basis over F.  e_I e_J = sum n / den
+    e_T over the (T, n) = tab[I][J] of each of the `layers`, n a nonzero
+    int (a residue over F_p, den = 1); a zero product is None and
+    skipped.  E's own products u_a u_b come from E's int table, and `one`
+    holds the F-coordinates of the unit.
     """
 
-    __slots__ = ("field", "r", "layers", "den", "units", "unit_den", "one")
+    __slots__ = ("field", "r", "layers", "den", "one")
 
     def __init__(self, algebra: "TableAlgebra"):
         ring = algebra.ring
         if isinstance(ring, FieldDesc):
-            self.field, self.r, units = ring, 1, [[[(0, 1)]]]
-        elif hasattr(ring, "basis_products"):
-            self.field, self.r, units = ring.field, 2, ring.basis_products()
+            self.field, self.r, units, unit_den = ring, 1, [[(0, 1)]], 1
+        elif isinstance(ring, TableAlgebra) and ring.coefficient_ring:
+            own = ring._restriction()
+            self.field, self.r = ring.field, ring.dim
+            (units,), unit_den = own.layers, own.den
         else:
             raise TypeError("table products run over F_p, Q or an etale "
                             "quadratic algebra, not %r" % (ring,))
-        r, p = self.r, self.field.p
-        # (e_i u_a)(e_j u_b) = k e_t u_a u_b with k = sum_g k_g u_g, on values
+        r = self.r
+        # (e_i u_a)(e_j u_b) = k e_t u_a u_b with k = sum_g k_g u_g, on ints
+        # over kd unit_den^2
         entries = []
         for i, row in enumerate(algebra.table()):
             for j, (t, k) in enumerate(row):
-                kc = (k.value,) if r == 1 else (k.x.value, k.y.value)
+                kc, kd = self.unwrap([k])
+                den = kd * unit_den * unit_den
                 for a, b in itertools.product(range(r), repeat=2):
+                    c, m = units[a][b]
                     out = [0] * r
-                    for c, m in units[a][b]:
-                        for g, kg in enumerate(kc):
-                            for h, n in units[g][c] if kg else ():
-                                out[h] += kg * m * n
-                    if p:
-                        out = [v % p for v in out]
-                    entries += [(r * i + a, r * j + b, r * t + h, v)
+                    for g, kg in enumerate(kc):
+                        if kg:
+                            h, n = units[g][c]
+                            out[h] += kg * m * n
+                    entries += [(r * i + a, r * j + b, r * t + h,
+                                 v if den == 1 else Fraction(v, den))
                                 for h, v in enumerate(out) if v]
         entries, self.den = self._over_den(entries)
         # a product with two targets (over a field E, a symbol outside F)
@@ -88,9 +92,6 @@ class _Restriction:
                 tab = [[None] * (r * algebra.dim) for _ in range(r * algebra.dim)]
                 self.layers.append(tab)
             tab[i][j] = (t, n)
-        self.units, self.unit_den = self._over_den(
-            [(a, b, c, n) for a, row in enumerate(units)
-             for b, cell in enumerate(row) for c, n in cell])
         self.one = self.unwrap(algebra.one().c)[0]
 
     def _over_den(self, entries):
@@ -102,10 +103,14 @@ class _Restriction:
         return [(*e[:-1], n) for e, n in zip(entries, nums)], den
 
     def unwrap(self, coeffs):
-        """The F-coordinates of ring coefficients as ints over one denominator."""
-        values = ([s.value for s in coeffs] if self.r == 1 else
-                  [v for z in coeffs for v in (z.x.value, z.y.value)])
-        return _ints_over_lcm(values) if self.field.p is None else (values, 1)
+        """The F-coordinates of ring coefficients as ints over one
+        denominator: the values of Scalars, or the ints of E's elements."""
+        if self.r == 1:
+            values = [s.value for s in coeffs]
+            return _ints_over_lcm(values) if self.field.p is None else (values, 1)
+        parts = [z._ints() for z in coeffs]
+        d = math.lcm(*(dz for _, dz in parts))
+        return [v * (d // dz) for vs, dz in parts for v in vs], d
 
     def reduce(self, ints, d):
         """ints / d in canonical form: residues mod p over F_p (d = 1), and
@@ -123,12 +128,12 @@ class _Restriction:
             return [Scalar(f, Fraction(v, d)) for v in ints]
         return [Scalar(f, v % f.p) for v in ints]
 
-    def coeffs(self, ring, scalars):
-        """Coefficients in `ring` from their F-coordinates."""
-        if self.r == 1:
-            return scalars
-        it = iter(scalars)
-        return [ring.Elem(ring, x, y) for x, y in zip(it, it)]
+    def coeffs(self, ring, ints, d):
+        """Coefficients in `ring` with the F-coordinates ints / d."""
+        r = self.r
+        if r == 1:
+            return self.scalars(ints, d)
+        return [ring.Elem._of(ring, ints[i:i + r], d) for i in range(0, len(ints), r)]
 
     def left_rows(self, xs, dx):
         """Left multiplication by xs / dx on the F-coordinates: int rows over d."""
@@ -175,7 +180,7 @@ class TableElem:
     def c(self):
         if self._c is None:
             res = self.algebra._restriction()
-            self._c = res.coeffs(self.algebra.ring, res.scalars(self._v, self._d))
+            self._c = res.coeffs(self.algebra.ring, self._v, self._d)
         return self._c
 
     def _ints(self):
@@ -238,12 +243,14 @@ class TableElem:
             s = res.field(s).value
             return self._of(self.algebra, [a * s.numerator for a in v],
                             d * s.denominator)
-        zs, dz = res.unwrap([self.algebra.ring(s)])
-        out = [0] * len(v)
-        for i in range(0, len(v), 2):
-            for a, b, t, n in res.units:
-                out[i + t] += zs[a] * v[i + b] * n
-        return self._of(self.algebra, out, d * dz * res.unit_den)
+        # each coefficient's (1, g) coordinates times E's 2 x 2 left
+        # multiplication by s
+        z = self.algebra.ring(s)
+        ((m00, m01), (m10, m11)), dz = z.algebra._restriction().left_rows(*z._ints())
+        out = []
+        for x0, x1 in zip(v[::2], v[1::2]):
+            out += (m00 * x0 + m01 * x1, m10 * x0 + m11 * x1)
+        return self._of(self.algebra, out, d * dz)
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
@@ -272,9 +279,14 @@ class TableElem:
             return self.scale(other)
         return NotImplemented
 
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        return self * other.inverse()
+
     def mult_matrix(self) -> Mat:
         """Left multiplication x -> self * x as a matrix over the base field
-        F on the F-coordinates: over E, the (x, y) of each coefficient."""
+        F on the F-coordinates: over E, the (1, g) coordinates of each
+        coefficient."""
         res = self.algebra._restriction()
         rows, d = res.left_rows(*self._ints())
         return Mat(res.field, [res.scalars(r, d) for r in rows])
@@ -335,6 +347,9 @@ class TableAlgebra:
     """
 
     Mismatch = AlgebraMismatch
+    # whether other table algebras take this one as their coefficient ring
+    # (the etale E, commutative of rank 2 over F)
+    coefficient_ring = False
     _res = None
 
     def _restriction(self) -> _Restriction:
@@ -368,10 +383,6 @@ class TableAlgebra:
 
 class TowerElem(TableElem):
     __slots__ = ()
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
 
     def __repr__(self):
         t = self.algebra

@@ -10,7 +10,6 @@ from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.algebras import (
     BiquatAlg,
     EtaleQuad,
-    EQElem,
     QuatAlg,
     SplitEmbedding,
     SplitIso,
@@ -31,9 +30,9 @@ F5 = GF(5)
 
 def test_eq_ops_split():
     e = EtaleQuad(F5)
-    z = EQElem(e, F5(2), F5(3))
+    z = e.from_xy(F5(2), F5(3))
     assert z.norm() == F5(2) * F5(3)
-    assert z.conj() == EQElem(e, F5(3), F5(2))
+    assert z.conj() == e.from_xy(F5(3), F5(2))
     assert e.from_scalar(F5(4)).conj() == e.from_scalar(F5(4))
 
 
@@ -297,7 +296,7 @@ def test_biquat_inverse_paths():
     ce = QuatAlg(e, e.from_scalar(F5(1)), e.from_scalar(F5(2)))
     ae = BiquatAlg(be, ce)
     for _ in range(15):
-        x = ae.elem([EQElem(e, F5(rng.randrange(5)), F5(rng.randrange(5)))
+        x = ae.elem([e.from_xy(F5(rng.randrange(5)), F5(rng.randrange(5)))
                      for _ in range(16)])
         if reduced_norm_A(x).is_zero():
             continue
@@ -312,7 +311,7 @@ def test_biquat_inverse_paths():
         a = BiquatAlg(QuatAlg(e, 2, 3), QuatAlg(e, 1, 2))
         inverted = 0
         for _ in range(30):
-            x = a.elem([EQElem(e, field(rng.randrange(-3, 4)), field(rng.randrange(-3, 4)))
+            x = a.elem([e.from_xy(field(rng.randrange(-3, 4)), field(rng.randrange(-3, 4)))
                         for _ in range(16)])
             if reduced_norm_A(x).norm().is_zero():
                 with pytest.raises(NonInvertible):

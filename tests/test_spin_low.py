@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from isogeny_kit.algebras import EtaleQuad, EQElem, QuatAlg
+from isogeny_kit.algebras import EtaleQuad, QuatAlg
 from isogeny_kit.errors import NonInvertible, NormMismatch, NotSpecialOrthogonal
 from isogeny_kit.exactfield import GF, QQ, square_class
 from isogeny_kit.linalg import Mat
@@ -41,10 +41,10 @@ def test_dim2_act_examples():
     assert model.act(e.from_scalar(F5(3))).matrix == ident
     # split E, g = (r, 1): multiplication by r on E^1, spinor norm r
     r = F5(2)
-    g = EQElem(e, r, F5(1))
+    g = e.from_xy(r, F5(1))
     for t in (F5(1), F5(2), F5(3)):
-        u = EQElem(e, t, t.inverse())
-        assert model.act_on(g, u) == EQElem(e, r * t, (r * t).inverse()) * \
+        u = e.from_xy(t, t.inverse())
+        assert model.act_on(g, u) == e.from_xy(r * t, (r * t).inverse()) * \
             e.from_scalar((r * t) * (r * t).inverse())
     assert spinor_norm(model.act(g)) == square_class(r)
     # F3(sqrt 2), g = sqrt(2): z -> -z
@@ -243,7 +243,7 @@ def test_dim4_kernel_sampled():
     ident = Mat.identity(F3, 4)
     trivial = []
     for _ in range(300):
-        g = model.BE.elem([EQElem(model.E, F3(rng.randrange(3)), F3(rng.randrange(3)))
+        g = model.BE.elem([model.E.from_xy(F3(rng.randrange(3)), F3(rng.randrange(3)))
                            for _ in range(4)])
         n = g.norm()
         if not n.is_scalar() or n.scalar_part().is_zero():

@@ -1,17 +1,20 @@
 """Multi-quadratic towers F(sqrt(d1), ..., sqrt(dk)): root relations, the
 ring axioms and Galois conjugation on seeded elements, inverses, zero
 divisors of degenerate towers, and coercion between towers.  The table
-core's int product over F_p and Q against the structure table, and over
-an etale E (by restriction of scalars) against the product over EQElem
-coefficients."""
+core's int product over F_p and Q against the structure table.  The
+etale E's own operations, and the product over E (by restriction of
+scalars), against an oracle for E in sympy polynomial arithmetic mod
+t^2 - d that shares no code with the library."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isogeny_kit.algebras import BiquatAlg, EQElem, EtaleQuad, QuatAlg
+from isogeny_kit.algebras import BiquatAlg, EtaleQuad, QuatAlg
 from isogeny_kit.errors import FieldMismatch, NonInvertible
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.linalg import Mat
@@ -196,9 +199,123 @@ def test_int_table_product_matches_table(alg):
                            for j in range(alg.dim)] for t in range(alg.dim)]
 
 
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# an oracle for E that shares no code with the library: sympy polynomials
+# mod t^2 - d over GF(p) or QQ
+# ---------------------------------------------------------------------------
+
+T = sympy.Symbol("t")
+
+
+def rational(v):
+    v = Fraction(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+class EOracle:
+    """E = F[t] / (t^2 - d) in sympy `Poly` arithmetic over GF(p) or QQ,
+    with d = 1 for split E: c0 + c1 g is the Poly c0 + c1 t, and g = t is
+    (1, -1) in F x F (the values at t = 1 and t = -1)."""
+
+    def __init__(self, field, d):
+        self.p, self.split = field.p, d == 1
+        self.domain = sympy.GF(field.p) if field.p else sympy.QQ
+        self.modulus = sympy.Poly(T ** 2 - rational(d), T, domain=self.domain)
+
+    def __call__(self, c0, c1):
+        return sympy.Poly.from_list([rational(c1), rational(c0)], T, domain=self.domain)
+
+    def of(self, z):
+        """An element of E read off its (1, g) coordinates."""
+        return self(*[v.value for v in z.coords()])
+
+    def value(self, c):
+        c = sympy.Rational(c)
+        return int(c) % self.p if self.p else Fraction(int(c.p), int(c.q))
+
+    def coords(self, poly):
+        """The (1, g) coordinates of poly mod t^2 - d: ints mod p or Fractions."""
+        r = poly.rem(self.modulus)
+        return [self.value(r.coeff_monomial(m)) for m in (1, T)]
+
+    def conj(self, poly):
+        c0, c1 = self.coords(poly)
+        return self(c0, -c1)
+
+    def views(self, poly):
+        """(x, y): the values at t = 1, -1 when split, else the coefficients."""
+        if self.split:
+            return [self.value(poly.eval(1)), self.value(poly.eval(-1))]
+        return self.coords(poly)
+
+
+def coord_values(z):
+    """The (1, g) coordinates of an element of E as plain values."""
+    return [v.value for v in z.coords()]
+
+
+# ---------------------------------------------------------------------------
+# E's own operations against the oracle (hypothesis drives the operands)
+# ---------------------------------------------------------------------------
+
+# (field, d, split): split E by default and from a square d, and field E
+ETALE_RINGS = [(F3, None, True), (F3, 2, False), (F7, None, True), (F7, 2, True),
+               (F7, 3, False), (QQ, None, True), (QQ, 4, True), (QQ, M2_3, False)]
+
+
+@st.composite
+def etale_coords(draw, e):
+    """(1, g) coordinates: general, zero, or (split E) a zero divisor."""
+    coords = draw(st.lists(st.one_of(st.just(0), coordinate(e.field)),
+                           min_size=2, max_size=2))
+    kind = draw(st.sampled_from(["general", "general", "zero", "divisor"]))
+    if kind == "zero":
+        return [0, 0]
+    if kind == "divisor" and e.is_split:
+        return [coords[0], draw(st.sampled_from([1, -1])) * coords[0]]
+    return coords
+
+
+@pytest.mark.parametrize("field,d,split", ETALE_RINGS,
+                         ids=["%s/%s" % (f, d) for f, d, _ in ETALE_RINGS])
+@PROPERTY
+@given(data=st.data())
+def test_etale_ops_match_sympy_oracle(field, d, split, data):
+    e = EtaleQuad(field, d)
+    assert e.is_split == split
+    ora = EOracle(field, 1 if split else d)
+    u = data.draw(etale_coords(e), label="u")
+    v = data.draw(etale_coords(e), label="v")
+    x, y = e.elem(u), e.elem(v)
+    a, b = ora(*u), ora(*v)
+    assert coord_values(x) == ora.coords(a)
+    assert coord_values(x * y) == ora.coords(a * b)
+    assert coord_values(x + y) == ora.coords(a + b)
+    assert coord_values(x - y) == ora.coords(a - b)
+    assert coord_values(x.conj()) == ora.coords(ora.conj(a))
+    norm = ora.coords(a * ora.conj(a))
+    assert norm[1] == 0 and x.norm().value == norm[0]
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert x.trace().value == ora.coords(a + ora.conj(a))[0]
+    assert [x.x.value, x.y.value] == ora.views(a)
+    assert e.from_xy(x.x, x.y) == x
+    try:
+        inv = a.invert(ora.modulus)
+    except sympy.polys.polyerrors.NotInvertible:
+        with pytest.raises(NonInvertible):
+            x.inverse()
+    else:
+        assert coord_values(x.inverse()) == ora.coords(inv)
+        assert coord_values(y / x) == ora.coords(b * inv)
+
+
 # ---------------------------------------------------------------------------
 # algebras over an etale E: the restriction of scalars to F against the
-# product over EQElem coefficients (hypothesis drives the operands)
+# product over E coefficients in the oracle (hypothesis drives the operands)
 # ---------------------------------------------------------------------------
 
 def etale_algebras():
@@ -212,7 +329,7 @@ def etale_algebras():
         for e in (EtaleQuad(field), EtaleQuad(field, d)):
             b, c = QuatAlg(e, *s1), QuatAlg(e, *s2)
             out += [b, BiquatAlg(b, c),
-                    QuatAlg(e, EQElem(e, field(s1[0]), field(1)), s2[1])]
+                    QuatAlg(e, e.from_xy(field(s1[0]), field(1)), s2[1])]
     return out
 
 
@@ -223,26 +340,54 @@ ETALE_IDS = ["%s/%s/%s" % (type(a).__name__, a.ring.field,
 
 
 def f_coords(x):
-    """The F-coordinates of an element over E: the (x, y) of each coefficient."""
-    return [v for z in x.c for v in (z.x, z.y)]
+    """The F-coordinates of an element over E: the (1, g) coordinates of
+    each coefficient."""
+    return [v for z in x.c for v in z.coords()]
 
 
 def from_f_coords(alg, values):
     e = alg.ring
-    values = [e.field(v) for v in values]
-    return alg.Elem(alg, [EQElem(e, x, y) for x, y in zip(values[::2], values[1::2])])
+    return alg.Elem(alg, [e.elem(pair) for pair in zip(values[::2], values[1::2])])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_table(alg):
+    """The oracle for alg's E, and alg's table() with its coefficients in it."""
+    ora = EOracle(alg.ring.field, alg.ring.d.value)
+    return ora, [[(t, ora.of(k)) for t, k in row] for row in alg.table()]
+
+
+def oracle_product(x, y):
+    """sum a_i b_j coeff_ij e_target read off table(), with the E-coefficient
+    arithmetic in the oracle: the (1, g) coordinates of each coefficient."""
+    ora, tab = oracle_table(x.algebra)
+    out = [ora(0, 0)] * x.algebra.dim
+    ys = [ora.of(b) for b in y.c]
+    for i, a in enumerate(x.c):
+        a = ora.of(a)
+        for j, b in enumerate(ys):
+            if not (a.is_zero or b.is_zero):
+                target, coeff = tab[i][j]
+                out[target] = out[target] + a * b * coeff
+    return [ora.coords(v) for v in out]
 
 
 def naive_left_matrix(x):
-    """Left multiplication by x on the F-coordinates, one naive product per
-    F-basis element e_j u_b."""
+    """Left multiplication by x on the F-coordinates in the oracle: the
+    column of the F-basis element e_j u_b is sum_i a_i u_b coeff_ij e_target."""
     alg, n = x.algebra, 2 * x.algebra.dim
+    ora, tab = oracle_table(alg)
+    xs = [ora.of(a) for a in x.c]
     cols = []
-    for k in range(n):
-        unit = [0] * n
-        unit[k] = 1
-        cols.append(f_coords(alg.Elem(alg, naive_product(x, from_f_coords(alg, unit)))))
-    return Mat(alg.ring.field, [[col[i] for col in cols] for i in range(n)])
+    for j in range(alg.dim):
+        for u in (ora(1, 0), ora(0, 1)):
+            out = [ora(0, 0)] * alg.dim
+            for i, a in enumerate(xs):
+                target, coeff = tab[i][j]
+                out[target] = out[target] + a * u * coeff
+            cols.append([v for w in out for v in ora.coords(w)])
+    field = alg.ring.field
+    return Mat(field, [[field(col[i]) for col in cols] for i in range(n)])
 
 
 @st.composite
@@ -250,23 +395,16 @@ def etale_operand(draw, alg):
     """An element of alg over E: general, zero, a scalar of E, or (split E)
     a zero divisor with every coefficient in the first factor."""
     field, n = alg.ring.field, 2 * alg.dim
-    if field.p is None:
-        coord = st.fractions(min_value=-6, max_value=6, max_denominator=7)
-    else:
-        coord = st.integers(0, field.p - 1)
-    coords = draw(st.lists(st.one_of(st.just(0), coord), min_size=n, max_size=n))
+    coords = draw(st.lists(st.one_of(st.just(0), coordinate(field)),
+                           min_size=n, max_size=n))
     kind = draw(st.sampled_from(["general", "general", "zero", "scalar", "divisor"]))
     if kind == "zero":
         return alg.zero()
     if kind == "scalar":
-        return alg.from_scalar(EQElem(alg.ring, field(coords[0]), field(coords[1])))
+        return alg.from_scalar(alg.ring.from_xy(field(coords[0]), field(coords[1])))
     if kind == "divisor" and alg.ring.is_split:
-        coords[1::2] = [0] * alg.dim
+        coords[1::2] = coords[0::2]   # y = 0 in each coefficient
     return from_f_coords(alg, coords)
-
-
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.mark.parametrize("alg", ETALE_ALGEBRAS, ids=ETALE_IDS)
@@ -276,7 +414,7 @@ def test_etale_product_matches_eqelem_product(alg, data):
     x = data.draw(etale_operand(alg), label="x")
     y = data.draw(etale_operand(alg), label="y")
     prod = x * y
-    assert prod.c == naive_product(x, y)
+    assert [coord_values(z) for z in prod.c] == oracle_product(x, y)
     m = x.mult_matrix()
     assert m.ring == alg.ring.field and m.nrows == m.ncols == 2 * alg.dim
     assert m == naive_left_matrix(x)
@@ -288,21 +426,21 @@ def test_etale_product_matches_eqelem_product(alg, data):
 @given(data=st.data())
 def test_etale_inverse_both_sides(alg, data):
     x = data.draw(etale_operand(alg), label="x")
-    one = alg.one().c
+    one = [[1, 0]] + [[0, 0]] * (alg.dim - 1)
     if naive_left_matrix(x).rank() < 2 * alg.dim:
         with pytest.raises(NonInvertible):
             x.inverse()
         return
     inv = x.inverse()
-    assert naive_product(x, inv) == one and naive_product(inv, x) == one
+    assert oracle_product(x, inv) == one and oracle_product(inv, x) == one
 
 
 @pytest.mark.parametrize("field", [F3, F7, QQ], ids=["F3", "F7", "Q"])
 def test_split_etale_zero_divisor_raises(field):
     e = EtaleQuad(field)
     for alg in (QuatAlg(e, 2, 1), BiquatAlg(QuatAlg(e, 2, 1), QuatAlg(e, 1, 2))):
-        first = alg.elem([EQElem(e, field(1), field(0))] * alg.dim)
-        second = alg.from_scalar(EQElem(e, field(0), field(1)))
+        first = alg.elem([e.from_xy(field(1), field(0))] * alg.dim)
+        second = alg.from_scalar(e.from_xy(field(0), field(1)))
         assert (first * second).is_zero()
         for x in (first, second, alg.zero()):
             with pytest.raises(NonInvertible):
@@ -389,7 +527,7 @@ def table_operand(draw, alg):
 
 def e_scalar(draw, alg):
     e, field = alg.ring, base_field(alg)
-    return EQElem(e, field(draw(coordinate(field))), field(draw(coordinate(field))))
+    return e.from_xy(field(draw(coordinate(field))), field(draw(coordinate(field))))
 
 
 def assert_like_scalar_born(z):

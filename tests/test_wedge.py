@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from isogeny_kit.algebras import BiquatAlg, EtaleQuad, EQElem, QuatAlg, albert_norm
+from isogeny_kit.algebras import BiquatAlg, EtaleQuad, QuatAlg, albert_norm
 from isogeny_kit.errors import BadParameters, NotAntisymmetric
 from isogeny_kit.exactfield import GF
 from isogeny_kit.linalg import Mat
@@ -212,7 +212,7 @@ def test_splite_su_sampling():
 
     done = 0
     while done < 12:
-        v = [EQElem(e, field(rng.randrange(5)), field(rng.randrange(5)))
+        v = [e.from_xy(field(rng.randrange(5)), field(rng.randrange(5)))
              for _ in range(4)]
         if hform(v, v).norm().is_zero():
             continue
@@ -227,7 +227,7 @@ def test_splite_su_sampling():
                          for j in range(4)] for i in range(4)])
         assert t1.T * mherm * t1.map(lambda z: z.conj()) == mherm
         # pair with the conjugate rotation to land in SU
-        w = [EQElem(e, field(rng.randrange(5)), field(rng.randrange(5)))
+        w = [e.from_xy(field(rng.randrange(5)), field(rng.randrange(5)))
              for _ in range(4)]
         if hform(w, w).norm().is_zero():
             continue
