@@ -1,29 +1,29 @@
 """Etale quadratic algebras, quaternion algebras with the main involution,
 split embeddings into 2x2 matrices, and bi-quaternion algebras B (x) C
-with the involution bar = iota_B (x) iota_C.
+with the involutions bar = iota_B (x) iota_C and the symplectic tau.
 
 The etale E, the quaternion and the bi-quaternion algebras are
 subclasses of the structure-constant core in `towers` (`TableAlgebra`,
 `TableElem`), which gives their coercion, linear operations, equality,
-table product and regular-representation inverse; here they add only
-their structure tables, the involutions, norms and traces, and the A^-
+table product and the unit coefficient of a product; here they add only
+their structure tables, involutions, norms, traces, inverses and A^-
 maps.  E is of rank 2 over F on the basis (1, g), g^2 = d, with g =
 (1, -1) when E = F x F; its elements keep a conj/N inverse and the (x, y)
 views of the pair or of x + y sqrt(d).  The coefficient ring of the
 others is F_p, Q or E (restriction of scalars to F), so the same code
-serves B and B_E; the split-embedding norm oracles use matrices over
-multi-quadratic towers.
+serves B and B_E; their norms are unit coefficients of products, and the
+split-embedding norm oracles use matrices over multi-quadratic towers.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (
     AlgebraMismatch,
     NonInvertible,
+    NormNotInBaseField,
     NotASplittingField,
     SearchBudgetExceeded,
 )
@@ -57,11 +57,8 @@ class EQElem(TableElem):
         return self._signed((1, -1))
 
     def norm(self) -> Scalar:
-        """a^2 - d b^2 on the ints a, b over den (x y when split)."""
-        (a, b), den = self._ints()
-        e = self.algebra
-        n = a * a - e.d.value * b * b
-        return e.field(n if den == 1 else Fraction(n, den * den))
+        """(z conj(z))_0 = a^2 - d b^2 (x y when split), on the ints."""
+        return self._unit_of(self.conj())
 
     def trace(self) -> Scalar:
         a = self.c[0]
@@ -155,6 +152,9 @@ _BASIS_NAMES = ("1", "i", "j", "k")
 _BAR_SIGNS = (1, -1, -1, -1)
 # bar on A = B (x) C: the sign of b_s (x) c_t at index 4 s + t
 _BAR_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in _BAR_SIGNS)
+# the symplectic tau = iota_B (x) (Int(i) o iota_C), and s -> 2 s_0 - s
+_TAU_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in (1, -1, 1, 1))
+_ADJ_SIGNS16 = (1,) + (-1,) * 15
 
 
 class QuatElem(TableElem):
@@ -166,10 +166,8 @@ class QuatElem(TableElem):
         return self._signed(_BAR_SIGNS)
 
     def norm(self):
-        a = self.algebra
-        return (self.c[0] * self.c[0] - a.alpha * self.c[1] * self.c[1]
-                - a.beta * self.c[2] * self.c[2]
-                + a.alpha * a.beta * self.c[3] * self.c[3])
+        """N(q) = (q bar(q))_0, on the ints."""
+        return self._unit_of(self.bar())
 
     def trace(self):
         return self.c[0] + self.c[0]
@@ -390,10 +388,9 @@ class BiquatElem(TableElem):
     __slots__ = ()
     _SCALARS = (int, Scalar, EQElem)
 
-    # the shared product and inverse, bound here so that per-class tracing
-    # (perfbench) counts bi-quaternion products and inverses by name
+    # the shared product, bound here so that per-class tracing (perfbench)
+    # counts bi-quaternion products by name
     __mul__ = TableElem.__mul__
-    inverse = TableElem.inverse
 
     def _coerce(self, other):
         if isinstance(other, AminusVector):
@@ -408,6 +405,22 @@ class BiquatElem(TableElem):
     def bar(self) -> "BiquatElem":
         """The involution iota_B (x) iota_C."""
         return self._signed(_BAR_SIGNS16)
+
+    def tau(self) -> "BiquatElem":
+        """The symplectic involution iota_B (x) (Int(i) o iota_C)."""
+        return self._signed(_TAU_SIGNS16)
+
+    def inverse(self) -> "BiquatElem":
+        """tau(x) (2 s_0 - s) / Nrd(x) for s = x tau(x), which satisfies
+        s (2 s_0 - s) = Nrd(x) (see reduced_norm_A); NonInvertible exactly
+        when Nrd(x) is not a unit of the ring."""
+        t = self.tau()
+        s = self * t
+        adj = s._signed(_ADJ_SIGNS16)
+        n = s._unit_of(adj)
+        if n.is_zero() or isinstance(n, EQElem) and n.norm().is_zero():
+            raise NonInvertible("BiquatElem is a zero divisor")
+        return (t * adj).scale(n.inverse())
 
     def plus_part(self) -> "BiquatElem":
         half = self.algebra.ring(2).inverse()
@@ -592,45 +605,20 @@ def reduced_norm_M2B(m) -> object:
     """Reduced norm of ((a, b), (c, d)) over a quaternion algebra:
     N(a)N(d) + N(b)N(c) - Tr(bar(a) b bar(d) c)."""
     (a, b), (c, d) = m
-    prod = a.bar() * b * d.bar() * c
-    return a.norm() * d.norm() + b.norm() * c.norm() - prod.trace()
+    t = (a.bar() * b * d.bar())._unit_of(c)
+    return a.norm() * d.norm() + b.norm() * c.norm() - t - t
 
 
 def reduced_norm_A(x: BiquatElem):
-    """Degree-4 reduced norm of A = B (x) C, as an explicit polynomial.
+    """Degree-4 reduced norm of A = B (x) C, through the symplectic tau.
 
-    Writing x = al + de i + be j + ga ij with B-coefficients over the
-    generators i, j of C (i^2 = eta, j^2 = eps), the norm expands into
-    quaternion norms and traces; every term is pinned against the
-    split-embedding determinant oracle in the test suite.
+    s = x tau(x) is tau-symmetric, and so a root of its Pfaffian
+    characteristic polynomial X^2 - 2 s_0 X + Nrd(x) (Knus-Merkurjev-Rost-
+    Tignol, The Book of Involutions, 2.B).  So Nrd(x) = (s (2 s_0 - s))_0,
+    a value in the coefficient ring (E over E).
     """
-    algebra = x.algebra
-    b_alg = algebra.B
-    eta = algebra.C.alpha
-    eps = algebra.C.beta
-    al = QuatElem(b_alg, [x.c[4 * s + 0] for s in range(4)])
-    de = QuatElem(b_alg, [x.c[4 * s + 1] for s in range(4)])
-    be = QuatElem(b_alg, [x.c[4 * s + 2] for s in range(4)])
-    ga = QuatElem(b_alg, [x.c[4 * s + 3] for s in range(4)])
-
-    def nsq(q):
-        n = q.norm()
-        return n * n
-
-    def tr_sq(p, q):
-        t = p.bar() * q
-        return (t * t).trace()
-
-    two = algebra.ring(2)
-    return (
-        nsq(al) + eta * eta * nsq(de) + eps * eps * nsq(be)
-        + eta * eta * eps * eps * nsq(ga)
-        - eta * tr_sq(al, de) - eps * tr_sq(al, be)
-        + eta * eps * tr_sq(al, ga) + eta * eps * tr_sq(de, be)
-        - eta * eta * eps * tr_sq(de, ga) - eps * eps * eta * tr_sq(be, ga)
-        - two * eta * eps * (al.bar() * be * de.bar() * ga).trace()
-        + two * eta * eps * (al.bar() * ga * de.bar() * be).trace()
-    )
+    s = x * x.tau()
+    return s._unit_of(s._signed(_ADJ_SIGNS16))
 
 
 def biquat_to_mat4(x: BiquatElem, tower: Optional[QuadTower] = None) -> Tuple[Mat, QuadTower]:
@@ -663,5 +651,5 @@ def reduced_norm_A_oracle(x: BiquatElem) -> Scalar:
     m, _tower = biquat_to_mat4(x)
     d = berkowitz_det(m)
     if not d.is_scalar():
-        raise ValueError("reduced norm oracle left the base field")
+        raise NormNotInBaseField("reduced norm oracle left the base field")
     return d.scalar_part()

@@ -25,6 +25,7 @@ from .errors import (
     InvariantViolated,
     IsotropicMirror,
     NonInvertible,
+    NormNotInBaseField,
     NotFullySplit,
     NotSpecialOrthogonal,
     SingularReparam,
@@ -162,15 +163,11 @@ def _norm8_split_oracle(m: M2A) -> Scalar:
     algebra = m.A
     tower = QuadTower(algebra.ring, [algebra.B.alpha, algebra.C.alpha])
     blocks = [biquat_to_mat4(x, tower)[0] for x in m.entries()]
-    z = tower.zero()
-    rows = []
-    for i in range(4):
-        rows.append(list(blocks[0].rows[i]) + list(blocks[1].rows[i]))
-    for i in range(4):
-        rows.append(list(blocks[2].rows[i]) + list(blocks[3].rows[i]))
+    # the 4x4 blocks (a, b) over (c, d)
+    rows = [blocks[k].rows[i] + blocks[k + 1].rows[i] for k in (0, 2) for i in range(4)]
     d = berkowitz_det(Mat(tower, rows))
     if not d.is_scalar():
-        raise ValueError("degree-8 norm left the base field")
+        raise NormNotInBaseField("degree-8 norm left the base field")
     return d.scalar_part()
 
 

@@ -47,11 +47,11 @@ class _Restriction:
     r = 2 and u = (1, g) is E's own basis over F.  e_I e_J = sum n / den
     e_T over the (T, n) = tab[I][J] of each of the `layers`, n a nonzero
     int (a residue over F_p, den = 1); a zero product is None and
-    skipped.  E's own products u_a u_b come from E's int table, and `one`
-    holds the F-coordinates of the unit.
+    skipped; `to_unit` lists the (I, J, t, n) with t < r.  E's own products
+    u_a u_b come from E's int table, and `one` holds the unit's F-coordinates.
     """
 
-    __slots__ = ("field", "r", "layers", "den", "one")
+    __slots__ = ("field", "r", "layers", "den", "one", "to_unit")
 
     def __init__(self, algebra: "TableAlgebra"):
         ring = algebra.ring
@@ -92,6 +92,8 @@ class _Restriction:
                 tab = [[None] * (r * algebra.dim) for _ in range(r * algebra.dim)]
                 self.layers.append(tab)
             tab[i][j] = (t, n)
+        self.to_unit = [(i, j, *e) for tab in self.layers for i, row in enumerate(tab)
+                        for j, e in enumerate(row) if e and e[0] < r]
         self.one = self.unwrap(algebra.one().c)[0]
 
     def _over_den(self, entries):
@@ -272,6 +274,16 @@ class TableElem:
                             t, n = e
                             out[t] += a * b * n
         return self._of(self.algebra, out, dx * dy * res.den)
+
+    def _unit_of(self, other):
+        """The unit coefficient of self * other, in the ring, from the
+        products that reach it alone."""
+        res = self.algebra._restriction()
+        (xs, dx), (ys, dy) = self._ints(), other._ints()
+        out = [0] * res.r
+        for i, j, t, n in res.to_unit:
+            out[t] += xs[i] * ys[j] * n
+        return res.coeffs(self.algebra.ring, out, dx * dy * res.den)[0]
 
     def __rmul__(self, other):
         # ring scalars are central

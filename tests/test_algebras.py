@@ -1,11 +1,22 @@
-"""Etale algebras, quaternions, bi-quaternions, and the norm formulas."""
+"""Etale algebras, quaternions, bi-quaternions, and the norm formulas.
+The bi-quaternion reduced norm and inverse through the symplectic
+involution against the 12-term polynomial, the split-embedding
+determinant and the regular-representation inverse."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isogeny_kit.errors import AlgebraMismatch, NonInvertible, NotASplittingField
+from isogeny_kit import algebras
+from isogeny_kit.errors import (
+    AlgebraMismatch,
+    NonInvertible,
+    NormNotInBaseField,
+    NotASplittingField,
+)
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.algebras import (
     BiquatAlg,
@@ -23,6 +34,9 @@ from isogeny_kit.algebras import (
     theta,
 )
 from isogeny_kit.linalg import Mat
+from isogeny_kit.towers import TableElem
+
+from tests_helpers import reduced_norm_A_poly
 
 F3 = GF(3)
 F5 = GF(5)
@@ -384,3 +398,141 @@ def test_aminus_vectors_of_different_algebras_do_not_mix():
     assert (u + v).coords() == [F5(1), F5(1), F5(0), F5(0), F5(0), F5(0)]
     assert (u - v) == a1.aminus([1, -1, 0], [0, 0, 0])
     assert u == a1b.aminus([1, 0, 0], [0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the reduced norm and inverse through the symplectic involution tau
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def symplectic_algebras():
+    """(id, A, a zero divisor of A or None): over F_3, F_5 and Q, field E
+    with symbols outside F, split E, and split E with the zero-divisor
+    symbol (0, 3).  Where i^2 = 1/4 in C, 1 (x) i - 1/2 is a zero divisor
+    (1/4 = 4 over F_5)."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    q_e, f5_e = EtaleQuad(QQ, -2), EtaleQuad(F5, 2)
+    f7_split, q_split, f5_split = EtaleQuad(GF(7)), EtaleQuad(QQ), EtaleQuad(F5)
+    out = [
+        ("F3", QuatAlg(F3, 1, 2), QuatAlg(F3, 2, 2)),
+        ("F5", QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2)),
+        ("Q", QuatAlg(QQ, half, Fraction(-3, 5)), QuatAlg(QQ, quarter, Fraction(5, 4))),
+        ("F5(sqrt2)", QuatAlg(f5_e, f5_e.from_xy(1, 1), 2),
+         QuatAlg(f5_e, quarter, f5_e.from_xy(2, 1))),
+        ("Q(sqrt-2)", QuatAlg(q_e, q_e.from_xy(1, 1), -1),
+         QuatAlg(q_e, quarter, q_e.from_xy(0, 1))),
+        ("F7xF7", QuatAlg(f7_split, 2, 3), QuatAlg(f7_split, 3, f7_split.from_xy(1, 5))),
+        ("QxQ", QuatAlg(q_split, half, q_split.from_xy(-1, 2)),
+         QuatAlg(q_split, quarter, Fraction(5, 4))),
+        ("F5xF5/(0,3)", QuatAlg(f5_split, f5_split.from_xy(0, 3), 2),
+         QuatAlg(f5_split, 1, 2)),
+    ]
+    algs = [(name, BiquatAlg(b, c)) for name, b, c in out]
+    return [(name, a, a.basis_elem(0, 1) - a.from_scalar(half)
+             if a.C.alpha == a.ring(quarter) else None) for name, a in algs]
+
+
+SYMPLECTIC_IDS, *SYMPLECTIC = zip(*symplectic_algebras())
+SYMPLECTIC = list(zip(*SYMPLECTIC))
+
+
+def coefficient(field):
+    if field.p is None:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def biquat_operand(draw, alg, zero_divisor):
+    """An element of A: general, sparse, zero, a ring scalar, a multiple
+    of the algebra's zero divisor, or (split E) a multiple of the
+    idempotent (1, 0), whose norm is a nonzero zero divisor of E."""
+    ring = alg.ring
+    field = getattr(ring, "field", ring)
+    r = 1 if ring is field else 2
+    coords = [field(v) for v in draw(st.lists(coefficient(field),
+                                              min_size=16 * r, max_size=16 * r))]
+    coeffs = coords if r == 1 else [ring.from_xy(*coords[i:i + 2])
+                                    for i in range(0, 32, 2)]
+    kind = draw(st.sampled_from(["general", "general", "sparse", "zero", "scalar",
+                                 "divisor", "idempotent"]))
+    if kind == "sparse":
+        coeffs = [v if draw(st.booleans()) else ring(0) for v in coeffs]
+    x = alg.elem(coeffs)
+    if kind == "zero":
+        return alg.zero()
+    if kind == "scalar":
+        return alg.from_scalar(coeffs[0])
+    if kind == "divisor" and zero_divisor is not None:
+        return x * zero_divisor
+    if kind == "idempotent" and r == 2 and ring.is_split:
+        return x.scale(ring.from_xy(1, 0))
+    return x
+
+
+def is_unit(n):
+    """n in F nonzero, or n in E of nonzero norm."""
+    return not (n.is_zero() if hasattr(n, "value") else n.norm().is_zero())
+
+
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_reduced_norm_A_matches_polynomial_and_oracle(alg, zero_divisor, data):
+    x = data.draw(biquat_operand(alg, zero_divisor), label="x")
+    n = reduced_norm_A(x)
+    assert n == reduced_norm_A_poly(x)
+    assert type(n) is type(alg.ring.one())
+    if alg.ring is getattr(alg.ring, "field", alg.ring):
+        assert n == reduced_norm_A_oracle(x)
+
+
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_biquat_inverse_matches_table_inverse(alg, zero_divisor, data):
+    x = data.draw(biquat_operand(alg, zero_divisor), label="x")
+    if not is_unit(reduced_norm_A_poly(x)):
+        with pytest.raises(NonInvertible, match="BiquatElem is a zero divisor"):
+            x.inverse()
+        with pytest.raises(NonInvertible, match="BiquatElem is a zero divisor"):
+            TableElem.inverse(x)
+        return
+    inv = x.inverse()
+    assert inv == TableElem.inverse(x)
+    assert x * inv == alg.one() and inv * x == alg.one()
+
+
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
+def test_tau_is_a_symplectic_involution(alg, zero_divisor):
+    basis = [alg.basis_elem(s, t) for s in range(4) for t in range(4)]
+    # Sym(A, tau) has dimension 6 = 4 * 3 / 2, against 10 for iota_B (x) iota_C
+    assert sum(e.tau() == e for e in basis) == 6
+    assert sum(e.bar() == e for e in basis) == 10
+    rng = random.Random(11)
+    for _ in range(10):
+        x, y = (alg.elem([alg.ring(rng.randrange(-3, 4)) for _ in range(16)])
+                for _ in range(2))
+        assert (x * y).tau() == y.tau() * x.tau()
+        assert x.tau().tau() == x
+        s = x * x.tau()
+        assert s.tau() == s
+
+
+def test_reduced_norm_oracles_raise_named_error_off_the_base_field(monkeypatch):
+    from isogeny_kit import spin_eight
+
+    def leave_base_field(m):
+        return m.ring.root(0)
+
+    a = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2))
+    x = a.elem(range(16))
+    monkeypatch.setattr(algebras, "berkowitz_det", leave_base_field)
+    with pytest.raises(NormNotInBaseField):
+        reduced_norm_A_oracle(x)
+    monkeypatch.setattr(spin_eight, "berkowitz_det", leave_base_field)
+    with pytest.raises(NormNotInBaseField):
+        spin_eight._norm8_split_oracle(spin_eight.M2A(a, x, a.one(), a.zero(), x))

@@ -1,7 +1,7 @@
-"""Shared sample builders for the test modules."""
+"""Shared sample builders and oracles for the test modules."""
 
 from isogeny_kit.exactfield import is_square, sqrt_exact
-from isogeny_kit.algebras import reduced_norm_A
+from isogeny_kit.algebras import QuatElem, reduced_norm_A
 from isogeny_kit.spin_eight import CoveredGSpElem, GenForm, cover_identity, cover_mul
 
 
@@ -37,3 +37,41 @@ def _rand_aminus(algebra, rng):
     p = algebra.ring.p
     return algebra.aminus([rng.randrange(p) for _ in range(3)],
                           [rng.randrange(p) for _ in range(3)])
+
+
+def reduced_norm_A_poly(x):
+    """Degree-4 reduced norm of A = B (x) C, as an explicit polynomial.
+
+    Writing x = al + de i + be j + ga ij with B-coefficients over the
+    generators i, j of C (i^2 = eta, j^2 = eps), the norm expands into
+    quaternion norms and traces.  The library computes it through a
+    symplectic involution instead; this is the independent form it is
+    tested against.
+    """
+    algebra = x.algebra
+    b_alg = algebra.B
+    eta = algebra.C.alpha
+    eps = algebra.C.beta
+    al = QuatElem(b_alg, [x.c[4 * s + 0] for s in range(4)])
+    de = QuatElem(b_alg, [x.c[4 * s + 1] for s in range(4)])
+    be = QuatElem(b_alg, [x.c[4 * s + 2] for s in range(4)])
+    ga = QuatElem(b_alg, [x.c[4 * s + 3] for s in range(4)])
+
+    def nsq(q):
+        n = q.norm()
+        return n * n
+
+    def tr_sq(p, q):
+        t = p.bar() * q
+        return (t * t).trace()
+
+    two = algebra.ring(2)
+    return (
+        nsq(al) + eta * eta * nsq(de) + eps * eps * nsq(be)
+        + eta * eta * eps * eps * nsq(ga)
+        - eta * tr_sq(al, de) - eps * tr_sq(al, be)
+        + eta * eps * tr_sq(al, ga) + eta * eps * tr_sq(de, be)
+        - eta * eta * eps * tr_sq(de, ga) - eps * eps * eta * tr_sq(be, ga)
+        - two * eta * eps * (al.bar() * be * de.bar() * ga).trace()
+        + two * eta * eps * (al.bar() * ga * de.bar() * be).trace()
+    )
