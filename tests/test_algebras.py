@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isogeny_kit import algebras
+from isogeny_kit import algebras, spin_eight
 from isogeny_kit.errors import (
     AlgebraMismatch,
     NonInvertible,
@@ -20,6 +20,7 @@ from isogeny_kit.errors import (
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.algebras import (
     BiquatAlg,
+    EQElem,
     EtaleQuad,
     QuatAlg,
     SplitEmbedding,
@@ -435,8 +436,7 @@ def symplectic_algebras():
              if a.C.alpha == a.ring(quarter) else None) for name, a in algs]
 
 
-SYMPLECTIC_IDS, *SYMPLECTIC = zip(*symplectic_algebras())
-SYMPLECTIC = list(zip(*SYMPLECTIC))
+SYMPLECTIC = [pytest.param(a, zd, id=name) for name, a, zd in symplectic_algebras()]
 
 
 def coefficient(field):
@@ -451,12 +451,11 @@ def biquat_operand(draw, alg, zero_divisor):
     of the algebra's zero divisor, or (split E) a multiple of the
     idempotent (1, 0), whose norm is a nonzero zero divisor of E."""
     ring = alg.ring
-    field = getattr(ring, "field", ring)
-    r = 1 if ring is field else 2
-    coords = [field(v) for v in draw(st.lists(coefficient(field),
-                                              min_size=16 * r, max_size=16 * r))]
-    coeffs = coords if r == 1 else [ring.from_xy(*coords[i:i + 2])
-                                    for i in range(0, 32, 2)]
+    over_e = isinstance(ring, EtaleQuad)
+    field = ring.field if over_e else ring
+    n = 32 if over_e else 16
+    coords = [field(v) for v in draw(st.lists(coefficient(field), min_size=n, max_size=n))]
+    coeffs = [ring.from_xy(*coords[i:i + 2]) for i in range(0, n, 2)] if over_e else coords
     kind = draw(st.sampled_from(["general", "general", "sparse", "zero", "scalar",
                                  "divisor", "idempotent"]))
     if kind == "sparse":
@@ -468,17 +467,17 @@ def biquat_operand(draw, alg, zero_divisor):
         return alg.from_scalar(coeffs[0])
     if kind == "divisor" and zero_divisor is not None:
         return x * zero_divisor
-    if kind == "idempotent" and r == 2 and ring.is_split:
+    if kind == "idempotent" and over_e and ring.is_split:
         return x.scale(ring.from_xy(1, 0))
     return x
 
 
 def is_unit(n):
     """n in F nonzero, or n in E of nonzero norm."""
-    return not (n.is_zero() if hasattr(n, "value") else n.norm().is_zero())
+    return not (n.norm() if isinstance(n, EQElem) else n).is_zero()
 
 
-@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC)
 @PROPERTY
 @given(data=st.data())
 def test_reduced_norm_A_matches_polynomial_and_oracle(alg, zero_divisor, data):
@@ -486,11 +485,11 @@ def test_reduced_norm_A_matches_polynomial_and_oracle(alg, zero_divisor, data):
     n = reduced_norm_A(x)
     assert n == reduced_norm_A_poly(x)
     assert type(n) is type(alg.ring.one())
-    if alg.ring is getattr(alg.ring, "field", alg.ring):
+    if not isinstance(alg.ring, EtaleQuad):
         assert n == reduced_norm_A_oracle(x)
 
 
-@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC)
 @PROPERTY
 @given(data=st.data())
 def test_biquat_inverse_matches_table_inverse(alg, zero_divisor, data):
@@ -506,25 +505,23 @@ def test_biquat_inverse_matches_table_inverse(alg, zero_divisor, data):
     assert x * inv == alg.one() and inv * x == alg.one()
 
 
-@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC, ids=SYMPLECTIC_IDS)
-def test_tau_is_a_symplectic_involution(alg, zero_divisor):
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC)
+@PROPERTY
+@given(data=st.data())
+def test_tau_is_a_symplectic_involution(alg, zero_divisor, data):
     basis = [alg.basis_elem(s, t) for s in range(4) for t in range(4)]
     # Sym(A, tau) has dimension 6 = 4 * 3 / 2, against 10 for iota_B (x) iota_C
     assert sum(e.tau() == e for e in basis) == 6
     assert sum(e.bar() == e for e in basis) == 10
-    rng = random.Random(11)
-    for _ in range(10):
-        x, y = (alg.elem([alg.ring(rng.randrange(-3, 4)) for _ in range(16)])
-                for _ in range(2))
-        assert (x * y).tau() == y.tau() * x.tau()
-        assert x.tau().tau() == x
-        s = x * x.tau()
-        assert s.tau() == s
+    x = data.draw(biquat_operand(alg, zero_divisor), label="x")
+    y = data.draw(biquat_operand(alg, zero_divisor), label="y")
+    assert (x * y).tau() == y.tau() * x.tau()
+    assert x.tau().tau() == x
+    s = x * x.tau()
+    assert s.tau() == s
 
 
 def test_reduced_norm_oracles_raise_named_error_off_the_base_field(monkeypatch):
-    from isogeny_kit import spin_eight
-
     def leave_base_field(m):
         return m.ring.root(0)
 
