@@ -328,13 +328,18 @@ def _tonelli_shanks(n: int, p: int) -> int:
 
 
 def squarefree_part(n: int) -> int:
-    """Signed squarefree part of a nonzero integer, by trial division."""
+    """Signed squarefree part of a nonzero integer, by trial division by 2
+    and the odd numbers up to SQUAREFREE_TRIAL_BOUND."""
     if n == 0:
         raise ZeroArgument("squarefree part of 0")
     sign = -1 if n < 0 else 1
     n = abs(n)
     out = 1
-    d = 2
+    e = (n & -n).bit_length() - 1   # the power of 2
+    n >>= e
+    if e % 2 == 1:
+        out = 2
+    d = 3
     while d * d <= n:
         if d > SQUAREFREE_TRIAL_BOUND:
             raise ValueError(
@@ -348,7 +353,7 @@ def squarefree_part(n: int) -> int:
                 e += 1
             if e % 2 == 1:
                 out *= d
-        d += 1
+        d += 2
     return sign * out * n
 
 

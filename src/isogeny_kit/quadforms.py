@@ -1,6 +1,6 @@
 """Quadratic spaces over F_p or Q: diagonalization, isotropy, Witt
 decomposition, reflections, constructive Cartan-Dieudonne factorization,
-and the spinor norm.
+and the spinor norm (from the Wall form, with no factorization).
 
 A space is a nondegenerate symmetric Gram matrix; vectors are coordinate
 lists; isometries are matrices T with T^t G T = G.
@@ -21,7 +21,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .exactfield import FieldDesc, Scalar, SquareClass, sqrt_exact, square_class
-from .linalg import Mat, independent_subset
+from .linalg import Mat, independent_subset, row_reduce
 
 
 class QuadSpace:
@@ -425,12 +425,35 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
 
 
 def spinor_norm(t: Isometry) -> SquareClass:
-    """Product of the mirror-norm square classes of a CDT factorization."""
-    mirrors = cartan_dieudonne(t)
-    cls = SquareClass(t.space.field, 1)
-    for v in mirrors:
-        cls = cls * square_class(t.space.vnorm(v))
-    return cls
+    """theta(T) = 2^k det(chi) mod squares, chi the Wall form of T.
+
+    W = im(1 - T) has dimension k and the basis y_c = (1 - T) e_c over the
+    pivot columns c of 1 - T.  The Wall form chi(x, (1 - T) v) = <x, v>
+    has there the Gram matrix chi(y_a, y_b) = <y_a, e_b> = ((1 - T)^t G)_ab
+    (Zassenhaus, Arch. Math. 13, 1962; Taylor, The Geometry of the
+    Classical Groups, Ch. 11).  For a reflection in u it is 2<v,u>^2/<u,u>,
+    so the factor 2^k makes theta the product of the mirror-norm classes
+    of any Cartan-Dieudonne factorization, with no factorization made.
+    """
+    space = t.space
+    field = space.field
+    p = field.p
+    n = space.dim
+    one_minus = [[(i == j) - e.value for j, e in enumerate(row)]
+                 for i, row in enumerate(t.matrix.rows)]
+    if p:
+        one_minus = [[x % p for x in row] for row in one_minus]
+    pivots, _ = row_reduce([row[:] for row in one_minus], n, p)
+    k = len(pivots)
+    if not k:
+        return SquareClass(field, 1)
+    g = [[e.value for e in row] for row in space.gram.rows]
+    chi = [[sum(one_minus[r][a] * g[r][b] for r in range(n)) for b in pivots]
+           for a in pivots]
+    if p:
+        chi = [[x % p for x in row] for row in chi]
+    det = row_reduce(chi, k, p)[1]
+    return square_class(field(2 * det if k % 2 else det))
 
 
 def compose_reflections(space: QuadSpace, mirrors) -> Isometry:

@@ -6,16 +6,16 @@ cardinality cross-checks.
 Enumeration internals run on raw ints mod p for speed; results are exact
 counts, with orbit-stabilizer recursion replacing matrix enumeration in
 dimensions 5 and 6.  Isometries are enumerated column by column in the
-diagonal model: each remaining column keeps a pool of sphere vectors of
-its norm, and choosing a column cuts every later pool once to the vectors
-orthogonal to it, so no candidate is re-checked against earlier columns.
-A failed count cross-check raises InvariantViolated.
+diagonal model: each remaining column keeps a pool, a bitset over the
+indexed sphere vectors, and choosing a column cuts every later pool with
+one `&` against that column's orthogonality bitset.  The last column is
+one of a pair {w, -w} that shares one determinant.  A failed count
+cross-check raises InvariantViolated.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import EtaleQuad
@@ -181,29 +181,103 @@ def orthogonal_order(diag: List[int], p: int) -> int:
     return sphere_count(diag, diag[0], p) * orthogonal_order(diag[1:], p)
 
 
+def _sphere_index(diag: List[int], p: int):
+    """The vectors whose norm is an entry of diag, in itertools.product
+    order, and per such norm the bitset of their indices."""
+    spheres = {d % p: 0 for d in diag}
+    vecs = []
+    for v in itertools.product(range(p), repeat=len(diag)):
+        c = _norm_int(diag, v, p)
+        if c in spheres and any(v):
+            spheres[c] |= 1 << len(vecs)
+            vecs.append(v)
+    return vecs, spheres
+
+
+def _orthogonal_masks(diag: List[int], p: int, vecs):
+    """orth(i): the bitset of the vectors of `vecs` orthogonal to vecs[i].
+
+    A hyperplane sum_k a_k w_k = 0 is built coordinate by coordinate from
+    the bitsets of partial sums, so a mask costs n p^2 bitset operations,
+    not one pairing per vector; masks are made on first use."""
+    full = (1 << len(vecs)) - 1
+    coord = [[0] * p for _ in diag]
+    for i, v in enumerate(vecs):
+        for k, x in enumerate(v):
+            coord[k][x] |= 1 << i
+    cache = {}
+
+    def orth(i):
+        mask = cache.get(i)
+        if mask is None:
+            partial = {0: full}     # partial sum -> vectors reaching it
+            for k, (d, x) in enumerate(zip(diag, vecs[i])):
+                a = d * x % p
+                if not a:
+                    continue
+                nxt = {}
+                for t, m in partial.items():
+                    for y in range(p):
+                        u = (t + a * y) % p
+                        nxt[u] = nxt.get(u, 0) | (m & coord[k][y])
+                partial = nxt
+            mask = cache[i] = partial.get(0, 0)
+        return mask
+    return orth
+
+
 def enumerate_isometry_columns(diag: List[int], p: int):
-    """Column tuples (ints, diagonal model) of every isometry of diag."""
-    n = len(diag)
-    total = orthogonal_order(diag, p)
+    """(cols, det) for every isometry of diag: the column tuple (ints,
+    diagonal model) and its determinant mod p.
+
+    The sphere vectors of the norms in diag are indexed once, with one
+    orthogonality bitset per vector; column k draws from a pool (a bitset)
+    of vectors of norm diag[k] orthogonal to the columns chosen so far,
+    read lowest bit first, so tuples come in itertools.product order.  The
+    complement of n - 1 orthogonal anisotropic columns is a nondegenerate
+    line, so the last pool is exactly {w, -w}; anything else raises
+    InvariantViolated.  One row reduction per such pair gives det(cols, w),
+    and det(cols, -w) = -det(cols, w).  |O(V)| is the product of the pool
+    sizes along the first branch (orbit-stabilizer), checked against
+    EXHAUSTIVE_LIMIT before anything is yielded.
+    """
+    vecs, spheres = _sphere_index(diag, p)
+    orth = _orthogonal_masks(diag, p, vecs)
+    first = [spheres[d % p] for d in diag]
+    total = 1
+    pools = first
+    while pools:
+        total *= pools[0].bit_count()
+        i = (pools[0] & -pools[0]).bit_length() - 1
+        pools = [q & orth(i) for q in pools[1:]]
     if total > EXHAUSTIVE_LIMIT:
         raise BudgetExceeded("|O(V)| = %d exceeds the enumeration limit" % total)
-    spheres = {}
-    for c in set(diag):
-        spheres[c % p] = [v for v in itertools.product(range(p), repeat=n)
-                          if any(v) and _norm_int(diag, v, p) == c % p]
+    n = len(diag)
 
     def rec(cols, pools):
-        # pools[i]: candidates for column len(cols) + i, orthogonal to cols
-        if not pools:
-            yield cols
+        # pools[k]: candidates for column len(cols) + k, orthogonal to cols
+        pool = pools[0]
+        if len(pools) == 1:
+            low = pool & -pool
+            w = vecs[low.bit_length() - 1] if low else ()
+            neg = tuple(-x % p for x in w)
+            if pool.bit_count() != 2 or vecs[pool.bit_length() - 1] != neg:
+                raise InvariantViolated(
+                    "last column pool after %r is not {w, -w}" % (cols,))
+            # det(M) = det(M^t): the columns serve as rows
+            det = row_reduce([list(c) for c in cols] + [list(w)], n, p)[1]
+            yield cols + (w,), det
+            yield cols + (neg,), -det % p
             return
-        for v in pools[0]:
-            dv = [d * x for d, x in zip(diag, v)]
-            yield from rec(cols + (v,), [
-                [w for w in pool if sum(map(mul, dv, w)) % p == 0]
-                for pool in pools[1:]])
+        rest_pools = pools[1:]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            i = low.bit_length() - 1
+            o = orth(i)
+            yield from rec(cols + (vecs[i],), [q & o for q in rest_pools])
 
-    yield from rec((), [spheres[d % p] for d in diag])
+    yield from rec((), first)
 
 
 def enumerate_isometries(space: QuadSpace):
@@ -213,7 +287,7 @@ def enumerate_isometries(space: QuadSpace):
     diag, p_mat = _diag_ints(space)
     p_inv = p_mat.inverse()
     n = space.dim
-    for cols in enumerate_isometry_columns(diag, p):
+    for cols, _det in enumerate_isometry_columns(diag, p):
         m = Mat(field, [[field(cols[j][i]) for j in range(n)] for i in range(n)])
         yield Isometry(space, p_mat * m * p_inv, check=False)
 
@@ -293,9 +367,12 @@ def census_space(field: FieldDesc, dim: int, trivial_disc: bool) -> QuadSpace:
 def census(p: int, max_dim: int = 6) -> CensusReport:
     """|SO| and |SO+| per (dim, disc) with classical cross-checks.
 
-    Dimensions <= 4 are enumerated exhaustively when |O| is small enough;
-    5 and 6 use the orbit-stabilizer recursion.  |SO+| is exhausted by
-    spinor filtering on small groups and halved via the index-2 witness
+    |O| comes from orthogonal_order once per row and |SO| = |O| / 2.
+    Dimensions <= 4 are enumerated exhaustively when |O| is small enough:
+    the enumerator's (cols, det) items are counted against |O|, those of
+    det 1 against |SO|; 5 and 6 use the orbit-stabilizer recursion.  |SO+|
+    is exhausted by spinor filtering on small groups (the Wall-form
+    spinor_norm of each det-1 isometry) and halved via the index-2 witness
     otherwise.
     """
     if p > 7:
@@ -311,18 +388,18 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
         for trivial in disc_options:
             space = census_space(field, dim, trivial)
             diag, _ = _diag_ints(space)
-            so = so_order(space)
+            order = orthogonal_order(diag, p)
+            so = order // 2
             method = "orbit-stabilizer"
             so_plus = None
-            if dim <= 4 and orthogonal_order(diag, p) <= EXHAUSTIVE_LIMIT:
+            if dim <= 4 and order <= EXHAUSTIVE_LIMIT:
                 method = "exhaustive"
                 filter_spinor = so <= 2000
                 dspace = QuadSpace.diagonal(field, [field(v) for v in diag])
                 count = count_so = count_plus = 0
-                for cols in enumerate_isometry_columns(diag, p):
+                for cols, det in enumerate_isometry_columns(diag, p):
                     count += 1
-                    # det(M) = det(M^t): the columns serve as rows
-                    if row_reduce([list(c) for c in cols], dim, p)[1] == 1:
+                    if det == 1:
                         count_so += 1
                         if filter_spinor:
                             m = Mat(field, [[field(cols[j][i]) for j in range(dim)]
@@ -330,9 +407,9 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
                             iso = Isometry(dspace, m, check=False)
                             if spinor_norm(iso).is_trivial():
                                 count_plus += 1
-                if count != orthogonal_order(diag, p):
+                if count != order:
                     raise InvariantViolated("enumerated %d isometries, |O| = %d"
-                                            % (count, orthogonal_order(diag, p)))
+                                            % (count, order))
                 if count_so != so:
                     raise InvariantViolated("enumerated %d of det 1, |SO| = %d"
                                             % (count_so, so))

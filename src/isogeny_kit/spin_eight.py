@@ -100,7 +100,7 @@ def reduced_norm_M2A(m: M2A):
     """Degree-8 reduced norm of a 2x2 matrix over A.
 
     Schur-style reduction N(a) N(d - c a^-1 b) when a block (after row or
-    column swaps, or a unipotent shear) is invertible; the 8x8 split
+    column swaps, or a unipotent shear) has a unit norm; the 8x8 split
     embedding handles the rest.
     """
     algebra = m.A
@@ -108,7 +108,8 @@ def reduced_norm_M2A(m: M2A):
 
     def try_schur(mm: M2A):
         n = reduced_norm_A(mm.a)
-        if n.is_zero():
+        # over a split E a nonzero norm can still be a zero divisor
+        if (n if isinstance(ring, FieldDesc) else n.norm()).is_zero():
             return None
         return n * reduced_norm_A(mm.d - mm.c * mm.a.inverse() * mm.b)
 

@@ -126,6 +126,32 @@ def test_squarefree_part():
         squarefree_part(0)
 
 
+def test_squarefree_part_matches_factorint():
+    """Random signed products of prime powers (2 among them, and at most
+    one prime past the trial bound) against sympy's factorisation."""
+    import random
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10)
+    primes = list(sympy.primerange(2, 200)) + [99991, 999983]
+    big = [1000003, 1212683, 7000003]
+    for _ in range(300):
+        n = rng.choice((-1, 1))
+        for q in rng.sample(primes, rng.randrange(0, 5)):
+            n *= q ** rng.randrange(1, 5)
+        if rng.random() < 0.3:
+            n *= rng.choice(big)
+        want = -1 if n < 0 else 1
+        for q, e in sympy.factorint(abs(n)).items():
+            want *= q ** (e % 2)
+        assert squarefree_part(n) == want, n
+
+
+def test_squarefree_part_bound_message():
+    with pytest.raises(ValueError, match="^trial division bound 1000000 "
+                       "exceeded while factoring 1470600058489$"):
+        squarefree_part(1212683 ** 2)
+
+
 def test_json_round_trip():
     s = F7(3)
     assert s.to_json() == {"field": "p=7", "value": 3}

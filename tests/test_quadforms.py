@@ -4,11 +4,13 @@ reflections, Cartan-Dieudonne, spinor norm."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isogeny_kit.errors import DimensionMismatch, IsotropicMirror, NoIsotropicVector
-from isogeny_kit.exactfield import GF, QQ, square_class
+from isogeny_kit.exactfield import GF, QQ, SquareClass, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
+    Isometry,
     QuadSpace,
     cartan_dieudonne,
     compose_reflections,
@@ -268,3 +270,56 @@ def test_spinor_norm_factorization_independent_and_multiplicative():
             assert cls == spinor_norm(t)
             u = random_isometry(s, rng)
             assert spinor_norm(u * t) == spinor_norm(u) * spinor_norm(t)
+
+
+# ---------------------------------------------------------------------------
+# the Wall-form spinor norm against the mirror-norm product of a
+# Cartan-Dieudonne factorization (hypothesis drives the spaces and isometries)
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def mirror_norm_product(t):
+    """The oracle: the product of the mirror-norm classes of cartan_dieudonne."""
+    cls = SquareClass(t.space.field, 1)
+    for v in cartan_dieudonne(t):
+        cls = cls * square_class(t.space.vnorm(v))
+    return cls
+
+
+@st.composite
+def spaces(draw):
+    """Diagonal spaces, or P^t D P for a unipotent upper-triangular P."""
+    field = draw(st.sampled_from([GF(3), GF(5), GF(7), QQ]))
+    dim = draw(st.integers(1, 5))
+    units = (st.integers(1, field.p - 1) if field.p
+             else st.sampled_from([-3, -2, -1, 1, 2, 3, 5]))
+    space = QuadSpace.diagonal(field, [draw(units) for _ in range(dim)])
+    if draw(st.booleans()):
+        coeff = st.integers(0, field.p - 1) if field.p else st.integers(-1, 1)
+        p = Mat(field, [[field(1 if i == j else draw(coeff) if i < j else 0)
+                         for j in range(dim)] for i in range(dim)])
+        space = QuadSpace(field, p.T * space.gram * p)
+    return space
+
+
+@PROPERTY
+@given(space=spaces(), kind=st.sampled_from(["random", "identity", "reflection", "minus"]),
+       seed=st.integers(0, 2 ** 16))
+def test_wall_spinor_norm_matches_mirror_product(space, kind, seed):
+    rng = random.Random(seed)
+    field, n = space.field, space.dim
+    if kind == "identity":
+        t = Isometry.identity(space)
+    elif kind == "reflection":
+        t = reflect(space, space.random_anisotropic(rng, height=2))
+    elif kind == "minus":
+        t = Isometry(space, Mat.identity(field, n) * field(-1))
+    else:
+        t = random_isometry(space, rng, height=1,
+                            max_mirrors=None if field.p else n)
+    assert spinor_norm(t) == mirror_norm_product(t)
+    if kind == "minus" and n % 2 == 0:
+        assert spinor_norm(t) == determinant_class(space)

@@ -180,23 +180,27 @@ def _bruteforce_columns(diag, p):
 
 
 def test_isometry_columns_match_bruteforce():
-    """Pool-pruned enumeration = filtered product, in the same order."""
+    """Bitset-pool enumeration = filtered product, in the same order, and
+    each paired determinant is the determinant of its columns."""
     for p in (3, 5, 7):
         field = GF(p)
         nr = field.least_nonresidue().value
         cases = [[1], [nr], [1, 1], [1, nr], [nr, nr],
                  [1, 1, 1], [1, 1, nr], [nr, 1, nr]]
+        if p == 3:
+            cases += [[1, 1, 1, 1], [1, 1, 1, nr], [nr, 1, nr, 1]]
         for diag in cases:
             got = list(enumerate_isometry_columns(diag, p))
-            assert got == _bruteforce_columns(diag, p), (diag, p)
+            assert [cols for cols, _ in got] == _bruteforce_columns(diag, p), (diag, p)
             assert len(got) == orthogonal_order(diag, p)
             n = len(diag)
             d = Mat(field, [[field(diag[i] if i == j else 0) for j in range(n)]
                             for i in range(n)])
-            for cols in got:
+            for cols, det in got:
                 m = Mat(field, [[field(cols[j][i]) for j in range(n)]
                                 for i in range(n)])
                 assert m.T * d * m == d
+                assert field(det) == m.det(), (diag, cols)
 
 
 def _drop_first(real):
@@ -207,10 +211,45 @@ def _drop_first(real):
     return enum
 
 
+def _flip_one_det(real):
+    """The enumerator with the determinant of its third isometry negated."""
+    def enum(diag, p):
+        for k, (cols, det) in enumerate(real(diag, p)):
+            yield cols, (-det % p if k == 2 else det)
+    return enum
+
+
+def _drop_sphere_vector(real):
+    """The sphere index with the last vector of the last norm's sphere
+    missing, so one last-column pool holds w without -w."""
+    def index(diag, p):
+        vecs, spheres = real(diag, p)
+        c = diag[-1] % p
+        spheres[c] ^= 1 << (spheres[c].bit_length() - 1)
+        return vecs, spheres
+    return index
+
+
 def test_census_count_check_raises_named_error(monkeypatch):
     monkeypatch.setattr(smallfields, "enumerate_isometry_columns",
                         _drop_first(enumerate_isometry_columns))
     with pytest.raises(InvariantViolated):
+        census(3, 3)
+
+
+def test_census_catches_a_flipped_determinant(monkeypatch):
+    monkeypatch.setattr(smallfields, "enumerate_isometry_columns",
+                        _flip_one_det(enumerate_isometry_columns))
+    with pytest.raises(InvariantViolated, match="of det 1"):
+        census(3, 3)
+
+
+def test_last_pool_must_be_a_pair_of_opposites(monkeypatch):
+    monkeypatch.setattr(smallfields, "_sphere_index",
+                        _drop_sphere_vector(smallfields._sphere_index))
+    with pytest.raises(InvariantViolated, match="is not {w, -w}"):
+        list(enumerate_isometry_columns([1, 1, 2], 3))
+    with pytest.raises(InvariantViolated, match="is not {w, -w}"):
         census(3, 3)
 
 
@@ -220,21 +259,41 @@ def test_census_count_check_survives_assert_stripping():
         from isogeny_kit.errors import InvariantViolated
         assert False, "asserts are live"
         real = smallfields.enumerate_isometry_columns
+        real_index = smallfields._sphere_index
 
-        def enum(diag, p):
+        def drop_first(diag, p):
             it = real(diag, p)
             next(it)
             yield from it
 
-        smallfields.enumerate_isometry_columns = enum
-        try:
-            smallfields.census(3, 3)
-        except InvariantViolated as exc:
-            print("raised", exc)
+        def flip_one_det(diag, p):
+            for k, (cols, det) in enumerate(real(diag, p)):
+                yield cols, (-det % p if k == 2 else det)
+
+        def drop_sphere_vector(diag, p):
+            vecs, spheres = real_index(diag, p)
+            c = diag[-1] % p
+            spheres[c] ^= 1 << (spheres[c].bit_length() - 1)
+            return vecs, spheres
+
+        for name, mutant in (("enumerate_isometry_columns", drop_first),
+                             ("enumerate_isometry_columns", flip_one_det),
+                             ("_sphere_index", drop_sphere_vector)):
+            real_attr = getattr(smallfields, name)
+            setattr(smallfields, name, mutant)
+            try:
+                smallfields.census(3, 3)
+            except InvariantViolated as exc:
+                print("raised", exc)
+            setattr(smallfields, name, real_attr)
         """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_kit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised enumerated")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3, out.stdout
+    assert lines[0].startswith("raised enumerated")
+    assert "of det 1" in lines[1]
+    assert "is not {w, -w}" in lines[2]

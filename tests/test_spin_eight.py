@@ -182,6 +182,19 @@ def test_reduced_norm_m2a_vs_split_oracle():
             assert reduced_norm_M2A(m) == _norm8_split_oracle(m)
 
 
+def test_reduced_norm_m2a_skips_zero_divisor_norm():
+    """Over split E a Schur block whose norm is a nonzero zero divisor is
+    skipped for the swaps: ((e1, e2), (-e2, e1)) is componentwise the
+    identity and ((0, 1), (-1, 0)), both of reduced norm 1."""
+    f7 = GF(7)
+    e = EtaleQuad(f7)
+    a = BiquatAlg(QuatAlg(e, 3, 5), QuatAlg(e, 3, 6))
+    e1, e2 = e.from_xy(f7(1), f7(0)), e.from_xy(f7(0), f7(1))
+    one = a.one()
+    m = M2A(a, one.scale(e1), one.scale(e2), one.scale(-e2), one.scale(e1))
+    assert reduced_norm_M2A(m) == e.from_xy(f7(1), f7(1))
+
+
 def test_d_and_normsq():
     a = make_algebra(F5)
     rng = random.Random(2)
