@@ -292,13 +292,6 @@ def enumerate_isometries(space: QuadSpace):
         yield Isometry(space, p_mat * m * p_inv, check=False)
 
 
-def so_order(space: QuadSpace) -> int:
-    diag, _ = _diag_ints(space)
-    if space.dim == 1:
-        return 1
-    return orthogonal_order(diag, space.field.p) // 2
-
-
 # ---------------------------------------------------------------------------
 # the census
 # ---------------------------------------------------------------------------
