@@ -261,7 +261,11 @@ class QuatAlg(TableAlgebra):
 # splitting
 # ---------------------------------------------------------------------------
 
-def quat_is_split(b: QuatAlg, budget: int = 12) -> bool:
+# height bound of the isotropic-vector search on a norm form over Q
+SPLIT_SEARCH_BUDGET = 12
+
+
+def quat_is_split(b: QuatAlg) -> bool:
     """Whether B is isomorphic to M_2(F); base FieldDesc only.
 
     The norm form <1, -alpha, -beta, alpha*beta> is isotropic iff split.
@@ -276,15 +280,17 @@ def quat_is_split(b: QuatAlg, budget: int = 12) -> bool:
         return True
     if b.alpha.value < 0 and b.beta.value < 0:
         return False  # definite norm form: a division algebra
-    v = find_isotropic(b.norm_form(), budget=budget, warn_inconclusive=False)
+    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
+                       warn_inconclusive=False)
     if v is not None:
         return True
     raise SearchBudgetExceeded("isotropy of the norm form undecided")
 
 
-def quat_zero_divisor(b: QuatAlg, budget: int = 12) -> QuatElem:
+def quat_zero_divisor(b: QuatAlg) -> QuatElem:
     """A nonzero element of norm 0 in a split algebra."""
-    v = find_isotropic(b.norm_form(), budget=budget, warn_inconclusive=False)
+    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
+                       warn_inconclusive=False)
     if v is None:
         raise NotASplittingField("algebra has no zero divisors")
     return b.elem(v)
@@ -293,10 +299,10 @@ def quat_zero_divisor(b: QuatAlg, budget: int = 12) -> QuatElem:
 class SplitIso:
     """Explicit isomorphism B -> M_2(F) for split B (left ideal action)."""
 
-    def __init__(self, b: QuatAlg, budget: int = 12):
+    def __init__(self, b: QuatAlg):
         self.algebra = b
         field = b.ring
-        u = quat_zero_divisor(b, budget=budget)
+        u = quat_zero_divisor(b)
         # 2-dimensional left ideal B*u, as a column space over F
         ideal = independent_subset(field, [(x * u).c for x in b.basis()], 2)
         self.ideal_basis = [QuatElem(b, c) for c in ideal]

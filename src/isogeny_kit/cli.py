@@ -86,7 +86,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig.from_args(args.field, args.seed, args.trials, args.budget)
+    config = RunConfig.from_args(args.field, args.seed, args.trials)
     if args.suite == "all":
         results = run_all(config)
     else:
@@ -226,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--field", default="p=5")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=100)
+    # no suite reads it; kept because its value is echoed into the --out report
     p_verify.add_argument("--budget", type=int, default=10)
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

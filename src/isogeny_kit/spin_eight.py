@@ -3,6 +3,12 @@ multiplier, the generic-form decomposition, the square-class homomorphism
 phi, the order-2 automorphism psi on the double cover, the 8-dimensional
 action U -> g U psi(g)^-1, reflection lifts, dim-7 stabilizers of
 ((0,-delta),(1,0)), and the rho-twisted dim-8 groups over E.
+
+The cover bookkeeping is written once: `_is_unit` decides when a block's
+reduced norm is a unit (for the Schur step and the shift search alike),
+`gsp_decompose` holds the one search for the shift v of the generic form,
+and `_root_branch` picks the root t = +-sqrt(N(a)) of a lift by a
+caller's test.
 """
 
 from __future__ import annotations
@@ -96,6 +102,18 @@ def _j_mat(algebra: BiquatAlg) -> M2A:
     return M2A.diag(algebra, algebra.one(), -algebra.one())
 
 
+def _zero_aminus(algebra: BiquatAlg) -> AminusVector:
+    zero = algebra.ring.zero()
+    return algebra.aminus([zero] * 3, [zero] * 3)
+
+
+def _is_unit(n) -> bool:
+    """Whether a reduced norm is a unit of its ring: nonzero over F, of
+    nonzero E-norm over E (over a split E a nonzero norm can still be a
+    zero divisor)."""
+    return not (n.norm() if isinstance(n, EQElem) else n).is_zero()
+
+
 def reduced_norm_M2A(m: M2A):
     """Degree-8 reduced norm of a 2x2 matrix over A.
 
@@ -108,8 +126,7 @@ def reduced_norm_M2A(m: M2A):
 
     def try_schur(mm: M2A):
         n = reduced_norm_A(mm.a)
-        # over a split E a nonzero norm can still be a zero divisor
-        if (n if isinstance(ring, FieldDesc) else n.norm()).is_zero():
+        if not _is_unit(n):
             return None
         return n * reduced_norm_A(mm.d - mm.c * mm.a.inverse() * mm.b)
 
@@ -236,12 +253,17 @@ def vec8_from_coords(algebra: BiquatAlg, coords) -> Vec8:
                 coords[6], coords[7])
 
 
-def vec8_space(algebra: BiquatAlg) -> QuadSpace:
-    """Albert form orthogonal-plus hyperbolic (p, q): |U|^2 = |u|^2 - pq."""
-    field = algebra.ring
+def _plus_hyperbolic(space: QuadSpace) -> QuadSpace:
+    """space orthogonal-plus the hyperbolic plane (p, q) of norm -pq."""
+    field = space.field
     half = field(2).inverse()
     hyp = QuadSpace(field, Mat(field, [[field.zero(), -half], [-half, field.zero()]]))
-    return orthogonal_sum(algebra.albert_space(), hyp)
+    return orthogonal_sum(space, hyp)
+
+
+def vec8_space(algebra: BiquatAlg) -> QuadSpace:
+    """Albert form orthogonal-plus hyperbolic (p, q): |U|^2 = |u|^2 - pq."""
+    return _plus_hyperbolic(algebra.albert_space())
 
 
 class GSpElem:
@@ -337,38 +359,32 @@ class GenForm:
         return "GenForm(v=%r, m=%s)" % (self.v, self.m)
 
 
-def _unipotent_shift_candidates(algebra: BiquatAlg):
-    """v = 0 first, then multiples of fixed anisotropic vectors."""
-    yield None  # means zero
-    for v in _shear_candidates(algebra):
-        yield v
-
-
 def gsp_decompose(g: GSpElem, v_constraints: Optional[List[M2A]] = None) -> GenForm:
     """Generic-form parameters for g; searches v with a - v c invertible.
 
-    `v_constraints` lists further matrices whose sheared upper-left block
-    must also become invertible for the same v (used by the cover product).
+    v = 0 is tried first, then `_shear_candidates` in order, built only if
+    needed.  `v_constraints` lists further matrices whose sheared
+    upper-left block must also become invertible for the same v (used by
+    the cover product).
     """
     mats = [g.mat] + list(v_constraints or [])
-    for v in _unipotent_shift_candidates(g.mat.A):
-        ok = True
-        for m in mats:
-            a_blk = m.a if v is None else m.a - v.embed() * m.c
-            if reduced_norm_A(a_blk).is_zero():
-                ok = False
-                break
-        if ok:
+    if all(_is_unit(reduced_norm_A(m.a)) for m in mats):
+        return _decompose_at(g, None)
+    for v in _shear_candidates(g.mat.A):
+        ve = v.embed()
+        if all(_is_unit(reduced_norm_A(m.a - ve * m.c)) for m in mats):
             return _decompose_at(g, v)
     raise DecompositionFailed("no unipotent shift renders the block invertible")
 
 
 def _decompose_at(g: GSpElem, v: Optional[AminusVector]) -> GenForm:
     algebra = g.mat.A
-    zero_v = algebra.aminus([algebra.ring.zero()] * 3, [algebra.ring.zero()] * 3)
-    v = v if v is not None else zero_v
-    a = g.mat.a - v.embed() * g.mat.c
-    b = g.mat.b - v.embed() * g.mat.d
+    a, b = g.mat.a, g.mat.b
+    if v is None:
+        v = _zero_aminus(algebra)
+    else:
+        ve = v.embed()
+        a, b = a - ve * g.mat.c, b - ve * g.mat.d
     a_inv = a.inverse()
     alpha = (a_inv * b).to_aminus()
     beta = (g.mat.c * a_inv).to_aminus()
@@ -477,36 +493,25 @@ def cover_mul(x: CoveredGSpElem, y: CoveredGSpElem) -> CoveredGSpElem:
 
 def cover_identity(algebra: BiquatAlg) -> CoveredGSpElem:
     ring = algebra.ring
-    zero_v = algebra.aminus([ring.zero()] * 3, [ring.zero()] * 3)
+    zero_v = _zero_aminus(algebra)
     gf = GenForm(algebra, zero_v, algebra.one(), zero_v, zero_v, ring.one())
     return CoveredGSpElem(gf, ring.one(), check=False)
 
 
 def cover_inverse(x: CoveredGSpElem) -> CoveredGSpElem:
-    """(g, t)^-1; root solved from the product formula against identity."""
+    """(g, t)^-1; root solved from the product formula against identity.
+
+    gf_inv.v also makes x's block invertible, and the identity decomposes
+    at every v with root 1 (D(eta, 0) = 1), so the cover_mul formula at
+    gf_inv.v pins the one root of the inverse.
+    """
     inv_mat = x.as_gsp().inverse_matrix()
     m_inv = x.gf.m.inverse()
     gf_inv = gsp_decompose(GSpElem(inv_mat, m_inv), v_constraints=[x.matrix()])
-    # reuse the cover_mul bookkeeping with unknown y-root solved for root 1
-    x2 = x.reparam(_find_common_v(x))
+    x2 = x.reparam(gf_inv.v)
     dd = D(x2.gf.alpha + gf_inv.v, gf_inv.beta)
     t_inv = (x2.t * dd).inverse()
     return CoveredGSpElem(gf_inv, t_inv, check=False)
-
-
-def _find_common_v(x: CoveredGSpElem) -> AminusVector:
-    """v making x's sheared block a - v c invertible (the identity's is
-    for any v)."""
-    algebra = x.gf.A
-    zero = algebra.ring.zero()
-    zero_v = algebra.aminus([zero] * 3, [zero] * 3)
-    m = x.matrix()
-    for v in _unipotent_shift_candidates(algebra):
-        vv = v if v is not None else zero_v
-        a_blk = m.a - vv.embed() * m.c
-        if not reduced_norm_A(a_blk).is_zero():
-            return vv
-    raise DecompositionFailed("no common unipotent shift")
 
 
 def cover_rho(x: CoveredGSpElem, e: EtaleQuad) -> CoveredGSpElem:
@@ -560,15 +565,22 @@ def ref8_lift(g: Vec8) -> Tuple[CoveredGSpElem, bool]:
         raise IsotropicMirror("anisotropic vector failed GSp membership")
     gf = gsp_decompose(member)
     target = -g.hat_psi().matrix()
-    na = reduced_norm_A(gf.a)
-    t = _sqrt_in_ring(gf.A.ring, na)
+    t = _sqrt_in_ring(gf.A.ring, reduced_norm_A(gf.a))
     if t is None:
         raise NotSpecialOrthogonal("N(a) is not a square")
-    for cand in (t, -t):
-        x = CoveredGSpElem(gf, cand, check=False)
-        if psi(x).matrix() == target:
-            return x, True
-    raise NotSpecialOrthogonal("no root branch matches -hat_psi(g)")
+    x = _root_branch(gf, t, lambda x: psi(x).matrix() == target)
+    if x is None:
+        raise NotSpecialOrthogonal("no root branch matches -hat_psi(g)")
+    return x, True
+
+
+def _root_branch(gf: GenForm, root, accept) -> Optional[CoveredGSpElem]:
+    """The first of the lifts (gf, root), (gf, -root) that `accept` takes."""
+    for t in (root, -root):
+        x = CoveredGSpElem(gf, t, check=False)
+        if accept(x):
+            return x
+    return None
 
 
 def _sqrt_in_ring(ring, x):
@@ -634,8 +646,7 @@ def dim8_lift(t_iso: Isometry, algebra: BiquatAlg) -> CoveredGSpElem:
 
 def dim7_q(algebra: BiquatAlg, delta) -> Vec8:
     ring = algebra.ring
-    zero_u = algebra.aminus([ring.zero()] * 3, [ring.zero()] * 3)
-    return Vec8(algebra, zero_u, ring(delta), ring.one())
+    return Vec8(algebra, _zero_aminus(algebra), ring(delta), ring.one())
 
 
 def dim7_space(algebra: BiquatAlg, delta) -> QuadSpace:
@@ -708,33 +719,24 @@ def dim7_stab_membership(g: GSpElem, delta) -> Optional[Dim7StabForm]:
     if t1 * t1 != reduced_norm_A(a) or s1 * s1 != delta * delta * reduced_norm_A(c):
         return None
     first = second = None
-    cover = None
     if not t1.is_zero():
         beta = (c * a.inverse()).to_aminus()
         first = (a, t1, beta)
-        cover = CoveredGSpElem(gsp_decompose(g), t1, check=False)
     if not s1.is_zero():
         s = -s1 / delta
         w = (a * c.inverse()).to_aminus()
         second = (c, s, w)
     if first is None and second is None:
         return None
+    gf = gsp_decompose(g)
+    # with t1 != 0 the block a is invertible, so gf.a = a and N(a) = t1^2
+    root = t1 if first is not None else _sqrt_in_ring(ring, reduced_norm_A(gf.a))
+    if root is None:
+        return None
     q = dim7_q(algebra, delta)
-    if cover is not None and act8(cover, q) != q:
-        other = CoveredGSpElem(cover.gf, -cover.t, check=False)
-        cover = other if act8(other, q) == q else None
+    cover = _root_branch(gf, root, lambda x: act8(x, q) == q)
     if cover is None:
-        gf = gsp_decompose(g)
-        root = _sqrt_in_ring(ring, reduced_norm_A(gf.a))
-        if root is None:
-            return None
-        for cand in (root, -root):
-            x = CoveredGSpElem(gf, cand, check=False)
-            if act8(x, q) == q:
-                cover = x
-                break
-        if cover is None:
-            return None
+        return None
     return Dim7StabForm(first, second, g.m == ring.one(), cover)
 
 
@@ -775,7 +777,7 @@ def triality_kernels(algebra: BiquatAlg) -> dict:
         if not (quat_is_split(algebra.B) and quat_is_split(algebra.C)):
             raise NotFullySplit("A is not M_4(F)")
     space = vec8_space(algebra)
-    zero_v = algebra.aminus([field.zero()] * 3, [field.zero()] * 3)
+    zero_v = _zero_aminus(algebra)
 
     def scalar_cover(sign_a: int, t_val: int) -> CoveredGSpElem:
         a = algebra.one() if sign_a == 1 else -algebra.one()
@@ -818,11 +820,7 @@ class Twisted8:
         self.ts = ts
         self.AE = ts.AE
         self.E = ts.E
-        field = ts.field
-        half = field(2).inverse()
-        hyp = QuadSpace(field, Mat(field, [[field.zero(), -half],
-                                           [-half, field.zero()]]))
-        self.space = orthogonal_sum(ts.space, hyp)
+        self.space = _plus_hyperbolic(ts.space)
         self.q_hat = self._build_q_hat()
         self.q_hat_inv = cover_inverse(self.q_hat)
         self.q_hat_gsp_inv_mat = self.q_hat.as_gsp().inverse_matrix()
@@ -830,10 +828,9 @@ class Twisted8:
     def _build_q_hat(self) -> CoveredGSpElem:
         """Covered element over ((Q, 0), (0, -Q~)) with root |Q|^2."""
         ts = self.ts
-        alg = self.AE
-        zero_v = alg.aminus([alg.ring.zero()] * 3, [alg.ring.zero()] * 3)
+        zero_v = _zero_aminus(self.AE)
         q_norm = ts.E.from_scalar(ts.q_norm)
-        gf = GenForm(alg, zero_v, ts.QE, zero_v, zero_v, q_norm)
+        gf = GenForm(self.AE, zero_v, ts.QE, zero_v, zero_v, q_norm)
         return CoveredGSpElem(gf, q_norm, check=False)
 
     def vec8(self, u: BiquatElem, p, q) -> Vec8:
@@ -871,15 +868,11 @@ class Twisted8:
         if not member.m.is_scalar() or member.m.scalar_part().is_zero():
             return None
         gf = gsp_decompose(member)
-        na = reduced_norm_A(gf.a)
-        root = eq_sqrt(na)
+        root = eq_sqrt(reduced_norm_A(gf.a))
         if root is None:
             return None
-        for cand in (root, -root):
-            x = CoveredGSpElem(gf, cand, check=False)
-            if self.psi_qhat(x) == self.rho(x):
-                return RhoQ8Elem(self, x)
-        return None
+        x = _root_branch(gf, root, lambda x: self.psi_qhat(x) == self.rho(x))
+        return None if x is None else RhoQ8Elem(self, x)
 
 
 class RhoQ8Elem:
@@ -924,14 +917,12 @@ def ref8igen_lift(tw8: Twisted8, g: Vec8) -> RhoQ8Elem:
     member = tw8.membership(prod)
     if member is None:
         raise NotSpecialOrthogonal("g Qhat^-1 failed the twisted membership")
-    img = ref8igen_apply(tw8, member, g)
-    if img == g.scale(tw8.AE.ring(-1)):
-        return member
-    flipped = RhoQ8Elem(tw8, CoveredGSpElem(member.x.gf, -member.x.t, check=False))
-    img2 = ref8igen_apply(tw8, flipped, g)
-    if img2 == g.scale(tw8.AE.ring(-1)):
-        return flipped
-    raise NotSpecialOrthogonal("no root branch composes to the reflection")
+    minus_g = g.scale(tw8.AE.ring(-1))
+    x = _root_branch(member.x.gf, member.x.t, lambda x: ref8igen_apply(
+        tw8, RhoQ8Elem(tw8, x), g) == minus_g)
+    if x is None:
+        raise NotSpecialOrthogonal("no root branch composes to the reflection")
+    return RhoQ8Elem(tw8, x)
 
 
 def ref8igen_apply(tw8: Twisted8, lift: RhoQ8Elem, v: Vec8) -> Vec8:

@@ -58,13 +58,11 @@ class RunConfig:
     seed: int = 0
     field: FieldDesc = dc_field(default_factory=lambda: FieldDesc(5))
     trials: int = 100
-    budget: int = 10
 
     @classmethod
     def from_args(cls, field_spec: str = "p=5", seed: int = 0,
-                  trials: int = 100, budget: int = 10) -> "RunConfig":
-        return cls(seed=seed, field=parse_field(field_spec),
-                   trials=trials, budget=budget)
+                  trials: int = 100) -> "RunConfig":
+        return cls(seed=seed, field=parse_field(field_spec), trials=trials)
 
 
 @dataclass
@@ -179,7 +177,7 @@ def random_cover(algebra: BiquatAlg, rng: random.Random, k: int = 3):
     """Random covered GSp element: product of unipotents and diagonals."""
     field = algebra.ring
     x = spin_eight.cover_identity(algebra)
-    zero_v = algebra.aminus([field.zero()] * 3, [field.zero()] * 3)
+    zero_v = spin_eight._zero_aminus(algebra)
     for _ in range(k):
         kind = rng.randrange(3)
         if kind == 0:
@@ -482,7 +480,7 @@ def suite_GSppresHA(rec, rng, config):
         v = random_aminus(algebra, rng)
         u = spin_eight.vec8_from_coords(
             algebra, [field_elems(field, rng, 1)[0] for _ in range(8)])
-        zero_v = algebra.aminus([field.zero()] * 3, [field.zero()] * 3)
+        zero_v = spin_eight._zero_aminus(algebra)
         gf = spin_eight.GenForm(algebra, v, algebra.one(), zero_v, zero_v, field(1))
         x = spin_eight.CoveredGSpElem(gf, field(1), check=False)
         img = spin_eight.act8(x, u)
@@ -644,13 +642,6 @@ def _same_square_class(x, y) -> bool:
 
 def suite_CDT(rec, rng, config):
     field = config.field
-
-    def mirror_value(space, mirrors):
-        val = field(1)
-        for v in mirrors:
-            val = val * space.vnorm(v)
-        return val
-
     for dim in range(1, 9):
         entries = []
         while len(entries) < dim:
@@ -665,17 +656,17 @@ def suite_CDT(rec, rng, config):
             rec.check(len(mirrors) <= 2 * dim, "CDT-length", dim=dim)
             rec.check(compose_reflections(space, mirrors) == t,
                       "CDT-compose", dim=dim)
-            sn1 = mirror_value(space, mirrors)
+            sn1 = _mirror_value(space, mirrors)
             order = list(range(dim))
             rng.shuffle(order)
             mirrors2 = cartan_dieudonne(t, pivot_order=order)
             # square classes compared by the exact square test of ratios,
             # which avoids factoring large rational representatives
-            rec.check(is_square(mirror_value(space, mirrors2) / sn1),
+            rec.check(is_square(_mirror_value(space, mirrors2) / sn1),
                       "spinor-pivot-independent", dim=dim)
             s = random_isometry(space, rng, height=1, max_mirrors=max_mirrors)
-            prod_val = mirror_value(space, cartan_dieudonne(s * t))
-            rec.check(is_square(prod_val / (mirror_value(
+            prod_val = _mirror_value(space, cartan_dieudonne(s * t))
+            rec.check(is_square(prod_val / (_mirror_value(
                 space, cartan_dieudonne(s)) * sn1)),
                 "spinor-multiplicative", dim=dim)
 

@@ -1,7 +1,11 @@
 """Dimensions 7 and 8: GSp membership, the generic form, phi and psi, the
 action on A^- + H, stabilizers, triality, and the rho-twisted groups."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -16,7 +20,7 @@ from isogeny_kit.algebras import (
     reduced_norm_A,
     theta,
 )
-from isogeny_kit.errors import IsotropicMirror
+from isogeny_kit.errors import IsotropicMirror, NonInvertible
 from isogeny_kit.exactfield import GF, is_square, sqrt_exact, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import random_isometry, reflect, spinor_norm
@@ -182,17 +186,65 @@ def test_reduced_norm_m2a_vs_split_oracle():
             assert reduced_norm_M2A(m) == _norm8_split_oracle(m)
 
 
-def test_reduced_norm_m2a_skips_zero_divisor_norm():
-    """Over split E a Schur block whose norm is a nonzero zero divisor is
-    skipped for the swaps: ((e1, e2), (-e2, e1)) is componentwise the
-    identity and ((0, 1), (-1, 0)), both of reduced norm 1."""
+def split_e_matrix():
+    """((e1, e2), (-e2, e1)) over A = (3, 5) (x) (3, 6) over F7 x F7: its
+    upper-left block has the nonzero zero-divisor norm e1; componentwise
+    it is the identity and ((0, 1), (-1, 0)), both of reduced norm 1."""
     f7 = GF(7)
     e = EtaleQuad(f7)
     a = BiquatAlg(QuatAlg(e, 3, 5), QuatAlg(e, 3, 6))
     e1, e2 = e.from_xy(f7(1), f7(0)), e.from_xy(f7(0), f7(1))
     one = a.one()
-    m = M2A(a, one.scale(e1), one.scale(e2), one.scale(-e2), one.scale(e1))
-    assert reduced_norm_M2A(m) == e.from_xy(f7(1), f7(1))
+    return M2A(a, one.scale(e1), one.scale(e2), one.scale(-e2), one.scale(e1))
+
+
+def test_reduced_norm_m2a_skips_zero_divisor_norm():
+    """Over split E a Schur block whose norm is a nonzero zero divisor is
+    skipped for the swaps."""
+    m = split_e_matrix()
+    assert reduced_norm_M2A(m) == m.A.ring.from_xy(1, 1)
+
+
+def split_e_member():
+    member = gsp_membership(split_e_matrix())
+    assert member is not None and member.m == member.mat.A.ring.from_xy(1, 6)
+    return member
+
+
+def test_gsp_decompose_skips_zero_divisor_block():
+    member = split_e_member()
+    gf = gsp_decompose(member)
+    assert not gf.v.is_zero()
+    assert gf.assemble() == member.mat
+
+
+def test_mutation_shift_check_on_is_zero(monkeypatch):
+    member = split_e_member()
+    monkeypatch.setattr(spin_eight, "_is_unit", lambda n: not n.is_zero())
+    with pytest.raises(NonInvertible):
+        gsp_decompose(member)
+
+
+def test_shift_check_mutant_survives_assert_stripping():
+    code = textwrap.dedent("""
+        import test_spin_eight as t
+        from isogeny_kit import spin_eight
+        from isogeny_kit.errors import NonInvertible
+        assert False, "asserts are live"
+        member = t.split_e_member()
+        spin_eight._is_unit = lambda n: not n.is_zero()
+        try:
+            spin_eight.gsp_decompose(member)
+        except NonInvertible as exc:
+            print("raised", exc)
+        """)
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin_eight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised BiquatElem is a zero divisor")
 
 
 def test_d_and_normsq():
@@ -379,6 +431,59 @@ def test_psi_group_properties():
         assert psi(x).gf.m == x.gf.m
         inv = cover_inverse(x)
         assert cover_mul(x, inv) == cover_identity(a)
+
+
+def rand_cover_over(algebra, coeff, rng, k=3):
+    """Random covered element over any ring: products of unipotents and of
+    diagonals diag(u, m bar(u)^-1) for anisotropic u in A^-, whose root is
+    +-|u|^2; coeff(rng) draws a ring element."""
+    ring = algebra.ring
+    zero_v = spin_eight._zero_aminus(algebra)
+
+    def rand_v():
+        return algebra.aminus([coeff(rng) for _ in range(3)],
+                              [coeff(rng) for _ in range(3)])
+    x = cover_identity(algebra)
+    for _ in range(k):
+        kind = rng.randrange(3)
+        if kind == 0:
+            gf = GenForm(algebra, rand_v(), algebra.one(), zero_v, zero_v, ring.one())
+            y = CoveredGSpElem(gf, ring.one())
+        elif kind == 1:
+            gf = GenForm(algebra, zero_v, algebra.one(), zero_v, rand_v(), ring.one())
+            y = CoveredGSpElem(gf, ring.one())
+        else:
+            u = rand_v()
+            while albert_norm(u).is_zero():
+                u = rand_v()
+            m = coeff(rng)
+            while m.is_zero():
+                m = coeff(rng)
+            gf = GenForm(algebra, zero_v, u.embed(), zero_v, zero_v, m)
+            y = CoveredGSpElem(gf, albert_norm(u) * rng.choice((1, -1)))
+        x = cover_mul(x, y)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["Q", "F5(sqrt2)"])
+def test_cover_inverse_beyond_f_p(kind):
+    # test_psi_group_properties covers F5
+    from isogeny_kit.exactfield import QQ
+    rng = random.Random(29)
+    if kind == "Q":
+        a, trials = BiquatAlg(QuatAlg(QQ, -1, 3), QuatAlg(QQ, 2, 5)), 4
+        coeff = lambda r: QQ(r.randint(-2, 2))
+    else:
+        tw8 = make_tw8(F5)  # A over the non-split E = F5(sqrt 2)
+        assert not tw8.E.is_split
+        a, trials = tw8.AE, 6
+        coeff = lambda r: tw8.E.from_xy(F5(r.randrange(5)), F5(r.randrange(5)))
+    ident = cover_identity(a)
+    for _ in range(trials):
+        x = rand_cover_over(a, coeff, rng)
+        inv = cover_inverse(x)
+        assert cover_mul(x, inv) == ident
+        assert cover_mul(inv, x) == ident
 
 
 def test_gsp_prod_closed_form():

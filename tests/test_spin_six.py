@@ -249,6 +249,17 @@ def test_norm_group_m2b():
     assert predh(QQ(4))
     assert predh(QQ(7))       # positive: sum of four squares
     assert not predh(QQ(-1))  # negative: never a norm of the Hamilton algebra
+    assert not predh(QQ(0))
+
+
+def test_norm_group_m2b_indefinite_is_every_nonzero_rational():
+    # Hasse-Schilling: an indefinite B over Q has Nrd(B^x) = Q^x, also for
+    # values no small-height norm-form vector represents
+    for alpha, beta in ((-1, 3), (2, 5)):
+        pred = norm_group_M2B(QuatAlg(QQ, alpha, beta))
+        for x in (1009, -1009, QQ(-7) / 3):
+            assert pred(QQ(x))
+        assert not pred(QQ(0))
 
 
 # ---------------------------------------------------------------------------
