@@ -506,6 +506,11 @@ class BiquatAlg(TableAlgebra):
         return AminusVector(self, [self.ring(v) for v in x_coords],
                             [self.ring(v) for v in y_coords])
 
+    def aminus_of(self, coords) -> "AminusVector":
+        """The A^- vector with Albert coordinates coords[:6], the inverse of
+        AminusVector.coords."""
+        return self.aminus(coords[:3], coords[3:6])
+
     def albert_space(self) -> QuadSpace:
         """The Albert form on A^-: diag of B_0-part and negated C_0-part."""
         b, c = self.B, self.C

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .exactfield import FieldDesc, Scalar, sqrt_exact
 from .linalg import Mat, berkowitz_det
-from .quadforms import Isometry, QuadSpace, cartan_dieudonne, orthogonal_sum
-from .spin_low import isometry_from_images
+from .quadforms import Isometry, QuadSpace, orthogonal_sum
+from .spin_low import isometry_of_map, rotation_mirrors
 from .spin_six import TwistedSpace
 from .towers import QuadTower
 
@@ -249,8 +249,7 @@ def vec8_from_matrix(m: M2A) -> Vec8:
 
 
 def vec8_from_coords(algebra: BiquatAlg, coords) -> Vec8:
-    return Vec8(algebra, algebra.aminus(coords[:3], coords[3:6]),
-                coords[6], coords[7])
+    return Vec8(algebra, algebra.aminus_of(coords), coords[6], coords[7])
 
 
 def _plus_hyperbolic(space: QuadSpace) -> QuadSpace:
@@ -538,10 +537,8 @@ def act8(x: CoveredGSpElem, u: Vec8) -> Vec8:
 
 
 def act8_isometry(x: CoveredGSpElem, space: QuadSpace) -> Isometry:
-    algebra = x.gf.A
-    cols = [act8(x, vec8_from_coords(algebra, space.basis_vector(i))).coords()
-            for i in range(8)]
-    return isometry_from_images(space, cols)
+    return isometry_of_map(space, lambda u: act8(x, u), Vec8.coords,
+                           lambda c: vec8_from_coords(x.gf.A, c))
 
 
 def hpsi_gsp_relation(x: CoveredGSpElem, u: Vec8) -> bool:
@@ -626,12 +623,7 @@ def ref8_apply(lift: CoveredGSpElem, u: Vec8) -> Vec8:
 
 def dim8_lift(t_iso: Isometry, algebra: BiquatAlg) -> CoveredGSpElem:
     """Cover element acting as t_iso on A^- + H (t_iso in SO)."""
-    field = algebra.ring
-    if t_iso.det() != field(1):
-        raise NotSpecialOrthogonal("determinant is not 1")
-    mirrors = cartan_dieudonne(t_iso)
-    if len(mirrors) % 2 == 1:
-        raise NotSpecialOrthogonal("odd factorization of a rotation")
+    mirrors = rotation_mirrors(t_iso, algebra.ring)
     acc = cover_identity(algebra)
     for i in range(0, len(mirrors), 2):
         g1, _ = ref8_lift(vec8_from_coords(algebra, mirrors[i]))
@@ -664,7 +656,7 @@ def dim7_space(algebra: BiquatAlg, delta) -> QuadSpace:
 def dim7_embed(algebra: BiquatAlg, delta, coords) -> Vec8:
     """Coordinates (u, s) -> u + s * (generator of norm delta in H)."""
     d = algebra.ring(delta)
-    u = algebra.aminus(coords[:3], coords[3:6])
+    u = algebra.aminus_of(coords)
     s = algebra.ring(coords[6])
     # H generator orthogonal to Q = (0, delta, 1): x = (0, p=-delta, q=1)/?
     # choose w with |w|^2 = delta, <w, Q> = 0: w = (0, -delta, 1) has norm delta
@@ -686,10 +678,6 @@ class Dim7StabForm:
         self.second = second
         self.is_spin = is_spin
         self.cover = cover
-
-    @property
-    def kind(self):
-        return "first" if self.first is not None else "second"
 
     def __repr__(self):
         return "Dim7StabForm(first=%s, second=%s, spin=%s)" % (
@@ -892,16 +880,11 @@ class RhoQ8Elem:
         return act8(self.x, v)
 
     def act_isometry(self) -> Isometry:
-        cols = [self.tw8.to_coords(self.act_on(self.tw8.from_coords(
-            self.tw8.space.basis_vector(i)))) for i in range(8)]
-        return isometry_from_images(self.tw8.space, cols)
+        return isometry_of_map(self.tw8.space, self.act_on, self.tw8.to_coords,
+                               self.tw8.from_coords)
 
     def __repr__(self):
         return "RhoQ8Elem(m=%s)" % self.m
-
-
-def rhoQ8_membership(tw8: Twisted8, g: M2A) -> Optional[RhoQ8Elem]:
-    return tw8.membership(g)
 
 
 def ref8igen_lift(tw8: Twisted8, g: Vec8) -> RhoQ8Elem:

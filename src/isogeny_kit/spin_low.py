@@ -24,11 +24,29 @@ from .linalg import Mat
 from .quadforms import Isometry, QuadSpace, cartan_dieudonne
 
 
-def isometry_from_images(space: QuadSpace, cols, check: bool = True) -> Isometry:
+def isometry_from_images(space: QuadSpace, cols) -> Isometry:
     """Isometry whose j-th column is the image of the j-th basis vector."""
     m = Mat(space.field, [[cols[j][i] for j in range(space.dim)]
                           for i in range(space.dim)])
-    return Isometry(space, m, check=check)
+    return Isometry(space, m)
+
+
+def isometry_of_map(space: QuadSpace, f, to_vec, from_vec) -> Isometry:
+    """Isometry of a linear map f on a model of `space`: column j is
+    to_vec(f(from_vec(e_j)))."""
+    return isometry_from_images(space, [to_vec(f(from_vec(space.basis_vector(j))))
+                                        for j in range(space.dim)])
+
+
+def rotation_mirrors(t: Isometry, field: FieldDesc) -> list:
+    """The Cartan-Dieudonne mirrors of t, an even number of them; t must
+    have determinant 1 in `field`, the field of the model it lifts to."""
+    if t.det() != field(1):
+        raise NotSpecialOrthogonal("determinant is not 1")
+    mirrors = cartan_dieudonne(t)
+    if len(mirrors) % 2 == 1:
+        raise NotSpecialOrthogonal("odd factorization of a rotation")
+    return mirrors
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +78,19 @@ class Dim2Model:
         return g * z * g.conj().inverse()
 
     def act(self, g: EQElem) -> Isometry:
-        cols = [self.to_vec(self.act_on(g, self.from_vec(self.space.basis_vector(i))))
-                for i in range(2)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda z: self.act_on(g, z),
+                               self.to_vec, self.from_vec)
 
-    def reflection_on(self, g: EQElem, z: EQElem, h: EQElem = None) -> EQElem:
-        """z -> (gh) z^rho (gh)^(-rho), the reflection inverting g."""
+    def reflection_on(self, g: EQElem, z: EQElem) -> EQElem:
+        """z -> (gh) z^rho (gh)^(-rho) with h = gen0, the reflection inverting g."""
         if g.norm().is_zero():
             raise NonInvertible("mirror must be anisotropic")
-        h = h if h is not None else self.E.gen0()
-        gh = g * h
+        gh = g * self.E.gen0()
         return gh * z.conj() * gh.conj().inverse()
 
-    def reflection(self, g: EQElem, h: EQElem = None) -> Isometry:
-        cols = [self.to_vec(self.reflection_on(g, self.from_vec(self.space.basis_vector(i)), h))
-                for i in range(2)]
-        return isometry_from_images(self.space, cols)
+    def reflection(self, g: EQElem) -> Isometry:
+        return isometry_of_map(self.space, lambda z: self.reflection_on(g, z),
+                               self.to_vec, self.from_vec)
 
     def spinor_of_norm_one(self, u: EQElem) -> SquareClass:
         """Spinor norm of multiplication by u in E^1.
@@ -118,27 +133,20 @@ class Dim3Model:
         return (g * u * g.bar()).scale(n.inverse())
 
     def act(self, g: QuatElem) -> Isometry:
-        cols = [self.to_vec(self.act_on(g, self.from_vec(self.space.basis_vector(i))))
-                for i in range(3)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda u: self.act_on(g, u),
+                               self.to_vec, self.from_vec)
 
     def reflection_on(self, g: QuatElem, u: QuatElem) -> QuatElem:
         return -self.act_on(g, u)
 
     def reflection(self, g: QuatElem) -> Isometry:
-        cols = [self.to_vec(self.reflection_on(g, self.from_vec(self.space.basis_vector(i))))
-                for i in range(3)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda u: self.reflection_on(g, u),
+                               self.to_vec, self.from_vec)
 
     def lift(self, t: Isometry) -> QuatElem:
         """g in B^x with act(g) = t; product of paired CDT mirrors."""
-        if t.det() != self.field(1):
-            raise NotSpecialOrthogonal("determinant is not 1")
-        mirrors = cartan_dieudonne(t)
-        if len(mirrors) % 2 == 1:
-            raise NotSpecialOrthogonal("odd factorization of a rotation")
         g = self.B.one()
-        for v in mirrors:
+        for v in rotation_mirrors(t, self.field):
             g = g * self.from_vec(v)
         return g
 
@@ -196,33 +204,24 @@ class Dim4Model:
         return (g * x * self.rho(g.bar())).scale(self.E.from_scalar(n.inverse()))
 
     def act(self, g: QuatElem) -> Isometry:
-        cols = [self.to_vec(self.act_on(g, self.from_vec(self.space.basis_vector(i))))
-                for i in range(4)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda x: self.act_on(g, x),
+                               self.to_vec, self.from_vec)
 
     def iota_isometry(self) -> Isometry:
-        cols = [self.to_vec(self.from_vec(self.space.basis_vector(i)).bar())
-                for i in range(4)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda x: x.bar(), self.to_vec, self.from_vec)
 
     def reflection_on(self, g: QuatElem, x: QuatElem) -> QuatElem:
         """x -> g bar(x) bar(g)^rho / N(g), the reflection inverting g."""
         return self.act_on(g, x.bar())
 
     def reflection(self, g: QuatElem) -> Isometry:
-        cols = [self.to_vec(self.reflection_on(g, self.from_vec(self.space.basis_vector(i))))
-                for i in range(4)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda x: self.reflection_on(g, x),
+                               self.to_vec, self.from_vec)
 
     def lift(self, t: Isometry) -> QuatElem:
         """g with act(g) = t, assembled as g1 g2^rho g3 g4^rho ..."""
-        if t.det() != self.field(1):
-            raise NotSpecialOrthogonal("determinant is not 1")
-        mirrors = cartan_dieudonne(t)
-        if len(mirrors) % 2 == 1:
-            raise NotSpecialOrthogonal("odd factorization of a rotation")
         g = self.BE.one()
-        for idx, v in enumerate(mirrors):
+        for idx, v in enumerate(rotation_mirrors(t, self.field)):
             m = self.from_vec(v)
             g = g * (self.rho(m) if idx % 2 == 1 else m)
         return g
@@ -248,9 +247,8 @@ class Dim4D1Model:
         return g * x * h.inverse()
 
     def act(self, g: QuatElem, h: QuatElem) -> Isometry:
-        cols = [self.to_vec(self.act_on(g, h, self.from_vec(self.space.basis_vector(i))))
-                for i in range(4)]
-        return isometry_from_images(self.space, cols)
+        return isometry_of_map(self.space, lambda x: self.act_on(g, h, x),
+                               self.to_vec, self.from_vec)
 
 
 # ---------------------------------------------------------------------------

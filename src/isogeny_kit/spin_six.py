@@ -26,12 +26,11 @@ from .errors import (
     IsotropicMirror,
     IsotropicQ,
     NonInvertible,
-    NotSpecialOrthogonal,
 )
 from .exactfield import Scalar
 from .linalg import Mat, independent_subset
-from .quadforms import Isometry, QuadSpace, cartan_dieudonne
-from .spin_low import isometry_from_images
+from .quadforms import Isometry, QuadSpace
+from .spin_low import isometry_of_map, rotation_mirrors
 
 
 class CoveredElem:
@@ -75,19 +74,9 @@ def cover_from_aminus(v: AminusVector) -> CoveredElem:
     return CoveredElem(v.embed(), n, check=False)
 
 
-def cover_mul(a: CoveredElem, b: CoveredElem) -> CoveredElem:
-    return a * b
-
-
 def cover_act_isometry(a: CoveredElem, space: QuadSpace) -> Isometry:
     """Matrix of the action on the Albert basis of A^-."""
-    alg = a.g.algebra
-    cols = []
-    for idx in range(6):
-        coords = space.basis_vector(idx)
-        u = alg.aminus(coords[:3], coords[3:])
-        cols.append(a.act_on(u).coords())
-    return isometry_from_images(space, cols)
+    return isometry_of_map(space, a.act_on, AminusVector.coords, a.g.algebra.aminus_of)
 
 
 def ref6d1_map(g: AminusVector) -> Callable[[AminusVector], AminusVector]:
@@ -114,17 +103,10 @@ def pair_lift(v: AminusVector, w: AminusVector) -> CoveredElem:
 
 def dim6d1_lift(t_iso: Isometry, algebra: BiquatAlg) -> CoveredElem:
     """Cover element acting as t_iso on A^-; t_iso in SO(Albert space)."""
-    field = algebra.ring
-    if t_iso.det() != field(1):
-        raise NotSpecialOrthogonal("determinant is not 1")
-    mirrors = cartan_dieudonne(t_iso)
-    if len(mirrors) % 2 == 1:
-        raise NotSpecialOrthogonal("odd factorization of a rotation")
-    acc = CoveredElem(algebra.one(), field(1), check=False)
+    mirrors = [algebra.aminus_of(v) for v in rotation_mirrors(t_iso, algebra.ring)]
+    acc = CoveredElem(algebra.one(), algebra.ring(1), check=False)
     for m in range(0, len(mirrors), 2):
-        v = algebra.aminus(mirrors[m][:3], mirrors[m][3:])
-        w = algebra.aminus(mirrors[m + 1][:3], mirrors[m + 1][3:])
-        acc = acc * pair_lift(v, w)
+        acc = acc * pair_lift(mirrors[m], mirrors[m + 1])
     return acc
 
 
@@ -237,7 +219,7 @@ class TwistedSpace:
         albert = algebra.albert_space()
         perp = perp_basis_of_q(albert, q.coords())
         h = e.gen0()
-        basis = [self.embed_base(algebra.aminus(v[:3], v[3:]).embed()) for v in perp]
+        basis = [self.embed_base(algebra.aminus_of(v).embed()) for v in perp]
         basis.append(self.QE.scale(h))
         self.basis = basis
         gram = []
@@ -315,9 +297,7 @@ class RhoQGroupElem:
         return (self.g * u * self.g.bar()).scale(e_t.inverse())
 
     def act_isometry(self) -> Isometry:
-        cols = [self.ts.to_vec(self.act_on(self.ts.from_vec(self.ts.space.basis_vector(i))))
-                for i in range(6)]
-        return isometry_from_images(self.ts.space, cols)
+        return isometry_of_map(self.ts.space, self.act_on, self.ts.to_vec, self.ts.from_vec)
 
     def __repr__(self):
         return "RhoQGroupElem(t=%s)" % self.t
@@ -367,9 +347,7 @@ def ref6gen_lift(ts: TwistedSpace, g: BiquatElem):
 
 def ref6gen_isometry(ts: TwistedSpace, g: BiquatElem) -> Isometry:
     _, refl = ref6gen_lift(ts, g)
-    cols = [ts.to_vec(refl(ts.from_vec(ts.space.basis_vector(i))))
-            for i in range(6)]
-    return isometry_from_images(ts.space, cols)
+    return isometry_of_map(ts.space, refl, ts.to_vec, ts.from_vec)
 
 
 def qtheta_cover_conj(ts: TwistedSpace, x: CoveredElem) -> CoveredElem:

@@ -7,6 +7,7 @@ verbatim; identical configurations give identical reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -16,6 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import algebras, spin_eight, spin_six
 from .algebras import (
+    AminusVector,
     BiquatAlg,
     EtaleQuad,
     QuatAlg,
@@ -45,7 +47,7 @@ from .spin_low import (
     alt3_action,
     alt3_symmetric_image,
     alt4_action,
-    isometry_from_images,
+    isometry_of_map,
     mat2_of_split_quat,
     r2_matrix,
     split_quat_of_mat2,
@@ -204,13 +206,19 @@ def random_cover(algebra: BiquatAlg, rng: random.Random, k: int = 3):
     return x
 
 
-def twisted_instance(field: FieldDesc, which: int = 0):
-    algebra = biquat_instances(field)[which]
-    e = EtaleQuad(field, nonsquare_of(field))
+def _anisotropic_q(algebra: BiquatAlg):
+    """The fixed anisotropic Q of the dimension-5 and twisted suites."""
+    field = algebra.ring
     q = algebra.aminus([field.zero()] * 3, [field(1), field(1), field.zero()])
     if albert_norm(q).is_zero():
         q = algebra.aminus([field.zero()] * 3, [field(1), field.zero(), field.zero()])
-    return spin_six.TwistedSpace(algebra, e, q)
+    return q
+
+
+def twisted_instance(field: FieldDesc, which: int = 0):
+    algebra = biquat_instances(field)[which]
+    e = EtaleQuad(field, nonsquare_of(field))
+    return spin_six.TwistedSpace(algebra, e, _anisotropic_q(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -514,118 +522,82 @@ def suite_hpsiGSprel(rec, rng, config):
         rec.check(spin_eight.hpsi_gsp_relation(x, u), "hpsiGSprel", x=x, u=u)
 
 
-def _reflection_suite(rec, rng, config, dim_kind: str):
-    field = config.field
-    trials = config.trials
-    if dim_kind == "ref2":
-        for d in (field(1), nonsquare_of(field)):
-            e = EtaleQuad(field, d)
-            model = Dim2Model(e)
-            done = 0
-            while done < trials // 2 + 1:
-                z = e(0)
-                coords = field_elems(field, rng, 2)
-                g = model.from_vec(coords)
-                if g.norm().is_zero():
-                    continue
-                got = model.reflection(g)
-                want = reflect(model.space, coords)
-                rec.check(got.matrix == want.matrix, "ref2", g=coords)
-                done += 1
-    elif dim_kind == "ref3":
-        for (a, b), _ in default_symbols(field):
-            bb = QuatAlg(field, a, b)
-            model = Dim3Model(bb)
-            done = 0
-            while done < trials // 2 + 1:
-                coords = field_elems(field, rng, 3)
-                g = model.from_vec(coords)
-                if g.norm().is_zero():
-                    continue
-                rec.check(model.reflection(g).matrix
-                          == reflect(model.space, coords).matrix, "ref3", g=coords)
-                done += 1
-    elif dim_kind == "ref4":
-        for (a, b), _ in default_symbols(field):
-            bb = QuatAlg(field, a, b)
-            for d in (field(1), nonsquare_of(field)):
-                model = Dim4Model(bb, EtaleQuad(field, d))
-                done = 0
-                while done < trials // 4 + 1:
-                    coords = field_elems(field, rng, 4)
-                    g = model.from_vec(coords)
-                    if model.space.vnorm(coords).is_zero():
-                        continue
-                    rec.check(model.reflection(g).matrix
-                              == reflect(model.space, coords).matrix,
-                              "ref4", g=coords)
-                    done += 1
-    elif dim_kind == "ref6d1":
-        for algebra in biquat_instances(field):
-            space = algebra.albert_space()
-            done = 0
-            while done < trials // 2 + 1:
-                u = random_aminus(algebra, rng)
-                if albert_norm(u).is_zero():
-                    continue
-                refl = spin_six.ref6d1_map(u)
-                cols = [refl(algebra.aminus(space.basis_vector(i)[:3],
-                                            space.basis_vector(i)[3:])).coords()
-                        for i in range(6)]
-                got = isometry_from_images(space, cols)
-                rec.check(got.matrix == reflect(space, u.coords()).matrix,
-                          "ref6d1", u=u)
-                done += 1
-    elif dim_kind == "ref6gen":
-        ts = twisted_instance(field)
-        done = 0
-        while done < trials:
-            coords = field_elems(field, rng, 6)
-            g = ts.from_vec(coords)
-            if ts.vnorm_of(g).is_zero():
-                continue
-            got = spin_six.ref6gen_isometry(ts, g)
-            rec.check(got.matrix == reflect(ts.space, coords).matrix,
-                      "ref6gen", g=coords)
-            done += 1
-    elif dim_kind == "ref8id1":
-        algebra = biquat_instances(field)[0]
-        space = spin_eight.vec8_space(algebra)
-        done = 0
-        while done < trials:
-            coords = field_elems(field, rng, 8)
-            u = spin_eight.vec8_from_coords(algebra, coords)
-            if u.vnorm().is_zero():
-                continue
-            lift, _ = spin_eight.ref8_lift(u)
-            cols = [spin_eight.ref8_apply(
-                lift, spin_eight.vec8_from_coords(algebra, space.basis_vector(i))
-            ).coords() for i in range(8)]
-            got = isometry_from_images(space, cols)
-            rec.check(got.matrix == reflect(space, coords).matrix,
-                      "ref8id1", u=coords)
-            done += 1
-    elif dim_kind == "ref8igen":
-        ts = twisted_instance(field)
-        tw8 = spin_eight.Twisted8(ts)
-        done = 0
-        while done < trials:
-            coords = field_elems(field, rng, 8)
-            v8 = tw8.from_coords(coords)
-            n = v8.vnorm()
-            if not n.is_scalar() or n.scalar_part().is_zero():
-                continue
-            lift = spin_eight.ref8igen_lift(tw8, v8)
-            cols = [tw8.to_coords(spin_eight.ref8igen_apply(
-                tw8, lift, tw8.from_coords(tw8.space.basis_vector(i))))
-                for i in range(8)]
-            got = isometry_from_images(tw8.space, cols)
-            rec.check(got.matrix == reflect(tw8.space, coords).matrix,
-                      "ref8igen", v=coords)
-            done += 1
-    else:
-        raise UnknownSuite(dim_kind)
+def _model_mirror(model):
+    """(space, shown, got) for a spin_low model with its own `reflection`."""
+    return model.space, list, lambda c: model.reflection(model.from_vec(c))
 
+
+def _albert_mirror(algebra: BiquatAlg):
+    space = algebra.albert_space()
+    return space, algebra.aminus_of, lambda u: isometry_of_map(
+        space, spin_six.ref6d1_map(u), AminusVector.coords, algebra.aminus_of)
+
+
+def _ref6gen_mirror(field: FieldDesc):
+    ts = twisted_instance(field)
+    return ts.space, list, lambda c: spin_six.ref6gen_isometry(ts, ts.from_vec(c))
+
+
+def _ref8id1_mirror(field: FieldDesc):
+    algebra = biquat_instances(field)[0]
+    space = spin_eight.vec8_space(algebra)
+    vec8 = functools.partial(spin_eight.vec8_from_coords, algebra)
+
+    def got(c):
+        lift, _ = spin_eight.ref8_lift(vec8(c))
+        return isometry_of_map(space, lambda u: spin_eight.ref8_apply(lift, u),
+                               spin_eight.Vec8.coords, vec8)
+
+    return space, list, got
+
+
+def _ref8igen_mirror(field: FieldDesc):
+    tw8 = spin_eight.Twisted8(twisted_instance(field))
+
+    def got(c):
+        lift = spin_eight.ref8igen_lift(tw8, tw8.from_coords(c))
+        return isometry_of_map(tw8.space,
+                               lambda v: spin_eight.ref8igen_apply(tw8, lift, v),
+                               tw8.to_coords, tw8.from_coords)
+
+    return tw8.space, list, got
+
+
+# kind: (failure-data key, mirrors per instance from the trial count,
+# instances over a field).  An instance is (space, shown, got): a mirror
+# drawn as coordinates is recorded as shown(coords), and got(shown(coords))
+# is the model's own reflection in it.
+_REFLECTION_KINDS = {
+    "ref2": ("g", lambda n: n // 2 + 1, lambda f: [
+        _model_mirror(Dim2Model(EtaleQuad(f, d))) for d in (f(1), nonsquare_of(f))]),
+    "ref3": ("g", lambda n: n // 2 + 1, lambda f: [
+        _model_mirror(Dim3Model(QuatAlg(f, a, b))) for (a, b), _ in default_symbols(f)]),
+    "ref4": ("g", lambda n: n // 4 + 1, lambda f: [
+        _model_mirror(Dim4Model(QuatAlg(f, a, b), EtaleQuad(f, d)))
+        for (a, b), _ in default_symbols(f) for d in (f(1), nonsquare_of(f))]),
+    "ref6d1": ("u", lambda n: n // 2 + 1, lambda f: [
+        _albert_mirror(algebra) for algebra in biquat_instances(f)]),
+    "ref6gen": ("g", lambda n: n, lambda f: [_ref6gen_mirror(f)]),
+    "ref8id1": ("u", lambda n: n, lambda f: [_ref8id1_mirror(f)]),
+    "ref8igen": ("v", lambda n: n, lambda f: [_ref8igen_mirror(f)]),
+}
+
+
+def _reflection_suite(rec, rng, config, kind: str):
+    """Each model's own reflection in random anisotropic mirrors against
+    quadforms.reflect; an isotropic draw is drawn again."""
+    field = config.field
+    key, count, instances = _REFLECTION_KINDS[kind]
+    for space, shown, got in instances(field):
+        done = 0
+        while done < count(config.trials):
+            coords = field_elems(field, rng, space.dim)
+            if space.vnorm(coords).is_zero():
+                continue
+            mirror = shown(coords)
+            rec.check(got(mirror).matrix == reflect(space, coords).matrix,
+                      kind, **{key: mirror})
+            done += 1
 
 
 def _mirror_value(space, mirrors):
@@ -683,9 +655,8 @@ def suite_dim12(rec, rng, config):
                 trivial = model.act(g).matrix == ident
                 rec.check(trivial == g.is_scalar(), "dim2-kernel", g=g)
             for u in e.norm_one_elements():
-                mult = isometry_from_images(
-                    model.space, [model.to_vec(u * model.from_vec(
-                        model.space.basis_vector(i))) for i in range(2)])
+                mult = isometry_of_map(model.space, lambda z: u * z,
+                                       model.to_vec, model.from_vec)
                 rec.check(spinor_norm(mult) == model.spinor_of_norm_one(u),
                           "dim12-spinor-remark", u=u)
 
@@ -820,9 +791,7 @@ def suite_dim5(rec, rng, config):
     field = config.field
     algebra = biquat_instances(field)[0]
     space = algebra.albert_space()
-    q = algebra.aminus([field.zero()] * 3, [field(1), field(1), field.zero()])
-    if albert_norm(q).is_zero():
-        q = algebra.aminus([field.zero()] * 3, [field(1), field.zero(), field.zero()])
+    q = _anisotropic_q(algebra)
     from .spin_six import perp_basis_of_q
     perp = perp_basis_of_q(space, q.coords())
     for _ in range(config.trials):
@@ -853,8 +822,7 @@ def suite_dim5(rec, rng, config):
             v1 = [x + field_elems(field, rng, 1)[0] * y for x, y in zip(v1, w)]
         if space.vnorm(v1).is_zero():
             continue
-        g = spin_six.pair_lift(algebra.aminus(v1[:3], v1[3:]),
-                               algebra.aminus(v1[:3], v1[3:]))
+        g = spin_six.pair_lift(algebra.aminus_of(v1), algebra.aminus_of(v1))
         member = spin_six.dim5_stabilizer(g.g, q)
         if member is None:
             continue
@@ -1171,13 +1139,8 @@ SUITES: Dict[str, Callable] = {
     "vnorm8": suite_vnorm8,
     "GSppresHA": suite_GSppresHA,
     "hpsiGSprel": suite_hpsiGSprel,
-    "ref2": lambda r, g, c: _reflection_suite(r, g, c, "ref2"),
-    "ref3": lambda r, g, c: _reflection_suite(r, g, c, "ref3"),
-    "ref4": lambda r, g, c: _reflection_suite(r, g, c, "ref4"),
-    "ref6d1": lambda r, g, c: _reflection_suite(r, g, c, "ref6d1"),
-    "ref6gen": lambda r, g, c: _reflection_suite(r, g, c, "ref6gen"),
-    "ref8id1": lambda r, g, c: _reflection_suite(r, g, c, "ref8id1"),
-    "ref8igen": lambda r, g, c: _reflection_suite(r, g, c, "ref8igen"),
+    **{kind: functools.partial(_reflection_suite, kind=kind)
+       for kind in _REFLECTION_KINDS},
     "CDT": suite_CDT,
     "dim12": suite_dim12,
     "dim3": suite_dim3,

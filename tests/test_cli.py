@@ -75,6 +75,23 @@ def test_decompose_roundtrip(tmp_path, capsys):
     assert report["phi"] == "1"
 
 
+def test_decompose_reassembly_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a generic form that reassembles to the wrong matrix is an error, not
+    # a report
+    from isogeny_kit import spin_eight
+    monkeypatch.setattr(spin_eight.GenForm, "assemble",
+                        lambda self: spin_eight.M2A.identity(self.A))
+    blocks = [[0] * 16 for _ in range(4)]
+    blocks[1][0] = 1
+    blocks[2][0] = 1
+    path = write(tmp_path, "gsp.json",
+                 {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks})
+    assert main(["decompose", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvariantViolated: generic form failed to reassemble" in captured.err
+
+
 def test_decompose_non_member(tmp_path, capsys):
     blocks = [[0] * 16 for _ in range(4)]
     blocks[0][0] = 1

@@ -56,7 +56,6 @@ from isogeny_kit.spin_eight import (
     ref8igen_apply,
     ref8igen_lift,
     reduced_norm_M2A,
-    rhoQ8_membership,
     similitude_multiplier,
     one_plus_eta_omega_multiplier,
     triality_kernels,
@@ -747,12 +746,12 @@ def test_rhoq8_membership_examples():
     # unipotent with v in the twisted space
     v = ts.from_vec([F5(rng.randrange(5)) for _ in range(6)])
     uni = M2A(tw8.AE, tw8.AE.one(), v, tw8.AE.zero(), tw8.AE.one())
-    mem = rhoQ8_membership(tw8, uni)
+    mem = tw8.membership(uni)
     assert mem is not None and mem.m == F5(1)
     # ((0, Q), (Q~, 0)) has multiplier -|Q|^2
     matq = M2A(tw8.AE, tw8.AE.zero(), ts.QE,
                ts.QE.to_aminus().theta().embed(), tw8.AE.zero())
-    memq = rhoQ8_membership(tw8, matq)
+    memq = tw8.membership(matq)
     assert memq is not None and memq.m == -ts.q_norm
     # g Qhat^-1 for anisotropic twisted g
     done = 0
@@ -769,7 +768,7 @@ def test_rhoq8_membership_examples():
     h = ts.E.gen0()
     bad = M2A(tw8.AE, tw8.AE.one(), tw8.AE.from_scalar(h) * v,
               tw8.AE.zero(), tw8.AE.one())
-    assert rhoQ8_membership(tw8, bad) is None
+    assert tw8.membership(bad) is None
 
 
 def test_rhoq8_action_preserves_structure():

@@ -1,6 +1,7 @@
 """The named verification suites, their determinism, and the mutation
 harness (every single-sign flip in theta, D, or the psi diagonal rule
-must make a named suite fail)."""
+must make a named suite fail, and each reflection suite must catch a
+mutant of its own model's reflection)."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ import isogeny_kit
 from isogeny_kit import algebras, spin_eight, spin_six, suites
 from isogeny_kit.algebras import AminusVector
 from isogeny_kit.errors import InvariantViolated, UnknownSuite
+from isogeny_kit.spin_low import Dim2Model, Dim3Model, Dim4Model
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
 
 FAST_CONFIG = RunConfig.from_args("p=3", seed=11, trials=8)
@@ -181,3 +183,113 @@ def test_mutation_psi_negate_root(monkeypatch):
     monkeypatch.setattr(spin_eight, "_psi_diagonal",
                         lambda a, t: (a.bar().inverse().scale(t), -t))
     assert not all(run_mutation_suites().values())
+
+
+# ---------------------------------------------------------------------------
+# reflection suites: each catches a mutant of its own model's reflection
+# ---------------------------------------------------------------------------
+
+def _other_branch(x):
+    return spin_eight.CoveredGSpElem(x.gf, -x.t, check=False)
+
+
+def mutate_ref2(patch):
+    orig = Dim2Model.reflection_on
+    patch(Dim2Model, "reflection_on", lambda self, g, z: -orig(self, g, z))
+
+
+def mutate_ref3(patch):
+    # without the minus sign the map is the conjugation action, a rotation
+    patch(Dim3Model, "reflection_on", Dim3Model.act_on)
+
+
+def mutate_ref4(patch):
+    # without the bar the map is the action of g, a rotation
+    patch(Dim4Model, "reflection_on", Dim4Model.act_on)
+
+
+def mutate_ref6d1(patch):
+    orig = spin_six.ref6d1_map
+
+    def ref6d1_map(g):
+        refl = orig(g)
+        return lambda u: -refl(u)
+
+    patch(spin_six, "ref6d1_map", ref6d1_map)
+
+
+def mutate_ref6gen(patch):
+    orig = spin_six.ref6gen_lift
+
+    def ref6gen_lift(ts, g):
+        # the action of g h Q^-1 without the Qtheta map
+        member, _ = orig(ts, g)
+        return member, member.act_on
+
+    patch(spin_six, "ref6gen_lift", ref6gen_lift)
+
+
+def mutate_ref8id1(patch):
+    orig = spin_eight.ref8_lift
+
+    def ref8_lift(g):
+        x, flag = orig(g)
+        return _other_branch(x), flag
+
+    patch(spin_eight, "ref8_lift", ref8_lift)
+
+
+def mutate_ref8igen(patch):
+    orig = spin_eight.ref8igen_lift
+
+    def ref8igen_lift(tw8, g):
+        return spin_eight.RhoQ8Elem(tw8, _other_branch(orig(tw8, g).x))
+
+    patch(spin_eight, "ref8igen_lift", ref8igen_lift)
+
+
+REFLECTION_MUTANTS = {
+    "ref2": mutate_ref2, "ref3": mutate_ref3, "ref4": mutate_ref4,
+    "ref6d1": mutate_ref6d1, "ref6gen": mutate_ref6gen,
+    "ref8id1": mutate_ref8id1, "ref8igen": mutate_ref8igen,
+}
+MUTANT_CONFIG = RunConfig.from_args("p=5", seed=0, trials=4)
+
+
+@pytest.mark.parametrize("kind", sorted(REFLECTION_MUTANTS))
+def test_reflection_suite_catches_its_mutant(kind, monkeypatch):
+    assert run_suite(kind, MUTANT_CONFIG).passed
+    REFLECTION_MUTANTS[kind](monkeypatch.setattr)
+    res = run_suite(kind, MUTANT_CONFIG)
+    assert res.failures and {f["case"] for f in res.failures} == {kind}
+
+
+def test_reflection_mutants_survive_assert_stripping():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, %r)
+        import test_suites as t
+        from isogeny_kit.suites import run_suite
+        assert False, "asserts are live"
+
+        for kind, mutate in sorted(t.REFLECTION_MUTANTS.items()):
+            saved = []
+
+            def patch(owner, name, value):
+                saved.append((owner, name, getattr(owner, name)))
+                setattr(owner, name, value)
+
+            mutate(patch)
+            res = run_suite(kind, t.MUTANT_CONFIG)
+            for owner, name, value in saved:
+                setattr(owner, name, value)
+            print(kind, sorted({f["case"] for f in res.failures}))
+        """ % tests_dir)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["%s ['%s']" % (kind, kind)
+                                       for kind in sorted(REFLECTION_MUTANTS)]
