@@ -474,6 +474,9 @@ class BiquatAlg(TableAlgebra):
         self.B = b
         self.C = c
         self.ring = b.ring
+        # the diagonal Albert form on A^-: B_0-part and negated C_0-part
+        self.albert_diag = (-b.alpha, -b.beta, b.alpha * b.beta,
+                            c.alpha, c.beta, -c.alpha * c.beta)
 
     def table(self):
         """The tab16 fusion: (b_s c_t)(b_u c_v) = fb fc b_wb c_wc."""
@@ -512,12 +515,8 @@ class BiquatAlg(TableAlgebra):
         return self.aminus(coords[:3], coords[3:6])
 
     def albert_space(self) -> QuadSpace:
-        """The Albert form on A^-: diag of B_0-part and negated C_0-part."""
-        b, c = self.B, self.C
-        return QuadSpace.diagonal(self.ring, [
-            -b.alpha, -b.beta, b.alpha * b.beta,
-            c.alpha, c.beta, -c.alpha * c.beta,
-        ])
+        """The Albert form on A^-, diagonal `albert_diag`."""
+        return QuadSpace.diagonal(self.ring, list(self.albert_diag))
 
 
 class AminusVector:
@@ -594,18 +593,15 @@ def theta(u: AminusVector) -> AminusVector:
 
 def albert_norm(u: AminusVector):
     """|x (x) 1 + 1 (x) y|^2 = N_B(x) - N_C(y)."""
-    a = u.algebra
-    nb = (-a.B.alpha * u.x[0] * u.x[0] - a.B.beta * u.x[1] * u.x[1]
-          + a.B.alpha * a.B.beta * u.x[2] * u.x[2])
-    nc = (-a.C.alpha * u.y[0] * u.y[0] - a.C.beta * u.y[1] * u.y[1]
-          + a.C.alpha * a.C.beta * u.y[2] * u.y[2])
-    return nb - nc
+    return albert_pair(u, u)
 
 
 def albert_pair(u: AminusVector, v: AminusVector):
-    """2<u,v> = |u+v|^2 - |u|^2 - |v|^2, halved."""
-    two_inv = u.algebra.ring(2).inverse()
-    return (albert_norm(u + v) - albert_norm(u) - albert_norm(v)) * two_inv
+    """<u, v> = sum of d_i u_i v_i over the Albert diagonal d."""
+    u._check(v)
+    d, x, y, xv, yv = u.algebra.albert_diag, u.x, u.y, v.x, v.y
+    return (d[0] * x[0] * xv[0] + d[1] * x[1] * xv[1] + d[2] * x[2] * xv[2]
+            + d[3] * y[0] * yv[0] + d[4] * y[1] * yv[1] + d[5] * y[2] * yv[2])
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class M2A:
     def __neg__(self):
         return M2A(self.A, -self.a, -self.b, -self.c, -self.d)
 
-    def bar_adjoint(self) -> "M2A":
-        """((a,b),(c,d)) -> ((bar d, -bar b), (-bar c, bar a))."""
-        return M2A(self.A, self.d.bar(), -self.b.bar(), -self.c.bar(), self.a.bar())
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -96,10 +92,6 @@ class M2A:
 
     def __repr__(self):
         return "M2A(%r, %r; %r, %r)" % (self.a, self.b, self.c, self.d)
-
-
-def _j_mat(algebra: BiquatAlg) -> M2A:
-    return M2A.diag(algebra, algebra.one(), -algebra.one())
 
 
 def _zero_aminus(algebra: BiquatAlg) -> AminusVector:
@@ -275,9 +267,10 @@ class GSpElem:
         self.m = m
 
     def inverse_matrix(self) -> M2A:
-        """M^-1 = J bar_adj(M) J / m, from the GSp relation."""
-        j = _j_mat(self.mat.A)
-        return (j * self.mat.bar_adjoint() * j).scale(self.m.inverse())
+        """M^-1 = J bar_adj(M) J / m with J = diag(1, -1), from the GSp
+        relation: ((bar d, bar b), (bar c, bar a)) / m."""
+        a, b, c, d = self.mat.entries()
+        return M2A(self.mat.A, d.bar(), b.bar(), c.bar(), a.bar()).scale(self.m.inverse())
 
     def to_json(self):
         return {"blocks": [[repr(c) for c in e.c] for e in self.mat.entries()],
@@ -336,22 +329,28 @@ class GenForm:
     """Parameters (v, a, alpha, beta, m) of the generic-form factorization
     ((1,v),(0,1)) ((1,0),(beta,1)) ((a,0),(0,m bar(a)^-1)) ((1,alpha),(0,1))."""
 
-    __slots__ = ("A", "v", "a", "alpha", "beta", "m", "_mat")
+    __slots__ = ("A", "v", "a", "alpha", "beta", "m", "_mat", "_a_inv")
 
     def __init__(self, algebra: BiquatAlg, v, a, alpha, beta, m):
         self.A = algebra
         self.v, self.a, self.alpha, self.beta, self.m = v, a, alpha, beta, m
-        self._mat = None
+        self._mat = self._a_inv = None
+
+    def a_inverse(self) -> BiquatElem:
+        """a^-1, computed once; bar(a)^-1 is its bar (an anti-automorphism)."""
+        if self._a_inv is None:
+            self._a_inv = self.a.inverse()
+        return self._a_inv
 
     def assemble(self) -> M2A:
+        """The product in closed form, ((X, X alpha + v d), (beta a, beta a
+        alpha + d)) with X = a + v (beta a), d = m bar(a^-1): 5 A-products."""
         if self._mat is None:
-            alg = self.A
-            one, zero = alg.one(), alg.zero()
-            u_v = M2A(alg, one, self.v.embed(), zero, one)
-            l_b = M2A(alg, one, zero, self.beta.embed(), one)
-            di = M2A.diag(alg, self.a, self.a.bar().inverse().scale(self.m))
-            u_a = M2A(alg, one, self.alpha.embed(), zero, one)
-            self._mat = u_v * l_b * di * u_a
+            v, alpha = self.v.embed(), self.alpha.embed()
+            d = self.a_inverse().bar().scale(self.m)
+            ba = self.beta.embed() * self.a
+            x = self.a + v * ba
+            self._mat = M2A(self.A, x, x * alpha + v * d, ba, ba * alpha + d)
         return self._mat
 
     def __repr__(self):
@@ -388,6 +387,7 @@ def _decompose_at(g: GSpElem, v: Optional[AminusVector]) -> GenForm:
     alpha = (a_inv * b).to_aminus()
     beta = (g.mat.c * a_inv).to_aminus()
     gf = GenForm(algebra, v, a, alpha, beta, g.m)
+    gf._a_inv = a_inv
     if gf.assemble() != g.mat:
         raise InvariantViolated("generic form failed to reassemble")
     return gf
@@ -408,15 +408,15 @@ def comp_reparam(gf: GenForm, new_v: AminusVector) -> Tuple[GenForm, object]:
     algebra = gf.A
     w_minus_v = new_v - gf.v
     dd = D(-w_minus_v, gf.beta)  # D(v - w, beta)
-    if dd.is_zero():
-        raise SingularReparam("D(v - w, beta) = 0")
+    if not _is_unit(dd):
+        raise SingularReparam("D(v - w, beta) is not a unit")
     one = algebra.one()
     c = (one - w_minus_v.embed() * gf.beta.embed()) * gf.a
     dd_inv = dd.inverse()
     delta = (gf.beta - theta(w_minus_v).scale(albert_norm(gf.beta))).scale(dd_inv)
     mid = (w_minus_v - theta(gf.beta).scale(albert_norm(w_minus_v))).scale(dd_inv)
-    gamma_e = gf.alpha.embed() - (gf.a.inverse() * mid.embed()
-                                  * gf.a.bar().inverse()).scale(gf.m)
+    a_inv = gf.a_inverse()
+    gamma_e = gf.alpha.embed() - (a_inv * mid.embed() * a_inv.bar()).scale(gf.m)
     out = GenForm(algebra, new_v, c, gamma_e.to_aminus(), delta, gf.m)
     if out.assemble() != gf.assemble():
         raise InvariantViolated("reparametrization changed the matrix")

@@ -224,6 +224,43 @@ def test_theta_albert_examples():
             == a.from_scalar(pr + pr)
 
 
+def _albert_norm_oracle(u):
+    """N_B(x) - N_C(y) through the quaternion norms."""
+    a, zero = u.algebra, u.algebra.ring.zero()
+    return a.B.elem([zero] + u.x).norm() - a.C.elem([zero] + u.y).norm()
+
+
+@pytest.mark.parametrize("kind", ["F5", "Q", "split E", "F5(sqrt2)"])
+def test_albert_pair_is_the_polarization(kind):
+    if kind in ("F5", "Q"):
+        ring = F5 if kind == "F5" else QQ
+        coeff = lambda r: ring(r.randint(-2, 2))
+    else:
+        ring = EtaleQuad(F5) if kind == "split E" else EtaleQuad(F5, 2)
+        coeff = lambda r: ring.from_xy(F5(r.randrange(5)), F5(r.randrange(5)))
+    a = BiquatAlg(QuatAlg(ring, 2, 3), QuatAlg(ring, -1, 2))
+    rng = random.Random(9)
+    half = ring(2).inverse()
+    for _ in range(30):
+        u, v = [a.aminus([coeff(rng) for _ in range(3)],
+                         [coeff(rng) for _ in range(3)]) for _ in range(2)]
+        polar = (_albert_norm_oracle(u + v) - _albert_norm_oracle(u)
+                 - _albert_norm_oracle(v)) * half
+        assert albert_pair(u, v) == polar == albert_pair(v, u)
+        assert albert_norm(u) == albert_pair(u, u) == _albert_norm_oracle(u)
+
+
+def test_albert_pair_of_different_algebras_raises():
+    a1 = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2))
+    a2 = BiquatAlg(QuatAlg(F5, 2, 2), QuatAlg(F5, 2, 3))
+    u = a1.aminus([1, 0, 0], [0, 0, 0])
+    w = a2.aminus([0, 1, 0], [0, 0, 0])
+    with pytest.raises(AlgebraMismatch):
+        albert_pair(u, w)
+    with pytest.raises(AlgebraMismatch):
+        albert_pair(w, u)
+
+
 def test_reduced_norm_m2b():
     bq = QuatAlg(QQ, -1, -1)
     a = bq.elem([1, 2, 0, 1])

@@ -13,6 +13,7 @@ from isogeny_kit import spin_eight
 
 from isogeny_kit.algebras import (
     BiquatAlg,
+    BiquatElem,
     EtaleQuad,
     QuatAlg,
     albert_norm,
@@ -20,8 +21,13 @@ from isogeny_kit.algebras import (
     reduced_norm_A,
     theta,
 )
-from isogeny_kit.errors import IsotropicMirror, NonInvertible
-from isogeny_kit.exactfield import GF, is_square, sqrt_exact, square_class
+from isogeny_kit.errors import (
+    InvariantViolated,
+    IsotropicMirror,
+    NonInvertible,
+    SingularReparam,
+)
+from isogeny_kit.exactfield import GF, QQ, is_square, sqrt_exact, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import random_isometry, reflect, spinor_norm
 from isogeny_kit.spin_low import isometry_from_images
@@ -35,6 +41,7 @@ from isogeny_kit.spin_eight import (
     Vec8,
     act8,
     act8_isometry,
+    comp_reparam,
     cover_identity,
     cover_inverse,
     cover_mul,
@@ -224,8 +231,20 @@ def test_mutation_shift_check_on_is_zero(monkeypatch):
         gsp_decompose(member)
 
 
+def run_optimized(code):
+    """Run `code` under `python -O` with this directory and the library on
+    the path; returns its standard output."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spin_eight.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
+    out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_shift_check_mutant_survives_assert_stripping():
-    code = textwrap.dedent("""
+    out = run_optimized("""
         import test_spin_eight as t
         from isogeny_kit import spin_eight
         from isogeny_kit.errors import NonInvertible
@@ -237,13 +256,162 @@ def test_shift_check_mutant_survives_assert_stripping():
         except NonInvertible as exc:
             print("raised", exc)
         """)
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spin_eight.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised BiquatElem is a zero divisor")
+    assert out.startswith("raised BiquatElem is a zero divisor")
+
+
+# ---------------------------------------------------------------------------
+# the closed generic form
+# ---------------------------------------------------------------------------
+
+def four_factor_product(gf):
+    """The oracle for GenForm.assemble: the four factors multiplied out,
+    ((1,v),(0,1)) ((1,0),(beta,1)) ((a,0),(0,m bar(a)^-1)) ((1,alpha),(0,1))."""
+    alg = gf.A
+    one, zero = alg.one(), alg.zero()
+    u_v = M2A(alg, one, gf.v.embed(), zero, one)
+    l_b = M2A(alg, one, zero, gf.beta.embed(), one)
+    di = M2A.diag(alg, gf.a, gf.a.bar().inverse().scale(gf.m))
+    u_a = M2A(alg, one, gf.alpha.embed(), zero, one)
+    return u_v * l_b * di * u_a
+
+
+def assemble_sign_mutant(self):
+    """GenForm.assemble with X = a - v (beta a): a mutant for the
+    reassembly checks."""
+    if self._mat is None:
+        v, alpha = self.v.embed(), self.alpha.embed()
+        d = self.a_inverse().bar().scale(self.m)
+        ba = self.beta.embed() * self.a
+        x = self.a - v * ba
+        self._mat = M2A(self.A, x, x * alpha + v * d, ba, ba * alpha + d)
+    return self._mat
+
+
+def genform_ring(kind):
+    """(algebra, coefficient draw) over F_5, Q, the split E = F_7 x F_7 of
+    split_e_matrix and the non-split E = F_5(sqrt 2)."""
+    if kind == "F5":
+        return make_algebra(F5), lambda r: F5(r.randrange(5))
+    if kind == "Q":
+        return (BiquatAlg(QuatAlg(QQ, -1, 3), QuatAlg(QQ, 2, 5)),
+                lambda r: QQ(r.randint(-2, 2)))
+    if kind == "split E":
+        a = split_e_matrix().A
+        f7 = GF(7)
+        return a, lambda r: a.ring.from_xy(f7(r.randrange(7)), f7(r.randrange(7)))
+    e = EtaleQuad(F5, 2)
+    assert not e.is_split
+    return (BiquatAlg(QuatAlg(e, 2, 3), QuatAlg(e, 1, 2)),
+            lambda r: e.from_xy(F5(r.randrange(5)), F5(r.randrange(5))))
+
+
+def rand_genform(algebra, coeff, rng):
+    """A fresh GenForm with v != 0, a invertible and a unit multiplier."""
+    def rand_v():
+        return algebra.aminus([coeff(rng) for _ in range(3)],
+                              [coeff(rng) for _ in range(3)])
+    v = rand_v()
+    while v.is_zero():
+        v = rand_v()
+    a = algebra.elem([coeff(rng) for _ in range(16)])
+    while not spin_eight._is_unit(reduced_norm_A(a)):
+        a = algebra.elem([coeff(rng) for _ in range(16)])
+    m = coeff(rng)
+    while not spin_eight._is_unit(m):
+        m = coeff(rng)
+    return GenForm(algebra, v, a, rand_v(), rand_v(), m)
+
+
+@pytest.mark.parametrize("kind", ["F5", "Q", "split E", "F5(sqrt2)"])
+def test_assemble_matches_four_factor_product(kind):
+    algebra, coeff = genform_ring(kind)
+    rng = random.Random(13)
+    for _ in range(6):
+        gf = rand_genform(algebra, coeff, rng)
+        assert gf.assemble() == four_factor_product(gf)
+
+
+def test_closed_form_sign_mutant_fails_reassembly(monkeypatch):
+    member = split_e_member()  # decomposes at v != 0 only
+    monkeypatch.setattr(GenForm, "assemble", assemble_sign_mutant)
+    with pytest.raises(InvariantViolated):
+        gsp_decompose(member)
+
+
+def test_closed_form_sign_mutant_survives_assert_stripping():
+    out = run_optimized("""
+        import test_spin_eight as t
+        from isogeny_kit import spin_eight
+        from isogeny_kit.errors import InvariantViolated
+        assert False, "asserts are live"
+        member = t.split_e_member()
+        spin_eight.GenForm.assemble = t.assemble_sign_mutant
+        try:
+            spin_eight.gsp_decompose(member)
+        except InvariantViolated as exc:
+            print("raised", exc)
+        """)
+    assert out.startswith("raised generic form failed to reassemble")
+
+
+def count_biquat_ops(monkeypatch):
+    """Count bi-quaternion products and inverses from here on; the products
+    an inverse makes count as part of that inverse."""
+    counts = {"mul": 0, "inverse": 0}
+    inside = [0]
+    mul, inverse = BiquatElem.__mul__, BiquatElem.inverse
+
+    def counted_mul(x, y):
+        if not inside[0]:
+            counts["mul"] += 1
+        return mul(x, y)
+
+    def counted_inverse(x):
+        counts["inverse"] += 1
+        inside[0] += 1
+        try:
+            return inverse(x)
+        finally:
+            inside[0] -= 1
+    monkeypatch.setattr(BiquatElem, "__mul__", counted_mul)
+    monkeypatch.setattr(BiquatElem, "inverse", counted_inverse)
+    return counts
+
+
+def test_assemble_op_counts(monkeypatch):
+    algebra, coeff = genform_ring("F5")
+    gf = rand_genform(algebra, coeff, random.Random(14))
+    members = [split_e_member(), rand_cover(algebra, random.Random(15)).as_gsp()]
+    counts = count_biquat_ops(monkeypatch)
+    gf.assemble()
+    assert counts == {"mul": 5, "inverse": 1}
+    gf.assemble()
+    assert counts == {"mul": 5, "inverse": 1}
+    for member in members:
+        counts["inverse"] = 0
+        gsp_decompose(member).assemble()
+        assert counts["inverse"] == 1
+
+
+def test_comp_reparam_zero_divisor_d_is_singular():
+    """Over split E, D(v - w, beta) can be a nonzero zero divisor: no unit,
+    so the reparametrization is singular, as at D = 0."""
+    gf = gsp_decompose(split_e_member())
+    e, f7 = gf.A.ring, GF(7)
+    rng = random.Random(0)
+    singular = 0
+    for _ in range(40):
+        w = gf.A.aminus([e.from_xy(f7(rng.randrange(7)), f7(rng.randrange(7)))
+                         for _ in range(3)],
+                        [e.from_xy(f7(rng.randrange(7)), f7(rng.randrange(7)))
+                         for _ in range(3)])
+        dd = D(gf.v - w, gf.beta)
+        if dd.is_zero() or spin_eight._is_unit(dd):
+            continue
+        with pytest.raises(SingularReparam):
+            comp_reparam(gf, w)
+        singular += 1
+    assert singular
 
 
 def test_d_and_normsq():
