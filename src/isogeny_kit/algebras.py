@@ -516,7 +516,7 @@ class BiquatAlg(TableAlgebra):
 
     def albert_space(self) -> QuadSpace:
         """The Albert form on A^-, diagonal `albert_diag`."""
-        return QuadSpace.diagonal(self.ring, list(self.albert_diag))
+        return QuadSpace.diagonal(self.ring, self.albert_diag)
 
 
 class AminusVector:
