@@ -228,6 +228,10 @@ class QuatAlg(TableAlgebra):
     def __repr__(self):
         return "(%s, %s / %r)" % (self.alpha, self.beta, self.ring)
 
+    def over(self, e: EtaleQuad) -> "QuatAlg":
+        """B_E: the same symbol over the etale E (B over F only)."""
+        return QuatAlg(e, self.alpha, self.beta)
+
     def i(self) -> QuatElem:
         return self.elem([0, 1, 0, 0])
 
@@ -492,6 +496,10 @@ class BiquatAlg(TableAlgebra):
 
     def __repr__(self):
         return "%r (x) %r" % (self.B, self.C)
+
+    def over(self, e: EtaleQuad) -> "BiquatAlg":
+        """A_E = B_E (x) C_E."""
+        return BiquatAlg(self.B.over(e), self.C.over(e))
 
     def tensor(self, b: QuatElem, c: QuatElem) -> BiquatElem:
         coords = [self.ring.zero()] * 16

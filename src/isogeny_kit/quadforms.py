@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from .errors import (
     DegenerateSpace,
     DimensionMismatch,
+    InvariantViolated,
     IsotropicMirror,
     NoIsotropicVector,
     SearchBudgetExceeded,
@@ -213,10 +214,11 @@ def find_isotropic(space: QuadSpace, budget: int = 10,
                    warn_inconclusive: bool = True):
     """A nonzero isotropic vector, or None.
 
-    F_p: exhaustive in dim <= 2, coordinate-slicing in dim >= 3 (always
-    conclusive).  Q: certified None for definite forms and 2-dim forms of
-    nonsquare discriminant; otherwise a height-bounded search that warns
-    (dim <= 4) or raises SearchBudgetExceeded (dim >= 5) when exhausted.
+    Dim 2: one square root decides d0 x^2 + d1 y^2 = 0 on the diagonal
+    (certified).  F_p: coordinate-slicing in dim >= 3 (always conclusive).
+    Q: certified None for definite forms; otherwise a height-bounded
+    search that warns (dim 3, 4) or raises SearchBudgetExceeded (dim >= 5)
+    when exhausted.
     """
     field = space.field
     n = space.dim
@@ -227,17 +229,15 @@ def find_isotropic(space: QuadSpace, budget: int = 10,
     def back(coords):
         return p_mat.apply(coords)
 
+    if n == 2:
+        d0, d1 = diag
+        if field.p is not None:
+            r = sqrt_exact(-d0 / d1)
+            return None if r is None else back([field(1), r])
+        r = sqrt_exact(-d1 / d0)
+        return None if r is None else back([r, field(1)])
     if field.p is not None:
         p = field.p
-        if n == 2:
-            for a in range(p):
-                for b in range(p):
-                    if a == 0 and b == 0:
-                        continue
-                    v = [field(a), field(b)]
-                    if (diag[0] * v[0] * v[0] + diag[1] * v[1] * v[1]).is_zero():
-                        return back(v + [field(0)] * (n - 2))
-            return None
         # dim >= 3: slice over the first two coordinates
         for a in range(p):
             for b in range(p):
@@ -253,13 +253,7 @@ def find_isotropic(space: QuadSpace, budget: int = 10,
     signs = {1 if e.value > 0 else -1 for e in diag}
     if len(signs) == 1:
         return None  # definite
-    if n == 2:
-        if discriminant(space).is_trivial():
-            d0, d1 = diag
-            # x^2 = -d1/d0 has a rational root
-            r = sqrt_exact(-d1 / d0)
-            return back([r, field(1)])
-        return None
+
     def value(coords):
         acc = field.zero()
         for e, x in zip(diag, coords):
@@ -416,7 +410,7 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
             mirrors_d.append(e)
             m = _reflect_matrix_left(dspace, e, m)
     if m != Mat.identity(field, n):
-        raise ValueError("factorization failed to reach identity")
+        raise InvariantViolated("factorization failed to reach identity")
     # R_{v_last} ... R_{v_first} T = 1, so T = R_{v_first}^-1 ... = product
     # of the same reflections in recorded order (each is an involution).
     if trivial:

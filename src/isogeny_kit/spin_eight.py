@@ -20,7 +20,6 @@ from .algebras import (
     BiquatAlg,
     BiquatElem,
     EQElem,
-    EtaleQuad,
     albert_norm,
     albert_pair,
     reduced_norm_A,
@@ -40,7 +39,7 @@ from .exactfield import FieldDesc, Scalar, sqrt_exact
 from .linalg import Mat, berkowitz_det
 from .quadforms import Isometry, QuadSpace, orthogonal_sum
 from .spin_low import isometry_of_map, rotation_mirrors
-from .spin_six import TwistedSpace
+from .spin_six import TwistedSpace, _scalar
 from .towers import QuadTower
 
 
@@ -513,13 +512,12 @@ def cover_inverse(x: CoveredGSpElem) -> CoveredGSpElem:
     return CoveredGSpElem(gf_inv, t_inv, check=False)
 
 
-def cover_rho(x: CoveredGSpElem, e: EtaleQuad) -> CoveredGSpElem:
+def cover_rho(x: CoveredGSpElem) -> CoveredGSpElem:
     """Coefficientwise Galois action on a cover element over A_E."""
     gf = x.gf
-    rho_b = lambda z: z.map_coeffs(lambda c: c.conj())
     rho_am = lambda u: AminusVector(gf.A, [c.conj() for c in u.x],
                                     [c.conj() for c in u.y])
-    out = GenForm(gf.A, rho_am(gf.v), rho_b(gf.a), rho_am(gf.alpha),
+    out = GenForm(gf.A, rho_am(gf.v), gf.a.rho(), rho_am(gf.alpha),
                   rho_am(gf.beta), gf.m.conj())
     return CoveredGSpElem(out, x.t.conj(), check=False)
 
@@ -822,8 +820,7 @@ class Twisted8:
         return CoveredGSpElem(gf, q_norm, check=False)
 
     def vec8(self, u: BiquatElem, p, q) -> Vec8:
-        return Vec8(self.AE, u.to_aminus(), self.E.from_scalar(p),
-                    self.E.from_scalar(q))
+        return Vec8(self.AE, u.to_aminus(), p, q)
 
     def from_coords(self, coords) -> Vec8:
         u = self.ts.from_vec(coords[:6])
@@ -831,12 +828,7 @@ class Twisted8:
 
     def to_coords(self, v: Vec8):
         uc = self.ts.to_vec(v.u.embed())
-        return uc + [self._scalar(v.p), self._scalar(v.q)]
-
-    def _scalar(self, z) -> Scalar:
-        if not z.is_scalar():
-            raise ValueError("coordinate is not F-rational")
-        return z.scalar_part()
+        return uc + [_scalar(v.p), _scalar(v.q)]
 
     def contains_vec(self, v: Vec8) -> bool:
         return (self.ts.contains(v.u.embed())
@@ -846,7 +838,7 @@ class Twisted8:
         return cover_mul(cover_mul(self.q_hat, psi(x)), self.q_hat_inv)
 
     def rho(self, x: CoveredGSpElem) -> CoveredGSpElem:
-        return cover_rho(x, self.E)
+        return cover_rho(x)
 
     def membership(self, g: M2A) -> Optional["RhoQ8Elem"]:
         """psi_Qhat(x) = x^rho for a lift x of g, with multiplier in F^x."""
@@ -918,24 +910,9 @@ def ref8igen_apply(tw8: Twisted8, lift: RhoQ8Elem, v: Vec8) -> Vec8:
 # QthetaQrel-style helpers
 # ---------------------------------------------------------------------------
 
-def similitude_multiplier(ts: TwistedSpace, g: BiquatElem) -> Optional[Scalar]:
-    """t in F with g Q bar(g)^rho = t Q, no invertibility assumption."""
-    w = g * ts.QE * ts.rho(g.bar())
-    if not w.in_minus_space():
-        return None
-    wv = w.to_aminus()
-    if wv.is_zero():
-        return ts.field(0)
-    from .spin_six import _proportionality
-    t = _proportionality(ts.QE_vec, wv)
-    if t is None or not t.is_scalar():
-        return None
-    return t.scalar_part()
-
-
 def one_plus_eta_omega_multiplier(ts: TwistedSpace, eta: BiquatElem,
                                   omega: BiquatElem) -> Optional[Scalar]:
     """Multiplier of 1 + eta omega for eta in twisted(Q), omega in
     twisted(Q~); equals D(eta, omega) by the combination lemma."""
     x = ts.AE.one() + eta * omega
-    return similitude_multiplier(ts, x)
+    return ts.multiplier(x)

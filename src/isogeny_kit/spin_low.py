@@ -164,22 +164,14 @@ class Dim4Model:
         self.B = b
         self.E = e
         self.field = b.ring
-        self.BE = QuatAlg(e, e.from_scalar(b.alpha), e.from_scalar(b.beta))
+        self.BE = b.over(e)
         h = e.gen0()
         self.h_sq = (h * h).scalar_part()
         self.space = QuadSpace.diagonal(
             self.field, [self.h_sq, -b.alpha, -b.beta, b.alpha * b.beta])
 
-    def embed_base(self, x: QuatElem) -> QuatElem:
-        """B -> B_E coefficientwise."""
-        return x.map_coeffs(self.E.from_scalar, self.BE)
-
-    def rho(self, x: QuatElem) -> QuatElem:
-        return x.map_coeffs(lambda c: c.conj())
-
     def in_minus(self, x: QuatElem) -> bool:
-        c0 = x.c[0]
-        return c0.trace().is_zero() and all(c.conj() == c for c in x.c[1:])
+        return x.bar().rho() == -x
 
     def to_vec(self, x: QuatElem):
         if not self.in_minus(x):
@@ -201,7 +193,7 @@ class Dim4Model:
         n = self.norm_in_base(g)
         if n.is_zero():
             raise NonInvertible("g must be invertible")
-        return (g * x * self.rho(g.bar())).scale(self.E.from_scalar(n.inverse()))
+        return (g * x * g.bar().rho()).scale(n.inverse())
 
     def act(self, g: QuatElem) -> Isometry:
         return isometry_of_map(self.space, lambda x: self.act_on(g, x),
@@ -223,7 +215,7 @@ class Dim4Model:
         g = self.BE.one()
         for idx, v in enumerate(rotation_mirrors(t, self.field)):
             m = self.from_vec(v)
-            g = g * (self.rho(m) if idx % 2 == 1 else m)
+            g = g * (m.rho() if idx % 2 == 1 else m)
         return g
 
 

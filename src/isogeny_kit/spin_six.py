@@ -146,11 +146,8 @@ def dim5_stabilizer(g: BiquatElem, q: AminusVector) -> Optional[QStabElem]:
     """Multiplier t with g Q bar(g) = t Q, or None when FQ is not preserved."""
     if albert_norm(q).is_zero():
         raise IsotropicQ("Q must be anisotropic")
-    w = g * q.embed() * g.bar()
-    if not w.in_minus_space():
-        return None
-    wv = w.to_aminus()
-    t = _proportionality(q, wv)
+    qe = q.embed()
+    t = _multiplier(g * qe * g.bar(), qe)
     if t is None:
         return None
     # Lemma AFQAF2: the multiplier squares to the reduced norm
@@ -159,11 +156,11 @@ def dim5_stabilizer(g: BiquatElem, q: AminusVector) -> Optional[QStabElem]:
     return QStabElem(g, q, t)
 
 
-def _proportionality(q: AminusVector, w: AminusVector) -> Optional[Scalar]:
-    """t with w = t q, or None."""
-    qc, wc = q.coords(), w.coords()
+def _multiplier(w: BiquatElem, q: BiquatElem) -> Optional[Scalar]:
+    """t in F with w = t q (q nonzero), or None.  Compared on the
+    F-coordinates, so over A_E a multiplier outside F gives None."""
     t = None
-    for a, b in zip(qc, wc):
+    for a, b in zip(q.field_coords(), w.field_coords()):
         if a.is_zero():
             if not b.is_zero():
                 return None
@@ -173,9 +170,14 @@ def _proportionality(q: AminusVector, w: AminusVector) -> Optional[Scalar]:
                 t = cand
             elif t != cand:
                 return None
-    if t is None:
-        return None
     return t
+
+
+def _scalar(z) -> Scalar:
+    """An E-value that lies in F, as a Scalar of F."""
+    if not z.is_scalar():
+        raise ValueError("E-value is not F-rational")
+    return z.scalar_part()
 
 
 def perp_basis_of_q(albert: QuadSpace, q_coords) -> List[List[Scalar]]:
@@ -209,17 +211,14 @@ class TwistedSpace:
         self.Q = q
         field = algebra.ring
         self.field = field
-        be = QuatAlg(e, e.from_scalar(algebra.B.alpha), e.from_scalar(algebra.B.beta))
-        ce = QuatAlg(e, e.from_scalar(algebra.C.alpha), e.from_scalar(algebra.C.beta))
-        self.AE = BiquatAlg(be, ce)
-        self.QE = self.embed_base(q.embed())
-        self.QE_vec = self.QE.to_aminus()
+        self.AE = algebra.over(e)
+        self.QE = q.embed().over(self.AE)
         self.q_norm = albert_norm(q)
         # basis: orthogonal-complement vectors of Q in A^- over F, then h*Q
         albert = algebra.albert_space()
         perp = perp_basis_of_q(albert, q.coords())
         h = e.gen0()
-        basis = [self.embed_base(algebra.aminus_of(v).embed()) for v in perp]
+        basis = [algebra.aminus_of(v).embed().over(self.AE) for v in perp]
         basis.append(self.QE.scale(h))
         self.basis = basis
         gram = []
@@ -227,39 +226,20 @@ class TwistedSpace:
             row = []
             for v in basis:
                 pr = albert_pair(u.to_aminus(), v.to_aminus())
-                row.append(self._scalar(pr))
+                row.append(_scalar(pr))
             gram.append(row)
         self.space = QuadSpace(field, Mat(field, gram))
         # coordinate solver: 32 F-coordinates per A_E element
-        cols = [self._flatten(b) for b in basis]
+        cols = [b.field_coords() for b in basis]
         self._solve_mat = Mat(field, [[cols[j][i] for j in range(6)]
                                       for i in range(32)])
 
-    def embed_base(self, x: BiquatElem) -> BiquatElem:
-        """A -> A_E coefficientwise."""
-        return x.map_coeffs(self.E.from_scalar, self.AE)
-
-    def rho(self, x: BiquatElem) -> BiquatElem:
-        return x.map_coeffs(lambda c: c.conj())
-
-    def _scalar(self, z) -> Scalar:
-        if not z.is_scalar():
-            raise ValueError("E-value is not F-rational")
-        return z.scalar_part()
-
-    def _flatten(self, x: BiquatElem) -> List[Scalar]:
-        out = []
-        for c in x.c:
-            a, b = c.coords()
-            out.extend((a, b))
-        return out
-
     def contains(self, u: BiquatElem) -> bool:
         """Membership: u in A_E^- and u^rho = -Q theta(u) Q / |Q|^2."""
-        return u.in_minus_space() and self.rho(u) == self.qtheta_map(u)
+        return u.in_minus_space() and u.rho() == self.qtheta_map(u)
 
     def to_vec(self, u: BiquatElem) -> List[Scalar]:
-        sol = self._solve_mat.solve(self._flatten(u))
+        sol = self._solve_mat.solve(u.field_coords())
         if sol is None:
             raise ValueError("element is not in the twisted space")
         return sol
@@ -267,17 +247,21 @@ class TwistedSpace:
     def from_vec(self, v) -> BiquatElem:
         acc = self.AE.zero()
         for c, b in zip(v, self.basis):
-            acc = acc + b.scale(self.E.from_scalar(c))
+            acc = acc + b.scale(c)
         return acc
 
     def vnorm_of(self, u: BiquatElem) -> Scalar:
-        return self._scalar(albert_norm(u.to_aminus()))
+        return _scalar(albert_norm(u.to_aminus()))
 
     def qtheta_map(self, u: BiquatElem) -> BiquatElem:
         """u -> -Q theta(u) Q / |Q|^2; acts on the twisted space as rho."""
         uv = u.to_aminus()
-        return -(self.QE * theta(uv).embed() * self.QE).scale(
-            self.AE.ring.from_scalar(self.q_norm.inverse()))
+        return -(self.QE * theta(uv).embed() * self.QE).scale(self.q_norm.inverse())
+
+    def multiplier(self, g: BiquatElem) -> Optional[Scalar]:
+        """t in F with g Q bar(g)^rho = t Q, or None; g need not be
+        invertible (g = 0 gives 0)."""
+        return _multiplier(g * self.QE * g.bar().rho(), self.QE)
 
 
 class RhoQGroupElem:
@@ -293,8 +277,7 @@ class RhoQGroupElem:
 
     def act_on(self, u: BiquatElem) -> BiquatElem:
         """u -> g u bar(g) / t; preserves the twisted space."""
-        e_t = self.ts.E.from_scalar(self.t)
-        return (self.g * u * self.g.bar()).scale(e_t.inverse())
+        return (self.g * u * self.g.bar()).scale(self.t.inverse())
 
     def act_isometry(self) -> Isometry:
         return isometry_of_map(self.ts.space, self.act_on, self.ts.to_vec, self.ts.from_vec)
@@ -305,17 +288,8 @@ class RhoQGroupElem:
 
 def rhoQ_membership(ts: TwistedSpace, g: BiquatElem) -> Optional[RhoQGroupElem]:
     """Test g Q bar(g)^rho = t Q (t in F^x) and N(g) = t^2."""
-    w = g * ts.QE * ts.rho(g.bar())
-    if not w.in_minus_space():
-        return None
-    t_e = _proportionality(ts.QE_vec, w.to_aminus())
-    if t_e is None or not t_e.is_scalar():
-        return None
-    t = t_e.scalar_part()
-    if t.is_zero():
-        return None
-    n = reduced_norm_A(g)
-    if n != ts.E.from_scalar(t * t):
+    t = ts.multiplier(g)
+    if t is None or t.is_zero() or reduced_norm_A(g) != t * t:
         return None
     return RhoQGroupElem(g, t, ts)
 
@@ -337,7 +311,7 @@ def ref6gen_lift(ts: TwistedSpace, g: BiquatElem):
     ghq = g.scale(h) * q_inv
     member = rhoQ_membership(ts, ghq)
     if member is None:
-        raise ValueError("g h Q^-1 failed the similitude test")
+        raise InvariantViolated("g h Q^-1 failed the similitude test")
 
     def refl(u: BiquatElem) -> BiquatElem:
         return member.act_on(ts.qtheta_map(u))

@@ -868,7 +868,7 @@ def suite_Qtheta(rec, rng, config):
         u1 = random_aminus_aniso(ts.A, rng)
         u2 = random_aminus_aniso(ts.A, rng)
         x = spin_six.pair_lift(u1, u2)
-        xe = spin_six.CoveredElem(ts.embed_base(x.g), ts.E.from_scalar(x.t),
+        xe = spin_six.CoveredElem(x.g.over(ts.AE), ts.E.from_scalar(x.t),
                                   check=False)
         y = spin_six.qtheta_cover_conj(ts, xe)
         z = spin_six.qtheta_cover_conj(ts, y)
@@ -895,7 +895,7 @@ def suite_sp6gen(rec, rng, config):
         rec.check(ts.contains(u + w), "twisted-linear")
         # rho acts as the reflection in hQ
         refl = reflect(ts.space, ts.to_vec(ts.QE.scale(ts.E.gen0())))
-        rec.check(ts.to_vec(ts.rho(u)) == refl.apply(ts.to_vec(u)),
+        rec.check(ts.to_vec(u.rho()) == refl.apply(ts.to_vec(u)),
                   "rho-is-reflection-in-hQ")
 
 
@@ -980,11 +980,11 @@ def suite_QthetaQrel(rec, rng, config):
         rec.check(ts_tilde.contains(algebras.theta(vv).embed()), "part-i")
         rec.check(ts_tilde.contains(ts.QE.inverse() * v * ts.QE.inverse()),
                   "part-ii")
-        t = spin_eight.similitude_multiplier(ts, v * ts.QE.inverse())
+        t = ts.multiplier(v * ts.QE.inverse())
         rec.check(t == -ts.vnorm_of(v) / ts.q_norm, "part-iii")
         rec.check(ts.contains(algebras.theta(wv).embed()), "part-iv")
         rec.check(ts.contains(ts.QE * w * ts.QE), "part-v")
-        t2 = spin_eight.similitude_multiplier(ts, ts.QE * w)
+        t2 = ts.multiplier(ts.QE * w)
         rec.check(t2 == -ts.q_norm * ts_tilde.vnorm_of(w), "part-vi")
         mult = spin_eight.one_plus_eta_omega_multiplier(ts, v, w)
         rec.check(mult is not None
@@ -1011,7 +1011,7 @@ def suite_Qhatpsi(rec, rng, config):
         coords = field_elems(field, rng, 8)
         v8 = tw8.from_coords(coords)
         img = spin_eight.act8(qh, v8.hat_psi())
-        want_u = ts.rho(v8.u.embed())
+        want_u = v8.u.embed().rho()
         rec.check(img.u.embed() == want_u and img.p == v8.p and img.q == v8.q,
                   "Qhatpsi-acts-as-rho", v=coords)
 

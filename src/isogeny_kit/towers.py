@@ -333,6 +333,31 @@ class TableElem:
     def map_coeffs(self, f, algebra: Optional["TableAlgebra"] = None):
         return type(self)(algebra or self.algebra, [f(a) for a in self.c])
 
+    def rho(self):
+        """The Galois action g -> -g of E: E's conjugation on E itself and
+        coefficientwise over E, the odd F-coordinates negated on the ints.
+        TypeError on an algebra over F_p or Q."""
+        algebra = self.algebra
+        if not (algebra.coefficient_ring or algebra._restriction().r == 2):
+            raise TypeError("rho acts on E and on algebras over E, not on %r"
+                            % (algebra,))
+        v, d = self._ints()
+        return self._of(algebra, [-a if i & 1 else a for i, a in enumerate(v)], d)
+
+    def over(self, algebra: "TableAlgebra"):
+        """This element of an algebra A over F in `algebra` = A_E, its base
+        change to an etale E (`QuatAlg.over`): each coefficient c becomes
+        c + 0 g, zeros interleaved into the ints."""
+        v, d = self._ints()
+        out = [0] * (2 * len(v))
+        out[::2] = v
+        return algebra.Elem._of(algebra, out, d)
+
+    def field_coords(self):
+        """The F-coordinates as Scalars: the coefficients over F, and over E
+        the (1, g) coordinates of each coefficient."""
+        return self.algebra._restriction().scalars(*self._ints())
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -1,12 +1,20 @@
 """Quadratic spaces: diagonalization, isotropy, Witt decomposition,
 reflections, Cartan-Dieudonne, spinor norm."""
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isogeny_kit.errors import DimensionMismatch, IsotropicMirror, NoIsotropicVector
+from isogeny_kit import quadforms
+from isogeny_kit.errors import (
+    DimensionMismatch,
+    InvariantViolated,
+    IsotropicMirror,
+    NoIsotropicVector,
+)
 from isogeny_kit.exactfield import GF, QQ, SquareClass, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
@@ -25,6 +33,8 @@ from isogeny_kit.quadforms import (
     split_hyperbolic,
     witt_decompose,
 )
+
+from tests_helpers import run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
@@ -104,6 +114,44 @@ def test_find_isotropic():
     assert v is not None and s.vnorm(v).is_zero()
     # derived check by enumeration: (1,1,1) is one witness
     assert s.vnorm([F3(1), F3(1), F3(1)]).is_zero()
+
+
+def isotropic_by_search(space):
+    """The exhaustive dim-2 search over F_p: the first (a, b) in diagonal
+    coordinates with d0 a^2 + d1 b^2 = 0, mapped back, or None."""
+    p_mat, (d0, d1) = diagonalize(space)
+    f = space.field
+    for a, b in itertools.product(range(f.p), repeat=2):
+        if (a or b) and (d0.value * a * a + d1.value * b * b) % f.p == 0:
+            return p_mat.apply([f(a), f(b)])
+    return None
+
+
+def test_dim2_isotropy_matches_exhaustive_search():
+    for p in (3, 5, 7, 11, 13):
+        f = GF(p)
+        for a, b, c in itertools.product(range(p), repeat=3):
+            if (a * c - b * b) % p:
+                s = QuadSpace(f, [[a, b], [b, c]])
+                assert find_isotropic(s) == isotropic_by_search(s)
+    # over Q: isotropic exactly when -det is a square
+    rng = random.Random(14)
+    for _ in range(400):
+        a, b, c = (rng.randint(-9, 9) for _ in range(3))
+        if a * c == b * b:
+            continue
+        s = QuadSpace(QQ, [[a, b], [b, c]])
+        v = find_isotropic(s)
+        root = math.isqrt(max(b * b - a * c, 0))
+        assert (v is not None) == (root * root == b * b - a * c)
+        assert v is None or (any(not x.is_zero() for x in v) and s.vnorm(v).is_zero())
+
+
+def test_dim2_isotropy_over_q_needs_no_factoring():
+    # 1470600058489 = 1212683^2, a prime square past the trial-division bound
+    s = QuadSpace.diagonal(QQ, [1, -1470600058489])
+    assert find_isotropic(s) == [QQ(1212683), QQ(1)]
+    assert witt_decompose(s)[0] == 1
 
 
 def test_split_hyperbolic():
@@ -221,6 +269,31 @@ def test_cartan_dieudonne_examples():
     mirrors = cartan_dieudonne(minus)
     assert len(mirrors) == 2
     assert compose_reflections(s, mirrors) == minus
+
+
+def test_cartan_dieudonne_short_of_identity_is_a_named_error(monkeypatch):
+    """A mirror update that changes nothing leaves the sweep short of the
+    identity: InvariantViolated, also under python -O."""
+    s = QuadSpace.diagonal(F5, [1, 2, 3])
+    t = random_isometry(s, random.Random(2), special=True)
+    monkeypatch.setattr(quadforms, "_reflect_matrix_left", lambda space, v, m: m)
+    with pytest.raises(InvariantViolated, match="reach identity"):
+        cartan_dieudonne(t)
+    out = run_optimized("""
+        import random
+        from isogeny_kit import quadforms
+        from isogeny_kit.errors import InvariantViolated
+        from isogeny_kit.exactfield import GF
+        assert False, "asserts are live"
+        s = quadforms.QuadSpace.diagonal(GF(5), [1, 2, 3])
+        t = quadforms.random_isometry(s, random.Random(2), special=True)
+        quadforms._reflect_matrix_left = lambda space, v, m: m
+        try:
+            quadforms.cartan_dieudonne(t)
+        except InvariantViolated as exc:
+            print("raised", exc)
+        """)
+    assert out == "raised factorization failed to reach identity\n"
 
 
 def test_cdt_random_all_dims():

@@ -1,11 +1,7 @@
 """Dimensions 7 and 8: GSp membership, the generic form, phi and psi, the
 action on A^- + H, stabilizers, triality, and the rho-twisted groups."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
@@ -63,13 +59,13 @@ from isogeny_kit.spin_eight import (
     ref8igen_apply,
     ref8igen_lift,
     reduced_norm_M2A,
-    similitude_multiplier,
     one_plus_eta_omega_multiplier,
     triality_kernels,
     vec8_from_coords,
     vec8_space,
     _norm8_split_oracle,
 )
+from tests_helpers import run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
@@ -229,18 +225,6 @@ def test_mutation_shift_check_on_is_zero(monkeypatch):
     monkeypatch.setattr(spin_eight, "_is_unit", lambda n: not n.is_zero())
     with pytest.raises(NonInvertible):
         gsp_decompose(member)
-
-
-def run_optimized(code):
-    """Run `code` under `python -O` with this directory and the library on
-    the path; returns its standard output."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spin_eight.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
-    out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 def test_shift_check_mutant_survives_assert_stripping():
@@ -996,7 +980,7 @@ def test_qhatpsi_properties():
         coords = [F5(rng.randrange(5)) for _ in range(8)]
         v8 = tw8.from_coords(coords)
         img = act8(qh, v8.hat_psi())
-        assert img.u.embed() == ts.rho(v8.u.embed())
+        assert img.u.embed() == v8.u.embed().rho()
         assert img.p == v8.p and img.q == v8.q
 
 
@@ -1027,11 +1011,11 @@ def test_qthetaqrel_and_combination():
         vv, wv = v.to_aminus(), w.to_aminus()
         assert ts_tilde.contains(theta(vv).embed())                     # (i)
         assert ts_tilde.contains(ts.QE.inverse() * v * ts.QE.inverse())  # (ii)
-        assert similitude_multiplier(ts, v * ts.QE.inverse()) \
+        assert ts.multiplier(v * ts.QE.inverse()) \
             == -ts.vnorm_of(v) / ts.q_norm                               # (iii)
         assert ts.contains(theta(wv).embed())                            # (iv)
         assert ts.contains(ts.QE * w * ts.QE)                            # (v)
-        assert similitude_multiplier(ts, ts.QE * w) \
+        assert ts.multiplier(ts.QE * w) \
             == -ts.q_norm * ts_tilde.vnorm_of(w)                         # (vi)
         mult = one_plus_eta_omega_multiplier(ts, v, w)
         assert mult is not None and ts.E.from_scalar(mult) == D(vv, wv)

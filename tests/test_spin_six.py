@@ -5,13 +5,19 @@ import random
 
 import pytest
 
+from isogeny_kit import spin_six
 from isogeny_kit.algebras import (
     BiquatAlg,
     EtaleQuad,
     QuatAlg,
     albert_norm,
 )
-from isogeny_kit.errors import CoverInvariantViolated, IsotropicMirror, IsotropicQ
+from isogeny_kit.errors import (
+    CoverInvariantViolated,
+    InvariantViolated,
+    IsotropicMirror,
+    IsotropicQ,
+)
 from isogeny_kit.exactfield import GF, QQ, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
@@ -39,6 +45,7 @@ from isogeny_kit.spin_six import (
     rhoQ_membership,
 )
 from isogeny_kit.spin_low import isometry_from_images
+from tests_helpers import run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
@@ -371,6 +378,30 @@ def test_ref6gen_examples():
     pr = ts.space.pairing(ts.to_vec(u), coords)
     uperp = u - g.scale(ts.E.from_scalar(pr / ts.vnorm_of(g)))
     assert refl(uperp) == uperp
+
+
+def test_ref6gen_similitude_failure_is_a_named_error(monkeypatch):
+    """With rhoQ_membership rejecting every element, ref6gen_lift raises
+    InvariantViolated, also under python -O."""
+    ts = make_twisted(F5)
+    g = next(b for b in ts.basis if not ts.vnorm_of(b).is_zero())
+    monkeypatch.setattr(spin_six, "rhoQ_membership", lambda ts, g: None)
+    with pytest.raises(InvariantViolated, match="similitude test"):
+        ref6gen_lift(ts, g)
+    out = run_optimized("""
+        import test_spin_six as t
+        from isogeny_kit import spin_six
+        from isogeny_kit.errors import InvariantViolated
+        assert False, "asserts are live"
+        ts = t.make_twisted(t.F5)
+        g = next(b for b in ts.basis if not ts.vnorm_of(b).is_zero())
+        spin_six.rhoQ_membership = lambda ts, g: None
+        try:
+            spin_six.ref6gen_lift(ts, g)
+        except InvariantViolated as exc:
+            print("raised", exc)
+        """)
+    assert out == "raised g h Q^-1 failed the similitude test\n"
 
 
 def test_qtheta_cover_conj():

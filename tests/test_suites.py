@@ -16,6 +16,8 @@ from isogeny_kit.algebras import AminusVector
 from isogeny_kit.errors import InvariantViolated, UnknownSuite
 from isogeny_kit.spin_low import Dim2Model, Dim3Model, Dim4Model
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
+from isogeny_kit.towers import TableElem
+from tests_helpers import run_optimized
 
 FAST_CONFIG = RunConfig.from_args("p=3", seed=11, trials=8)
 
@@ -262,6 +264,42 @@ def test_reflection_suite_catches_its_mutant(kind, monkeypatch):
     REFLECTION_MUTANTS[kind](monkeypatch.setattr)
     res = run_suite(kind, MUTANT_CONFIG)
     assert res.failures and {f["case"] for f in res.failures} == {kind}
+
+
+def rho_even_negated(self):
+    """TableElem.rho negating the even F-coordinates instead of the odd."""
+    v, d = self._ints()
+    return self._of(self.algebra, [a if i & 1 else -a for i, a in enumerate(v)], d)
+
+
+# mutants of the Galois action rho on the table core, and the suites of the
+# rho-twisted spaces that must record failures under each
+RHO_MUTANTS = {"identity": lambda self: self, "even-negated": rho_even_negated}
+RHO_SUITES = ("GSprhoQst", "Qhatpsi", "QthetaQrel", "sp6gen")
+
+
+@pytest.mark.parametrize("mutant", sorted(RHO_MUTANTS))
+def test_twisted_suites_catch_rho_mutants(mutant, monkeypatch):
+    monkeypatch.setattr(TableElem, "rho", RHO_MUTANTS[mutant])
+    for name in RHO_SUITES:
+        assert run_suite(name, MUTANT_CONFIG).failures, name
+
+
+def test_rho_mutants_survive_assert_stripping():
+    out = run_optimized("""
+        import test_suites as t
+        from isogeny_kit.suites import run_suite
+        from isogeny_kit.towers import TableElem
+        assert False, "asserts are live"
+        real = TableElem.rho
+        for mutant, rho in sorted(t.RHO_MUTANTS.items()):
+            TableElem.rho = rho
+            for name in t.RHO_SUITES:
+                print(mutant, name, bool(run_suite(name, t.MUTANT_CONFIG).failures))
+        TableElem.rho = real
+        """)
+    assert out.splitlines() == ["%s %s True" % (mutant, name)
+                                for mutant in sorted(RHO_MUTANTS) for name in RHO_SUITES]
 
 
 def test_reflection_mutants_survive_assert_stripping():

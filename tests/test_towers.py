@@ -597,3 +597,98 @@ def test_zero_and_scalar_tests_are_coefficientwise(alg, data):
     for z in (x, y, x * y, x - x, x + y - y, x.bar() + x):
         assert z.is_zero() == all(a.is_zero() for a in z.c)
         assert z.is_scalar() == all(a.is_zero() for a in z.c[1:])
+
+
+# ---------------------------------------------------------------------------
+# the rho-twist on the table core: rho on the ints against the
+# coefficientwise conjugation, base change to E, F-scalars over E and the
+# twisted multiplier (hypothesis drives the operands)
+# ---------------------------------------------------------------------------
+
+def base_changes():
+    """(A over F, E): over F_5 with the non-split E = F_5(sqrt 2), over Q
+    with E = Q(sqrt(-2/3)) and non-integral symbols, and over F_7 with the
+    split E = F_7 x F_7."""
+    out = []
+    for field, d, s1, s2 in ((F5, 2, (2, -1), (1, 2)),
+                             (QQ, M2_3, (HALF, M3_5), (M2_3, P5_4)),
+                             (F7, None, (3, 5), (6, 3))):
+        b = QuatAlg(field, *s1)
+        out += [(b, EtaleQuad(field, d)), (BiquatAlg(b, QuatAlg(field, *s2)),
+                                           EtaleQuad(field, d))]
+    return out
+
+
+BASE_CHANGES = base_changes()
+BASE_CHANGE_IDS = ["%s/%s" % (type(a).__name__, e) for a, e in BASE_CHANGES]
+
+
+@pytest.mark.parametrize("alg,e", BASE_CHANGES, ids=BASE_CHANGE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_rho_is_an_involutive_automorphism(alg, e, data):
+    ae = alg.over(e)
+    x = data.draw(table_operand(ae), label="x")
+    y = data.draw(table_operand(ae), label="y")
+    rx = x.rho()
+    oracle = x.map_coeffs(lambda c: c.conj())
+    assert rx == oracle and rx.c == oracle.c
+    assert rx.rho() == x
+    assert (x * y).rho() == rx * y.rho()
+    assert (x + y).rho() == rx + y.rho()
+    assert ae.one().rho() == ae.one()
+    z = e_scalar(data.draw, ae)
+    assert z.rho() == z.conj()
+    u = data.draw(table_operand(alg), label="u")
+    with pytest.raises(TypeError, match="not on"):
+        u.rho()
+
+
+@pytest.mark.parametrize("alg,e", BASE_CHANGES, ids=BASE_CHANGE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_over_is_the_coefficientwise_base_change(alg, e, data):
+    ae = alg.over(e)
+    assert ae.ring == e and ae.dim == alg.dim
+    x = data.draw(table_operand(alg), label="x")
+    y = data.draw(table_operand(alg), label="y")
+    xe = x.over(ae)
+    oracle = x.map_coeffs(e.from_scalar, ae)
+    assert xe == oracle and xe.c == oracle.c
+    assert (x * y).over(ae) == xe * y.over(ae)
+    assert xe.rho() == xe
+    w = data.draw(table_operand(ae), label="w")
+    s = e.field(data.draw(coordinate(e.field), label="s"))
+    assert w.scale(s) == w.scale(e.from_scalar(s))
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_space(alg, e):
+    from isogeny_kit.spin_six import TwistedSpace
+    # every Albert coordinate nonzero, so that w = t Q compares six ratios
+    return TwistedSpace(alg, e, alg.aminus([1, 1, 1], [1, 1, 1]))
+
+
+@pytest.mark.parametrize("alg,e", [c for c in BASE_CHANGES if c[0].dim == 16],
+                         ids=[i for i, c in zip(BASE_CHANGE_IDS, BASE_CHANGES)
+                              if c[0].dim == 16])
+@PROPERTY
+@given(data=st.data())
+def test_twisted_multiplier(alg, e, data):
+    ts = twisted_space(alg, e)
+    ae = ts.AE
+    assert ts.multiplier(ae.zero()) == e.field(0)
+    c = e.field(data.draw(coordinate(e.field), label="c"))
+    assert ts.multiplier(ae.from_scalar(c)) == c * c
+    # g over E, and g from A (whose w = g Q bar(g) lies in A^-)
+    for g in (data.draw(table_operand(ae), label="g"),
+              data.draw(table_operand(alg), label="x").over(ae)):
+        w = g * ts.QE * g.bar().rho()
+        t = ts.multiplier(g)
+        if not w.in_minus_space():
+            assert t is None
+        assert t is None or w == ts.QE.scale(t)
+    # 1 + g-coordinate on b_1 (x) 1 sends Q off A^-
+    off = ae.one() + ae.basis_elem(1, 0).scale(e.gen0())
+    assert not (off * ts.QE * off.bar().rho()).in_minus_space()
+    assert ts.multiplier(off) is None

@@ -1,5 +1,12 @@
-"""Shared sample builders and oracles for the test modules."""
+"""Shared sample builders and oracles for the test modules, and a runner
+for checks that must hold under `python -O`."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
+import isogeny_kit
 from isogeny_kit.exactfield import is_square, sqrt_exact
 from isogeny_kit.algebras import QuatElem, reduced_norm_A
 from isogeny_kit.spin_eight import CoveredGSpElem, GenForm, cover_identity, cover_mul
@@ -75,3 +82,15 @@ def reduced_norm_A_poly(x):
         - two * eta * eps * (al.bar() * be * de.bar() * ga).trace()
         + two * eta * eps * (al.bar() * ga * de.bar() * be).trace()
     )
+
+
+def run_optimized(code):
+    """Run `code` under `python -O` with the tests directory and the library
+    on the path; returns its standard output."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_kit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
+    out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
