@@ -17,7 +17,10 @@ split-embedding norm oracles use matrices over multi-quadratic towers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (
@@ -155,6 +158,9 @@ _BAR_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in _BAR_SIGNS)
 # the symplectic tau = iota_B (x) (Int(i) o iota_C), and s -> 2 s_0 - s
 _TAU_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in (1, -1, 1, 1))
 _ADJ_SIGNS16 = (1,) + (-1,) * 15
+# the coefficients of A^- = B_0 (x) 1 + 1 (x) C_0: x at b_s (x) 1 (s = 1, 2,
+# 3), then y at 1 (x) c_t (t = 1, 2, 3)
+_AMINUS_INDEX = (4, 8, 12, 1, 2, 3)
 
 
 class QuatElem(TableElem):
@@ -446,11 +452,17 @@ class BiquatElem(TableElem):
         return not any(v[i] for i in range(len(v)) if _BAR_SIGNS16[i // r] == 1)
 
     def to_aminus(self) -> "AminusVector":
+        """The A^- vector with x = the b_s (x) 1 and y = the 1 (x) c_t
+        coefficients, read off the six of them on the ints."""
         if not self.in_minus_space():
             raise ValueError("element is not in A^-")
-        x = [self.c[4 * s + 0] for s in (1, 2, 3)]
-        y = [self.c[0 + t] for t in (1, 2, 3)]
-        return AminusVector(self.algebra, x, y)
+        algebra = self.algebra
+        res = algebra._restriction()
+        v, d = self._ints()
+        r = res.r
+        six = [v[r * i + a] for i in _AMINUS_INDEX for a in range(r)]
+        c = res.coeffs(algebra.ring, six, d)
+        return AminusVector(algebra, c[:3], c[3:])
 
     def __repr__(self):
         names = []
@@ -471,6 +483,8 @@ class BiquatAlg(TableAlgebra):
 
     Elem = BiquatElem
     dim = 16
+    # spin_eight's shear vectors, built on first use (`_shear_candidates`)
+    _shears = None
 
     def __init__(self, b: QuatAlg, c: QuatAlg):
         if b.ring != c.ring:
@@ -538,12 +552,16 @@ class AminusVector:
         self.y = list(y)
 
     def embed(self) -> BiquatElem:
-        coords = [self.algebra.ring.zero()] * 16
-        for idx, v in zip((4, 8, 12), self.x):
-            coords[idx] = v
-        for idx, v in zip((1, 2, 3), self.y):
-            coords[idx] = v
-        return BiquatElem(self.algebra, coords)
+        """x at the b_s (x) 1 and y at the 1 (x) c_t coefficients, placed
+        on the ints."""
+        algebra = self.algebra
+        res = algebra._restriction()
+        r = res.r
+        six, d = res.unwrap(self.x + self.y)
+        v = [0] * (16 * r)
+        for k, i in enumerate(_AMINUS_INDEX):
+            v[r * i:r * i + r] = six[r * k:r * k + r]
+        return BiquatElem._of(algebra, v, d)
 
     def coords(self):
         return self.x + self.y
@@ -605,11 +623,22 @@ def albert_norm(u: AminusVector):
 
 
 def albert_pair(u: AminusVector, v: AminusVector):
-    """<u, v> = sum of d_i u_i v_i over the Albert diagonal d."""
+    """<u, v> = sum of d_i u_i v_i over the Albert diagonal d.  Over F_p
+    and Q it runs on the bare values and makes one Scalar: over Q one int
+    numerator over the product of the denominators."""
     u._check(v)
-    d, x, y, xv, yv = u.algebra.albert_diag, u.x, u.y, v.x, v.y
-    return (d[0] * x[0] * xv[0] + d[1] * x[1] * xv[1] + d[2] * x[2] * xv[2]
-            + d[3] * y[0] * yv[0] + d[4] * y[1] * yv[1] + d[5] * y[2] * yv[2])
+    ring = u.algebra.ring
+    terms = zip(u.algebra.albert_diag, u.x + u.y, v.x + v.y)
+    if not isinstance(ring, FieldDesc):
+        return functools.reduce(operator.add, (a * b * c for a, b, c in terms))
+    if ring.p:
+        return Scalar(ring, sum(a.value * b.value * c.value for a, b, c in terms) % ring.p)
+    num, den = 0, 1
+    for a, b, c in terms:
+        a, b, c = a.value, b.value, c.value
+        k = a.denominator * b.denominator * c.denominator
+        num, den = num * k + a.numerator * b.numerator * c.numerator * den, den * k
+    return Scalar(ring, Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

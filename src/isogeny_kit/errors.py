@@ -101,5 +101,5 @@ class UnknownSuite(IsogenyKitError):
     pass
 
 
-class ParseError(IsogenyKitError):
-    pass
+class ParseError(IsogenyKitError, ValueError):
+    """Malformed input: a field spec, JSON or argument the CLI cannot read."""

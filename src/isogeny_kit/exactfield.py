@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DivisionByZero, FieldMismatch, ZeroArgument
+from .errors import DivisionByZero, FieldMismatch, ParseError, ZeroArgument
 
 # Trial division bound for squarefree-part extraction over Q.  The
 # library only needs desk-scale numerators; anything bigger fails loudly.
@@ -47,7 +47,7 @@ def _is_prime(n: int) -> bool:
 class FieldDesc:
     """Descriptor of the base field: an odd prime field or Q."""
 
-    __slots__ = ("p", "_nonresidue")
+    __slots__ = ("p", "_nonresidue", "_zero", "_one")
 
     def __init__(self, p: Optional[int] = None):
         if p is not None:
@@ -59,6 +59,9 @@ class FieldDesc:
                 raise ValueError("%d is not prime" % p)
         self.p = p
         self._nonresidue: Optional[int] = None
+        # Scalars are immutable, so one zero and one one serve every caller
+        self._zero = Scalar(self, 0 if p else Fraction(0))
+        self._one = Scalar(self, 1 if p else Fraction(1))
 
     @property
     def is_rational(self) -> bool:
@@ -76,10 +79,10 @@ class FieldDesc:
     # -- ring-descriptor interface (shared with EtaleQuad / QuadTower) --
 
     def zero(self) -> "Scalar":
-        return self(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self(1)
+        return self._one
 
     def from_scalar(self, s: "Scalar") -> "Scalar":
         if s.field != self:
@@ -87,7 +90,13 @@ class FieldDesc:
         return s
 
     def __call__(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or 'a/b' string into a Scalar."""
+        """Coerce an int, Fraction, or 'a/b' string into a Scalar; a Scalar
+        of this field comes back unchanged."""
+        kind = type(value)
+        if kind is Scalar and value.field is self:
+            return value
+        if kind is int:
+            return Scalar(self, value % self.p if self.p else Fraction(value))
         if isinstance(value, Scalar):
             return self.from_scalar(value)
         if self.p is not None:
@@ -121,13 +130,6 @@ class FieldDesc:
                     self._nonresidue = r
                     break
         return Scalar(self, self._nonresidue)
-
-
-QQ = FieldDesc()
-
-
-def GF(p: int) -> FieldDesc:
-    return FieldDesc(p)
 
 
 class Scalar:
@@ -241,19 +243,30 @@ class Scalar:
         return {"field": "Q", "value": str(self.value)}
 
 
+QQ = FieldDesc()
+
+
+def GF(p: int) -> FieldDesc:
+    return FieldDesc(p)
+
+
 def scalar_from_json(obj) -> Scalar:
     field = parse_field(obj["field"])
     return field(obj["value"])
 
 
 def parse_field(spec: str) -> FieldDesc:
-    """Parse a field spec of the form 'p=N' or 'Q'."""
+    """Parse a field spec of the form 'p=N' (N an odd prime) or 'Q';
+    ParseError on anything else."""
     spec = spec.strip()
     if spec in ("Q", "q"):
         return QQ
     if spec.startswith("p="):
-        return FieldDesc(int(spec[2:]))
-    raise ValueError("bad field spec %r (expected 'p=N' or 'Q')" % spec)
+        try:
+            return FieldDesc(int(spec[2:]))
+        except ValueError as ex:
+            raise ParseError("bad field spec %r: %s" % (spec, ex)) from None
+    raise ParseError("bad field spec %r (expected 'p=N' or 'Q')" % spec)
 
 
 def _ints_over_lcm(values):

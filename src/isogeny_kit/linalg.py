@@ -12,6 +12,7 @@ zero divisors, use the division-free Berkowitz algorithm.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
 from .exactfield import FieldDesc, Scalar, _ints_over_lcm
@@ -51,6 +52,8 @@ class Mat:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("%dx%d times %dx%d"
                                         % (self.nrows, self.ncols, other.nrows, other.ncols))
+            if isinstance(self.ring, FieldDesc) and other.ring == self.ring:
+                return self._field_product(other)
             out = []
             for i in range(self.nrows):
                 row = []
@@ -63,6 +66,21 @@ class Mat:
             return Mat(self.ring, out)
         # scalar
         return Mat(self.ring, [[e * other for e in r] for r in self.rows])
+
+    def _field_product(self, other):
+        """self * other over F_p or Q on bare values, one Scalar per entry:
+        over Q each row of self and column of other as ints over one
+        denominator, so an entry is one int dot product."""
+        ring = self.ring
+        rows, p = self._values()
+        cols = [list(c) for c in zip(*other._values()[0])]
+        if p:
+            out = [[Scalar(ring, sum(map(mul, r, c)) % p) for c in cols] for r in rows]
+        else:
+            cols = [_ints_over_lcm(c) for c in cols]
+            out = [[Scalar(ring, Fraction(sum(map(mul, r, c)), dr * dc)) for c, dc in cols]
+                   for r, dr in map(_ints_over_lcm, rows)]
+        return Mat(ring, out)
 
     def __add__(self, other):
         return Mat(self.ring, [[a + b for a, b in zip(r, s)]

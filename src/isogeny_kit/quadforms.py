@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -21,7 +22,14 @@ from .errors import (
     NoIsotropicVector,
     SearchBudgetExceeded,
 )
-from .exactfield import FieldDesc, Scalar, SquareClass, sqrt_exact, square_class
+from .exactfield import (
+    FieldDesc,
+    Scalar,
+    SquareClass,
+    _ints_over_lcm,
+    sqrt_exact,
+    square_class,
+)
 from .linalg import Mat, independent_subset, row_reduce
 
 
@@ -112,8 +120,29 @@ class Isometry:
             raise ValueError("matrix does not preserve the form")
 
     def is_valid(self) -> bool:
-        g = self.space.gram
-        return self.matrix.T * g * self.matrix == g
+        """T^t G T == G.  For a diagonal G over F_p or Q, on bare values:
+        sum_k d_k T_ki T_kj for i <= j, each column of T as ints over one
+        denominator (and d over one more)."""
+        space, t = self.space, self.matrix
+        n, field = space.dim, space.field
+        if space.diag is None or t.ring != field or t.nrows != n or t.ncols != n:
+            return t.T * space.gram * t == space.gram
+        p = field.p
+        cols = [list(c) for c in zip(*t._values()[0])]
+        d = [e.value for e in space.diag]
+        if p:
+            dens = [1] * n
+        else:
+            d, _ = _ints_over_lcm(d)
+            cols, dens = zip(*map(_ints_over_lcm, cols))
+        for i, ci in enumerate(cols):
+            dci = list(map(mul, d, ci))
+            for j in range(i, n):
+                # G_ij over the common denominator of the (i, j) sum
+                s = sum(map(mul, dci, cols[j])) - (d[i] * dens[i] ** 2 if i == j else 0)
+                if (s % p if p else s):
+                    return False
+        return True
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         return Isometry(self.space, self.matrix * other.matrix, check=False)

@@ -19,7 +19,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import EtaleQuad
-from .errors import BudgetExceeded, InvariantViolated
+from .errors import BadParameters, BudgetExceeded, InvariantViolated
 from .exactfield import FieldDesc, Scalar, SquareClass, square_class
 from .linalg import Mat, independent_subset, row_reduce
 from .quadforms import (
@@ -370,6 +370,11 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
     """
     if p > 7:
         raise BudgetExceeded("census supports p <= 7")
+    if p not in (3, 5, 7):
+        raise BadParameters("census runs over an odd prime field, not p = %d" % p)
+    top = max(dim for dim, _ in CLASSICAL)
+    if not 1 <= max_dim <= top:
+        raise BadParameters("census covers dimensions 1-%d, not %d" % (top, max_dim))
     field = FieldDesc(p)
     rows = []
     for dim in range(1, max_dim + 1):

@@ -141,7 +141,14 @@ def reduced_norm_M2A(m: M2A):
 
 
 def _shear_candidates(algebra: BiquatAlg):
-    """Deterministic anisotropic shear vectors for the genie search."""
+    """Deterministic anisotropic shear vectors for the genie search, built
+    once per descriptor; callers only read the list."""
+    if algebra._shears is None:
+        algebra._shears = _build_shear_candidates(algebra)
+    return algebra._shears
+
+
+def _build_shear_candidates(algebra: BiquatAlg):
     ring = algebra.ring
     one, zero = ring.one(), ring.zero()
     ws = [
@@ -402,9 +409,12 @@ def phi(g: GSpElem):
 def comp_reparam(gf: GenForm, new_v: AminusVector) -> Tuple[GenForm, object]:
     """Reparametrize to parameter new_v; returns (genform, root_factor).
 
-    root_factor = D(v - new_v, beta) multiplies the cover root.
+    root_factor = D(v - new_v, beta) multiplies the cover root.  At new_v =
+    v that is D(0, beta) = 1 and the form is gf itself.
     """
     algebra = gf.A
+    if new_v == gf.v:
+        return gf, algebra.ring.one()
     w_minus_v = new_v - gf.v
     dd = D(-w_minus_v, gf.beta)  # D(v - w, beta)
     if not _is_unit(dd):

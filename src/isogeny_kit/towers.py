@@ -44,27 +44,31 @@ from .linalg import Mat, back_substitute, row_reduce
 class _Restriction:
     """An algebra of rank n over R in {F_p, Q, E} as an F-algebra of rank
     r n on the basis e_i (x) u_a (index r i + a): r = 1 when R = F, else
-    r = 2 and u = (1, g) is E's own basis over F.  e_I e_J = sum n / den
-    e_T over the (T, n) = tab[I][J] of each of the `layers`, n a nonzero
-    int (a residue over F_p, den = 1); a zero product is None and
-    skipped; `to_unit` lists the (I, J, t, n) with t < r.  E's own products
-    u_a u_b come from E's int table, and `one` holds the unit's F-coordinates.
+    r = 2 and u = (1, g) is E's own basis over F.  `rows[I]` lists the
+    (J, T, n) with e_I e_J = sum n / den e_T, n a nonzero int (a residue
+    over F_p, den = 1), so a zero product is left out; `to_unit` lists the
+    (I, J, t, n) with t < r.  E's own products u_a u_b come from E's int
+    rows, `one` holds the unit's F-coordinates and `p` is F's prime (None
+    over Q).
     """
 
-    __slots__ = ("field", "r", "layers", "den", "one", "to_unit")
+    __slots__ = ("field", "p", "r", "rows", "den", "one", "to_unit")
 
     def __init__(self, algebra: "TableAlgebra"):
         ring = algebra.ring
         if isinstance(ring, FieldDesc):
-            self.field, self.r, units, unit_den = ring, 1, [[(0, 1)]], 1
+            self.field, self.r, units, unit_den = ring, 1, [{0: (0, 1)}], 1
         elif isinstance(ring, TableAlgebra) and ring.coefficient_ring:
             own = ring._restriction()
             self.field, self.r = ring.field, ring.dim
-            (units,), unit_den = own.layers, own.den
+            # E's basis products have one target each
+            units = [{j: (t, n) for j, t, n in row} for row in own.rows]
+            unit_den = own.den
         else:
             raise TypeError("table products run over F_p, Q or an etale "
                             "quadratic algebra, not %r" % (ring,))
         r = self.r
+        self.p = self.field.p
         # (e_i u_a)(e_j u_b) = k e_t u_a u_b with k = sum_g k_g u_g, on ints
         # over kd unit_den^2
         entries = []
@@ -83,17 +87,11 @@ class _Restriction:
                                  v if den == 1 else Fraction(v, den))
                                 for h, v in enumerate(out) if v]
         entries, self.den = self._over_den(entries)
-        # a product with two targets (over a field E, a symbol outside F)
-        # puts the second in a second layer
-        self.layers = []
+        self.rows = [[] for _ in range(r * algebra.dim)]
         for i, j, t, n in entries:
-            tab = next((tab for tab in self.layers if tab[i][j] is None), None)
-            if tab is None:
-                tab = [[None] * (r * algebra.dim) for _ in range(r * algebra.dim)]
-                self.layers.append(tab)
-            tab[i][j] = (t, n)
-        self.to_unit = [(i, j, *e) for tab in self.layers for i, row in enumerate(tab)
-                        for j, e in enumerate(row) if e and e[0] < r]
+            self.rows[i].append((j, t, n))
+        self.to_unit = [(i, *e) for i, row in enumerate(self.rows)
+                        for e in row if e[1] < r]
         self.one = self.unwrap(algebra.one().c)[0]
 
     def _over_den(self, entries):
@@ -115,11 +113,8 @@ class _Restriction:
         return [v * (d // dz) for vs, dz in parts for v in vs], d
 
     def reduce(self, ints, d):
-        """ints / d in canonical form: residues mod p over F_p (d = 1), and
-        over Q a positive d prime to every numerator."""
-        p = self.field.p
-        if p:
-            return [v % p for v in ints], 1
+        """ints / d over Q in canonical form: a positive d prime to every
+        numerator."""
         g = math.gcd(d, *ints)
         return ([v // g for v in ints], d // g) if g > 1 else (ints, d)
 
@@ -140,12 +135,10 @@ class _Restriction:
     def left_rows(self, xs, dx):
         """Left multiplication by xs / dx on the F-coordinates: int rows over d."""
         rows = [[0] * len(xs) for _ in xs]
-        for tab in self.layers:
-            for a, row in zip(xs, tab):
-                if a:
-                    for j, e in enumerate(row):
-                        if e:
-                            rows[e[0]][j] += a * e[1]
+        for a, row in zip(xs, self.rows):
+            if a:
+                for j, t, n in row:
+                    rows[t][j] += a * n
         return rows, dx * self.den
 
 
@@ -174,7 +167,12 @@ class TableElem:
         """The element with F-coordinates v / d (any ints, d > 0)."""
         x = cls.__new__(cls)
         x.algebra = algebra
-        x._v, x._d = algebra._restriction().reduce(v, d)
+        res = algebra._res or algebra._restriction()
+        p = res.p
+        if p:
+            x._v, x._d = [a % p for a in v], 1
+        else:
+            x._v, x._d = res.reduce(v, d)
         x._c = None
         return x
 
@@ -204,38 +202,47 @@ class TableElem:
 
     def _plus(self, other, sign):
         """self + sign * other over the lcm of the denominators."""
-        (xs, dx), (ys, dy) = self._ints(), other._ints()
+        xs, dx = (self._v, self._d) if self._v is not None else self._ints()
+        ys, dy = (other._v, other._d) if other._v is not None else other._ints()
+        if dx == dy:
+            v = ([a + b for a, b in zip(xs, ys)] if sign > 0
+                 else [a - b for a, b in zip(xs, ys)])
+            return self._of(self.algebra, v, dx)
         d = dx * dy // math.gcd(dx, dy)
         fx, fy = d // dx, sign * (d // dy)
         return self._of(self.algebra, [a * fx + b * fy for a, b in zip(xs, ys)], d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not type(self) or other.algebra is not self.algebra:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not type(self) or other.algebra is not self.algebra:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        v, d = self._ints()
+        v, d = (self._v, self._d) if self._v is not None else self._ints()
         return self._of(self.algebra, [-a for a in v], d)
 
     def _signed(self, signs):
         """The element with its i-th coefficient times signs[i] = +-1."""
-        v, d = self._ints()
+        v, d = (self._v, self._d) if self._v is not None else self._ints()
         r = len(v) // len(signs)
-        return self._of(self.algebra, [-a if signs[i // r] < 0 else a
-                                       for i, a in enumerate(v)], d)
+        if r > 1:
+            signs = [s for s in signs for _ in range(r)]
+        return self._of(self.algebra, [a if s > 0 else -a
+                                       for a, s in zip(v, signs)], d)
 
     def scale(self, s):
         """s * self for s in F (on the ints) or in E (E's own products)."""
@@ -255,23 +262,22 @@ class TableElem:
         return self._of(self.algebra, out, d * dz)
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
-            return self.scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        res = self.algebra._restriction()
-        xs, dx = self._ints()
-        ys, dy = other._ints()
+        if type(other) is not type(self) or other.algebra is not self.algebra:
+            if isinstance(other, self._SCALARS):
+                return self.scale(other)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        res = self.algebra._res or self.algebra._restriction()
+        xs, dx = (self._v, self._d) if self._v is not None else self._ints()
+        ys, dy = (other._v, other._d) if other._v is not None else other._ints()
         out = [0] * len(xs)
-        right = [(j, b) for j, b in enumerate(ys) if b]
-        for tab in res.layers:
-            for a, row in zip(xs, tab):
+        if any(ys):
+            for a, row in zip(xs, res.rows):
                 if a:
-                    for j, b in right:
-                        e = row[j]
-                        if e:
-                            t, n = e
+                    for j, t, n in row:
+                        b = ys[j]
+                        if b:
                             out[t] += a * b * n
         return self._of(self.algebra, out, dx * dy * res.den)
 
@@ -328,7 +334,12 @@ class TableElem:
         return not any(v[len(v) // self.algebra.dim:])
 
     def scalar_part(self):
-        return self.c[0]
+        """The unit coefficient, built alone when no `c` view is cached."""
+        if self._c is not None:
+            return self._c[0]
+        res = self.algebra._restriction()
+        v, d = self._ints()
+        return res.coeffs(self.algebra.ring, v[:res.r], d)[0]
 
     def map_coeffs(self, f, algebra: Optional["TableAlgebra"] = None):
         return type(self)(algebra or self.algebra, [f(a) for a in self.c])

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from isogeny_kit.cli import main
 
 RUN = [sys.executable, "-m", "isogeny_kit.cli"]
@@ -151,3 +153,23 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Sadjt" in proc.stdout
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=9", "R"])
+def test_verify_bad_field_is_a_named_error(spec, capsys):
+    assert main(["verify", "ref2", "--field", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError: bad field spec %r" % spec)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["2", "3"], "census runs over an odd prime field, not p = 2"),
+    (["-3", "3"], "census runs over an odd prime field, not p = -3"),
+    (["3", "7"], "census covers dimensions 1-6, not 7"),
+])
+def test_census_bad_arguments_are_named_errors(args, message, capsys):
+    assert main(["census"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BadParameters: %s\n" % message

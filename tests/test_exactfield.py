@@ -1,10 +1,14 @@
 """Field arithmetic, square detection, square classes, exact roots."""
 
 import json
+import pathlib
+import re
+from fractions import Fraction
 
 import pytest
 
-from isogeny_kit.errors import DivisionByZero, FieldMismatch, ZeroArgument
+import isogeny_kit
+from isogeny_kit.errors import DivisionByZero, FieldMismatch, ParseError, ZeroArgument
 from isogeny_kit.exactfield import (
     GF,
     QQ,
@@ -166,3 +170,60 @@ def test_parse_field():
     assert parse_field("Q").is_rational
     with pytest.raises(ValueError):
         parse_field("r=4")
+
+
+@pytest.mark.parametrize("spec", ["r=4", "R", "p=2", "p=9", "p=x", "p=-3"])
+def test_parse_field_raises_parse_error(spec):
+    with pytest.raises(ParseError):
+        parse_field(spec)
+
+
+# ---------------------------------------------------------------------------
+# shared values: one zero and one one per field, Scalars passed through
+# unchanged, and no Scalar or A^- vector mutated in the library
+# ---------------------------------------------------------------------------
+
+def test_zero_and_one_are_built_once_per_field():
+    f = GF(5)
+    assert f.zero() is f.zero() and f.one() is f.one()
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    assert (f.zero().value, f.one().value) == (0, 1)
+    assert QQ.zero().value == Fraction(0) and type(QQ.one().value) is Fraction
+    x = f(3)
+    assert f(x) is x and f(f.one()) is f.one()
+    assert GF(5)(x) == x and GF(5)(x) is x
+    with pytest.raises(FieldMismatch):
+        GF(7)(x)
+
+
+# assignments through an attribute of a Scalar (value) or of an A^- vector
+# (x, y), in place or augmented, and list mutators called on x or y
+MUTATIONS = [
+    re.compile(r"\.value\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
+    re.compile(r"\.[xy]\s*\[[^\]]*\]\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
+    re.compile(r"\.[xy]\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
+    re.compile(r"\.[xy]\.(?:append|extend|insert|pop|remove|sort|reverse|clear)\("),
+    re.compile(r"setattr\("),
+]
+# the constructors, and RhoQ8Elem's cover element (also named x)
+CONSTRUCTOR_LINES = {
+    ("algebras.py", "self.x = list(x)"),
+    ("algebras.py", "self.y = list(y)"),
+    ("exactfield.py", "self.value = value"),
+    ("spin_eight.py", "self.x = x"),
+}
+
+
+def test_no_scalar_or_aminus_vector_is_mutated():
+    """Zero, one and the shear vectors are shared between callers, so
+    nothing in the library may change a Scalar or an A^- vector."""
+    src = pathlib.Path(isogeny_kit.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for no, line in enumerate(path.read_text().splitlines(), 1):
+            code = line.split("#")[0].strip()
+            if (path.name, code) in CONSTRUCTOR_LINES:
+                continue
+            if any(p.search(code) for p in MUTATIONS):
+                hits.append("%s:%d: %s" % (path.name, no, code))
+    assert hits == []

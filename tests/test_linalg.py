@@ -1,15 +1,18 @@
 """The elimination kernel behind det, rank, solve, inverse and
-independent_subset, checked against definitions over F_3, F_7 and Q."""
+independent_subset, checked against definitions over F_3, F_7 and Q; the
+bare-value matrix product and isometry check against the Scalar loops."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isogeny_kit.algebras import EtaleQuad
 from isogeny_kit.errors import DegenerateSpace, NonInvertible
-from isogeny_kit.exactfield import GF, QQ
+from isogeny_kit.exactfield import GF, QQ, Scalar
 from isogeny_kit.linalg import Mat, berkowitz_det, independent_subset
+from isogeny_kit.quadforms import Isometry, QuadSpace, random_isometry
 
 FIELDS = (GF(3), GF(7), QQ)
 SHAPES = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (2, 4), (3, 5), (4, 2), (5, 3))
@@ -238,3 +241,95 @@ def test_q_inverse_and_independent_subset_match_naive():
         inverted += 1
         assert [values(r) for r in a.inverse().rows] == [row[n:] for row in red]
     assert inverted > 10
+
+
+# ---------------------------------------------------------------------------
+# the bare-value paths over F_p and Q against the generic Scalar loops:
+# Mat.__mul__, and Isometry.is_valid for diagonal and non-diagonal Gram
+# matrices (hypothesis draws the operands)
+# ---------------------------------------------------------------------------
+
+BARE_FIELDS = (GF(5), QQ)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def scalar_loop_product(a, b):
+    """The entry loop that Mat.__mul__ runs over rings other than F_p and Q."""
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), a.ring.zero())
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def scalar_loop_is_valid(space, t):
+    """T^t G T == G on the Scalar loop."""
+    tt = Mat(space.field, [list(c) for c in zip(*t.rows)])
+    return scalar_loop_product(Mat(space.field, scalar_loop_product(tt, space.gram)),
+                               t) == space.gram.rows
+
+
+def entry(field):
+    if field.p is None:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def matrix(draw, field, n, m):
+    return Mat(field, [[field(draw(entry(field))) for _ in range(m)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", BARE_FIELDS, ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_bare_product_matches_scalar_loop(field, data):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(matrix(field, n, k), label="a")
+    b = data.draw(matrix(field, k, m), label="b")
+    prod = a * b
+    assert prod.rows == scalar_loop_product(a, b)
+    assert all(type(e) is Scalar and e.field == field for r in prod.rows for e in r)
+    if field.p is None:
+        assert all(type(e.value) is Fraction for r in prod.rows for e in r)
+
+
+def bare_spaces():
+    """Diagonal and non-diagonal nondegenerate spaces over F_5 and Q."""
+    out = []
+    for field in BARE_FIELDS:
+        diag = [1, 2, 3, 4] if field.p else [1, -2, Fraction(3, 2), 5]
+        out.append(QuadSpace.diagonal(field, diag))
+        gram = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 1], [0, 0, 1, 1]]
+        if field.p is None:
+            gram[1][1] = Fraction(5, 3)
+        out.append(QuadSpace(field, gram))
+    return out
+
+
+BARE_SPACES = bare_spaces()
+BARE_SPACE_IDS = ["%s/%s" % (s.field, "diag" if s.diag else "full") for s in BARE_SPACES]
+
+
+@pytest.mark.parametrize("space", BARE_SPACES, ids=BARE_SPACE_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_bare_is_valid_matches_scalar_loop(space, data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6), label="seed"))
+    field, n = space.field, space.dim
+    t = random_isometry(space, rng, height=1, max_mirrors=n).matrix
+    assert Isometry(space, t, check=False).is_valid()
+    assert scalar_loop_is_valid(space, t)
+    # one entry moved by the first delta the Scalar loop rejects: a mutation
+    # the bare check must catch
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1),
+                                                                   label="j")
+    for delta in (1, 2, 3):
+        rows = [list(r) for r in t.rows]
+        rows[i][j] = rows[i][j] + field(delta)
+        bad = Mat(field, rows)
+        if not scalar_loop_is_valid(space, bad):
+            break
+    else:
+        raise AssertionError("no delta in 1..3 breaks the isometry")
+    assert not Isometry(space, bad, check=False).is_valid()
+    with pytest.raises(ValueError):
+        Isometry(space, bad)

@@ -1087,3 +1087,103 @@ def test_dim7_complement_space_action():
         s8 = vec8_space(a)
         assert s8.pairing(img.coords(), q8.coords()).is_zero()
         assert img.vnorm() == u.vnorm()
+
+
+# ---------------------------------------------------------------------------
+# work skipped or shared on the cover path: the identity reparametrization
+# and the shear vectors built once per descriptor
+# ---------------------------------------------------------------------------
+
+def general_reparam(gf, new_v):
+    """comp_reparam's general formula, run also at new_v = v: the
+    reparametrization with its identity shortcut patched out."""
+    algebra = gf.A
+    w_minus_v = new_v - gf.v
+    dd = D(-w_minus_v, gf.beta)
+    if not spin_eight._is_unit(dd):
+        raise SingularReparam("D(v - w, beta) is not a unit")
+    c = (algebra.one() - w_minus_v.embed() * gf.beta.embed()) * gf.a
+    dd_inv = dd.inverse()
+    delta = (gf.beta - theta(w_minus_v).scale(albert_norm(gf.beta))).scale(dd_inv)
+    mid = (w_minus_v - theta(gf.beta).scale(albert_norm(w_minus_v))).scale(dd_inv)
+    a_inv = gf.a_inverse()
+    gamma_e = gf.alpha.embed() - (a_inv * mid.embed() * a_inv.bar()).scale(gf.m)
+    out = GenForm(algebra, new_v, c, gamma_e.to_aminus(), delta, gf.m)
+    if out.assemble() != gf.assemble():
+        raise InvariantViolated("reparametrization changed the matrix")
+    return out, dd
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=repr)
+def test_comp_reparam_at_own_v_returns_the_form(field):
+    a = make_algebra(field)
+    rng = random.Random(21)
+    for _ in range(8):
+        gf = rand_cover(a, rng).gf
+        twin_v = a.aminus(list(gf.v.x), list(gf.v.y))
+        for v in (gf.v, twin_v):
+            gf2, factor = comp_reparam(gf, v)
+            assert gf2 is gf and factor == field.one()
+        # the general formula agrees: D(0, beta) = 1 and the same parameters
+        gen, dd = general_reparam(gf, twin_v)
+        assert dd == field.one()
+        assert (gen.a, gen.alpha, gen.beta, gen.m) == (gf.a, gf.alpha, gf.beta, gf.m)
+        # a v off gf.v in any one coordinate takes the general formula
+        for k in range(6):
+            coords = gf.v.coords()
+            coords[k] = coords[k] + field.one()
+            w = a.aminus_of(coords)
+            try:
+                gf2, factor = comp_reparam(gf, w)
+            except SingularReparam:
+                continue
+            assert gf2.v == w and gf2.assemble() == gf.assemble()
+            assert factor == D(gf.v - w, gf.beta)
+
+
+def test_cover_mul_unchanged_with_reparam_shortcut_patched_out(monkeypatch):
+    a = make_algebra(F5)
+    pairs = [(rand_cover(a, random.Random(s), k=4), rand_cover(a, random.Random(50 + s), k=4))
+             for s in range(8)]
+    identity_calls = []
+
+    def counted(gf, new_v):
+        identity_calls.append(new_v == gf.v)
+        return comp_reparam(gf, new_v)
+
+    monkeypatch.setattr(spin_eight, "comp_reparam", counted)
+    fast = [cover_mul(x, y) for x, y in pairs] + [cover_inverse(x) for x, _ in pairs]
+    assert any(identity_calls)
+    monkeypatch.setattr(spin_eight, "comp_reparam", general_reparam)
+    slow = [cover_mul(x, y) for x, y in pairs] + [cover_inverse(x) for x, _ in pairs]
+    for f, s in zip(fast, slow):
+        assert f.matrix() == s.matrix() and f.gf.m == s.gf.m and f.t == s.t
+
+
+def shift_members():
+    """GSp members whose upper-left block is singular, so that
+    gsp_decompose searches the shear vectors: the swap matrix over F_5
+    and F_7, and a split-E block of zero-divisor norm."""
+    out = [split_e_member()]
+    for field in (F5, GF(7)):
+        a = make_algebra(field)
+        member = gsp_membership(M2A(a, a.zero(), a.one(), a.one(), a.zero()))
+        assert member is not None
+        out.append(member)
+    return out
+
+
+def test_shear_candidates_built_once_per_descriptor(monkeypatch):
+    members = shift_members()
+    for member in members:
+        algebra = member.mat.A
+        first = spin_eight._shear_candidates(algebra)
+        assert spin_eight._shear_candidates(algebra) is first
+        assert first == spin_eight._build_shear_candidates(algebra)
+        twin = BiquatAlg(algebra.B, algebra.C)
+        assert spin_eight._shear_candidates(twin) is not first
+        assert spin_eight._shear_candidates(twin) == first
+    picked = [gsp_decompose(m).v for m in members]
+    assert all(not v.is_zero() for v in picked)
+    monkeypatch.setattr(spin_eight, "_shear_candidates", spin_eight._build_shear_candidates)
+    assert [gsp_decompose(m).v for m in members] == picked

@@ -187,6 +187,42 @@ def test_mutation_psi_negate_root(monkeypatch):
     assert not all(run_mutation_suites().values())
 
 
+def bad_d_norm(eta, omega):
+    """spin_eight.D with the sign of its norm term flipped."""
+    ring = eta.algebra.ring
+    pr = algebras.albert_pair(eta, algebras.theta(omega))
+    return ring.one() + pr + pr - \
+        algebras.albert_norm(omega) * algebras.albert_norm(eta)
+
+
+# the D and psi mutants of this module and of acceptance criterion 8, by
+# the spin_eight name each replaces
+COVER_MUTANTS = {
+    "D-pairing-sign": ("D", bad_d_pairing),
+    "D-norm-sign": ("D", bad_d_norm),
+    "psi-negate-block": ("_psi_diagonal",
+                         lambda a, t: (-(a.bar().inverse().scale(t)), t)),
+    "psi-negate-root": ("_psi_diagonal",
+                        lambda a, t: (a.bar().inverse().scale(t), -t)),
+}
+
+
+def test_cover_mutants_survive_assert_stripping():
+    """The identity reparametrization skips D, since D(0, beta) = 1 under
+    every D mutant; each mutant must still fail a suite under python -O."""
+    out = run_optimized("""
+        import test_suites as t
+        from isogeny_kit import spin_eight
+        assert False, "asserts are live"
+        for label, (name, fn) in sorted(t.COVER_MUTANTS.items()):
+            real = getattr(spin_eight, name)
+            setattr(spin_eight, name, fn)
+            print(label, all(t.run_mutation_suites().values()))
+            setattr(spin_eight, name, real)
+        """)
+    assert out.splitlines() == ["%s False" % label for label in sorted(COVER_MUTANTS)]
+
+
 # ---------------------------------------------------------------------------
 # reflection suites: each catches a mutant of its own model's reflection
 # ---------------------------------------------------------------------------
