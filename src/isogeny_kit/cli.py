@@ -252,11 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None     # built on the first call to main
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: a handler patched after the build still runs
+        return globals()["cmd_" + args.command](args)
     except UnknownSuite as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

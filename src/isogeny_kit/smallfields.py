@@ -8,20 +8,22 @@ counts, with orbit-stabilizer recursion replacing matrix enumeration in
 dimensions 5 and 6.  Isometries are enumerated column by column in the
 diagonal model: each remaining column keeps a pool, a bitset over the
 indexed sphere vectors, and choosing a column cuts every later pool with
-one `&` against that column's orthogonality bitset.  The last column is
-one of a pair {w, -w} that shares one determinant.  A failed count
-cross-check raises InvariantViolated.
+one `&` against that column's orthogonality bitset.  Each level carries
+the minors of its columns, so the last column, one of a pair {w, -w},
+gets its determinant as one dot product and -w the negation.  A failed
+count cross-check raises InvariantViolated.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import EtaleQuad
 from .errors import BadParameters, BudgetExceeded, InvariantViolated
 from .exactfield import FieldDesc, Scalar, SquareClass, square_class
-from .linalg import Mat, independent_subset, row_reduce
+from .linalg import Mat, independent_subset
 from .quadforms import (
     Isometry,
     QuadSpace,
@@ -124,24 +126,17 @@ def so_plus_index(space: QuadSpace) -> Tuple[int, Optional[Isometry]]:
     field = space.field
     p = field.p
     diag, p_mat = _diag_ints(space)
-    v_sq = v_ns = None
-    nonres = field.least_nonresidue().value
+    first = {}      # square class -> the first vector with a norm in it
     for v in itertools.product(range(p), repeat=space.dim):
-        if not any(v):
-            continue
         n = _norm_int(diag, v, p)
-        if n == 0:
-            continue
-        if v_sq is None and square_class(field(n)).rep == 1:
-            v_sq = v
-        if v_ns is None and square_class(field(n)).rep == nonres:
-            v_ns = v
-        if v_sq and v_ns:
-            break
-    if v_sq is None or v_ns is None:
+        if n:
+            first.setdefault(square_class(field(n)).rep, v)
+            if len(first) == 2:
+                break
+    if len(first) != 2:
         raise InvariantViolated("a square class of nonzero norms does not occur")
-    w1 = p_mat.apply([field(x) for x in v_sq])
-    w2 = p_mat.apply([field(x) for x in v_ns])
+    w1 = p_mat.apply([field(x) for x in first[1]])
+    w2 = p_mat.apply([field(x) for x in first[field.least_nonresidue().value]])
     witness = Isometry(space, reflect(space, w1).matrix * reflect(space, w2).matrix,
                        check=False)
     if spinor_norm(witness).is_trivial():
@@ -169,16 +164,15 @@ def norm_surjectivity(e: EtaleQuad) -> Dict[int, object]:
 # group sizes
 # ---------------------------------------------------------------------------
 
-def sphere_count(diag: List[int], c: int, p: int) -> int:
-    return sum(1 for v in itertools.product(range(p), repeat=len(diag))
-               if any(v) and _norm_int(diag, v, p) == c % p)
-
-
 def orthogonal_order(diag: List[int], p: int) -> int:
-    """|O(V)| by orbit-stabilizer: |O| = N(d_1) |O(d_2, ..., d_n)|."""
-    if len(diag) == 1:
-        return 2
-    return sphere_count(diag, diag[0], p) * orthogonal_order(diag[1:], p)
+    """|O(V)| by orbit-stabilizer: |O| = N(d_1) |O(d_2, ..., d_n)|, with
+    N(c) the vectors of norm c.  The norm counts on diag[k:] are those on
+    diag[k+1:] convolved with the counts of d_k x^2: O(n p^2), not p^n."""
+    order, counts = 1, [1] + [0] * (p - 1)
+    for d in reversed(diag):
+        counts = [sum(counts[(c - d * x * x) % p] for x in range(p)) for c in range(p)]
+        order *= counts[d % p]
+    return order
 
 
 def _sphere_index(diag: List[int], p: int):
@@ -226,6 +220,27 @@ def _orthogonal_masks(diag: List[int], p: int, vecs):
     return orth
 
 
+def _laplace_plans(n: int):
+    """plans[m - 1], m = 1 .. n - 1: per m-row subset T (combinations
+    order) and per row r, the term (sign, j) of row r when the minor of the
+    first m columns on T is expanded along column m, j the place of T - r;
+    (0, 0) off T.  A minor is kept times (-1)^(its place), so the last
+    level holds the cofactors of rows n - 1, ..., 0, and
+    det(cols, w) = sum_k cof[k] w[n - 1 - k]."""
+    plans, index = [], {(): 0}
+    for m in range(1, n):
+        subsets = list(itertools.combinations(range(n), m))
+        plans.append([])
+        for place, rows in enumerate(subsets):
+            terms = [(0, 0)] * n
+            for k, r in enumerate(rows):
+                j = index[rows[:k] + rows[k + 1:]]
+                terms[r] = ((-1) ** (k + m - 1 + j + place), j)
+            plans[-1].append(terms)
+        index = {rows: place for place, rows in enumerate(subsets)}
+    return plans
+
+
 def enumerate_isometry_columns(diag: List[int], p: int):
     """(cols, det) for every isometry of diag: the column tuple (ints,
     diagonal model) and its determinant mod p.
@@ -236,10 +251,12 @@ def enumerate_isometry_columns(diag: List[int], p: int):
     read lowest bit first, so tuples come in itertools.product order.  The
     complement of n - 1 orthogonal anisotropic columns is a nondegenerate
     line, so the last pool is exactly {w, -w}; anything else raises
-    InvariantViolated.  One row reduction per such pair gives det(cols, w),
-    and det(cols, -w) = -det(cols, w).  |O(V)| is the product of the pool
-    sizes along the first branch (orbit-stabilizer), checked against
-    EXHAUSTIVE_LIMIT before anything is yielded.
+    InvariantViolated.  Each level carries the minors of its columns on
+    every row subset, each one Laplace step from its parent's, so the
+    signed cofactors of the first n - 1 columns give det(cols, w) as one
+    n-term dot product, and det(cols, -w) = -det(cols, w).  |O(V)| is the
+    product of the pool sizes along the first branch (orbit-stabilizer),
+    checked against EXHAUSTIVE_LIMIT before anything is yielded.
     """
     vecs, spheres = _sphere_index(diag, p)
     orth = _orthogonal_masks(diag, p, vecs)
@@ -252,32 +269,45 @@ def enumerate_isometry_columns(diag: List[int], p: int):
         pools = [q & orth(i) for q in pools[1:]]
     if total > EXHAUSTIVE_LIMIT:
         raise BudgetExceeded("|O(V)| = %d exceeds the enumeration limit" % total)
-    n = len(diag)
+    plans = _laplace_plans(len(diag))
+    where = {v: i for i, v in enumerate(vecs)}
+    neg = [where[tuple(-x % p for x in v)] for v in vecs]
 
-    def rec(cols, pools):
-        # pools[k]: candidates for column len(cols) + k, orthogonal to cols
-        pool = pools[0]
-        if len(pools) == 1:
-            low = pool & -pool
-            w = vecs[low.bit_length() - 1] if low else ()
-            neg = tuple(-x % p for x in w)
-            if pool.bit_count() != 2 or vecs[pool.bit_length() - 1] != neg:
-                raise InvariantViolated(
-                    "last column pool after %r is not {w, -w}" % (cols,))
-            # det(M) = det(M^t): the columns serve as rows
-            det = row_reduce([list(c) for c in cols] + [list(w)], n, p)[1]
-            yield cols + (w,), det
-            yield cols + (neg,), -det % p
-            return
-        rest_pools = pools[1:]
+    def pair(cols, cof, pool):
+        # the last column's two items, from the cofactors of cols
+        low = pool & -pool
+        i = low.bit_length() - 1
+        if not low or pool != low | 1 << neg[i]:
+            raise InvariantViolated("last column pool after %r is not {w, -w}" % (cols,))
+        w = vecs[i]
+        det = sum(map(mul, cof, reversed(w))) % p
+        return (cols + (w,), det), (cols + (vecs[neg[i]],), -det % p)
+
+    def rec(cols, minors, pools):
+        # pools[k]: candidates for column len(cols) + k, orthogonal to cols;
+        # minors: those of cols, as plans[len(cols) - 1] lists them
+        pool, rest = pools[0], pools[1:]
+        # the expansion along the next column as a matrix, one row per
+        # subset, so each candidate's minors are C-level dot products
+        expand = [[s * minors[j] for s, j in terms] for terms in plans[len(cols)]]
         while pool:
             low = pool & -pool
             pool ^= low
             i = low.bit_length() - 1
+            v = vecs[i]
+            sub = [sum(map(mul, row, v)) for row in expand]
             o = orth(i)
-            yield from rec(cols + (vecs[i],), [q & o for q in rest_pools])
+            if len(rest) > 1:
+                yield from rec(cols + (v,), sub, [q & o for q in rest])
+            else:
+                item, opposite = pair(cols + (v,), sub, rest[0] & o)
+                yield item
+                yield opposite
 
-    yield from rec((), first)
+    if len(diag) == 1:
+        yield from pair((), [1], first[0])
+    else:
+        yield from rec((), [1], first)
 
 
 def enumerate_isometries(space: QuadSpace):

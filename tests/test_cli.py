@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from isogeny_kit import cli
 from isogeny_kit.cli import main
 
 RUN = [sys.executable, "-m", "isogeny_kit.cli"]
@@ -145,6 +146,21 @@ def test_census_cli(tmp_path, capsys):
     assert data["field"] == "p=3"
     rows = {(r["dim"], r["disc"]): r for r in data["rows"]}
     assert rows[(3, "1")]["SO"] == 24
+
+
+def test_main_builds_one_parser_and_finds_patched_handlers(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(real_build())
+        return built[-1]
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(["census", "3", "2"]) == 0
+    monkeypatch.setattr(cli, "cmd_census", lambda args: 7 if args.p == 5 else -1)
+    assert main(["census", "5", "2"]) == 7
+    assert len(built) == 1 and cli._parser is built[0]
 
 
 def test_console_entry_point():

@@ -202,6 +202,93 @@ def test_isometry_columns_match_bruteforce():
                 assert field(det) == m.det(), (diag, cols)
 
 
+def _det_mismatches(diag, p, step):
+    """Every step-th enumerated item whose det differs from Mat.det, after
+    checking that the enumerator yields |O(V)| items."""
+    field = GF(p)
+    n = len(diag)
+    bad = []
+    count = 0
+    for k, (cols, det) in enumerate(enumerate_isometry_columns(diag, p)):
+        count += 1
+        if k % step == 0:
+            m = Mat(field, [[field(cols[j][i]) for j in range(n)] for i in range(n)])
+            if field(det) != m.det():
+                bad.append((cols, det))
+    assert count == orthogonal_order(diag, p)
+    return bad
+
+
+def test_determinants_match_mat_det_in_dimension_4(monkeypatch):
+    """p = 5 and 7 in dimension 4, out of the brute-force test's reach:
+    every 97th determinant against Mat.det.  Both F_7 classes have
+    |O| > EXHAUSTIVE_LIMIT, so the limit is raised for this check."""
+    monkeypatch.setattr(smallfields, "EXHAUSTIVE_LIMIT", 250_000)
+    for p in (5, 7):
+        nr = GF(p).least_nonresidue().value
+        for diag in ([1, 1, 1, 1], [1, 1, 1, nr]):
+            assert _det_mismatches(diag, p, 97) == [], (diag, p)
+
+
+def _flip_one_laplace_sign(real):
+    """The Laplace plans with the sign of one term of the cofactor of row
+    n - 1 flipped: its row-0 term."""
+    def plans(n):
+        out = real(n)
+        if out:
+            s, j = out[-1][0][0]
+            out[-1][0][0] = (-s, j)
+        return out
+    return plans
+
+
+def test_a_flipped_laplace_sign_is_caught(monkeypatch):
+    monkeypatch.setattr(smallfields, "_laplace_plans",
+                        _flip_one_laplace_sign(smallfields._laplace_plans))
+    assert _det_mismatches([1, 1, 1, 1], 5, 97)
+    assert _det_mismatches([1, 1, 1, 2], 5, 97)
+    with pytest.raises(AssertionError):
+        test_isometry_columns_match_bruteforce()
+    with pytest.raises(InvariantViolated, match="of det 1"):
+        census(5, 4)
+
+
+def _bruteforce_order(diag, p):
+    """|O| = 2 prod_k N_k, N_k the vectors of norm diag[k] on diag[k:],
+    each count read off all p^(n-k) vectors."""
+    order = 2
+    for k in range(len(diag) - 1):
+        order *= sum(1 for v in itertools.product(range(p), repeat=len(diag) - k)
+                     if sum(d * x * x for d, x in zip(diag[k:], v)) % p == diag[k] % p)
+    return order
+
+
+def test_orthogonal_order_matches_bruteforce():
+    for p in (3, 5, 7):
+        nr = GF(p).least_nonresidue().value
+        for n in range(1, 6):
+            for last in (1, nr):
+                diag = [1] * (n - 1) + [last]
+                assert orthogonal_order(diag, p) == _bruteforce_order(diag, p), (diag, p)
+        assert orthogonal_order([nr, 1, nr, 2], p) == _bruteforce_order([nr, 1, nr, 2], p)
+
+
+def _short_convolution(diag, p):
+    """orthogonal_order with the x = 0 term left out of each convolution."""
+    order, counts = 1, [1] + [0] * (p - 1)
+    for d in reversed(diag):
+        counts = [sum(counts[(c - d * x * x) % p] for x in range(1, p)) for c in range(p)]
+        order *= counts[d % p]
+    return order
+
+
+def test_census_catches_a_short_convolution(monkeypatch):
+    monkeypatch.setattr(smallfields, "orthogonal_order", _short_convolution)
+    for p, dim in ((3, 3), (5, 4), (7, 4)):
+        with pytest.raises(InvariantViolated):
+            census(p, dim)
+
+
 def _drop_first(real):
     def enum(diag, p):
         it = real(diag, p)
@@ -259,6 +346,7 @@ def test_census_count_check_survives_assert_stripping():
         assert False, "asserts are live"
         real = smallfields.enumerate_isometry_columns
         real_index = smallfields._sphere_index
+        real_plans = smallfields._laplace_plans
 
         def drop_first(diag, p):
             it = real(diag, p)
@@ -275,13 +363,21 @@ def test_census_count_check_survives_assert_stripping():
             spheres[c] ^= 1 << (spheres[c].bit_length() - 1)
             return vecs, spheres
 
-        for name, mutant in (("enumerate_isometry_columns", drop_first),
-                             ("enumerate_isometry_columns", flip_one_det),
-                             ("_sphere_index", drop_sphere_vector)):
+        def flip_one_laplace_sign(n):
+            out = real_plans(n)
+            s, j = out[-1][0][0]
+            out[-1][0][0] = (-s, j)
+            return out
+
+        for name, mutant, p, dim in (
+                ("enumerate_isometry_columns", drop_first, 3, 3),
+                ("enumerate_isometry_columns", flip_one_det, 3, 3),
+                ("_sphere_index", drop_sphere_vector, 3, 3),
+                ("_laplace_plans", flip_one_laplace_sign, 5, 4)):
             real_attr = getattr(smallfields, name)
             setattr(smallfields, name, mutant)
             try:
-                smallfields.census(3, 3)
+                smallfields.census(p, dim)
             except InvariantViolated as exc:
                 print("raised", exc)
             setattr(smallfields, name, real_attr)
@@ -292,7 +388,8 @@ def test_census_count_check_survives_assert_stripping():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 3, out.stdout
+    assert len(lines) == 4, out.stdout
     assert lines[0].startswith("raised enumerated")
     assert "of det 1" in lines[1]
     assert "is not {w, -w}" in lines[2]
+    assert "of det 1" in lines[3]

@@ -12,7 +12,7 @@ sys.path.insert(0, PERFBENCH)
 import run  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
-from isogeny_kit import exactfield, spin_eight  # noqa: E402
+from isogeny_kit import exactfield, smallfields, spin_eight  # noqa: E402
 from isogeny_kit.algebras import BiquatAlg, QuatAlg  # noqa: E402
 from isogeny_kit.exactfield import GF  # noqa: E402
 from isogeny_kit.spin_eight import M2A  # noqa: E402
@@ -41,3 +41,20 @@ def test_tracer_installs_reads_every_metric_and_uninstalls():
     assert metrics["spin_eight.reduced_norm_M2A.calls"][0] == 1
     assert metrics["algebras.biquat_mul.calls"][0] > 0
     assert metrics["exactfield.scalar_ops"][0] > 0
+
+
+def test_tracer_counts_every_enumerated_isometry():
+    """The enumerator stays a generator function, so the tracer counts the
+    items it yields: |O| per exhaustive census row."""
+    tracer = Tracer().install()
+    try:
+        rows = smallfields.census(3, 4).rows
+        metrics = run.layer_metrics(tracer, {"seconds": 1.0},
+                                    {"seconds": 1.0, "outcomes": []})
+    finally:
+        tracer.uninstall()
+    orders = sum(2 * r.so for r in rows if r.method == "exhaustive")
+    assert orders == 2 * (2 + 4 + 24 + 576 + 720)
+    assert metrics["smallfields.isometries_enumerated"][0] == orders
+    assert metrics["smallfields.spinor_filtered"][0] == sum(
+        r.so for r in rows if r.method == "exhaustive")
