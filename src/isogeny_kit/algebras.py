@@ -12,7 +12,8 @@ maps.  E is of rank 2 over F on the basis (1, g), g^2 = d, with g =
 views of the pair or of x + y sqrt(d).  The coefficient ring of the
 others is F_p, Q or E (restriction of scalars to F), so the same code
 serves B and B_E; their norms are unit coefficients of products, and the
-split-embedding norm oracles use matrices over multi-quadratic towers.
+reduced-norm oracle is a determinant over a multi-quadratic tower.  The
+split-embedding determinant oracle of B in M_2(K) is a test (`tests/`).
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import Optional, Tuple
 
 from .errors import (
     AlgebraMismatch,
+    BadParameters,
     NonInvertible,
     NormNotInBaseField,
-    NotASplittingField,
     SearchBudgetExceeded,
 )
-from .exactfield import FieldDesc, Scalar, is_square, sqrt_exact
-from .linalg import Mat, berkowitz_det, independent_subset, kron
+from .exactfield import FieldDesc, Scalar, is_square
+from .linalg import Mat, berkowitz_det, kron
 from .quadforms import QuadSpace, find_isotropic
 from .towers import QuadTower, TableAlgebra, TableElem
 
@@ -212,7 +213,7 @@ class QuatAlg(TableAlgebra):
         self.alpha = ring(alpha)
         self.beta = ring(beta)
         if self.alpha.is_zero() or self.beta.is_zero():
-            raise ValueError("quaternion symbol entries must be nonzero")
+            raise BadParameters("quaternion symbol entries must be nonzero")
 
     def table(self):
         a, b = self.alpha, self.beta
@@ -297,84 +298,6 @@ def quat_is_split(b: QuatAlg) -> bool:
     raise SearchBudgetExceeded("isotropy of the norm form undecided")
 
 
-def quat_zero_divisor(b: QuatAlg) -> QuatElem:
-    """A nonzero element of norm 0 in a split algebra."""
-    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
-                       warn_inconclusive=False)
-    if v is None:
-        raise NotASplittingField("algebra has no zero divisors")
-    return b.elem(v)
-
-
-class SplitIso:
-    """Explicit isomorphism B -> M_2(F) for split B (left ideal action)."""
-
-    def __init__(self, b: QuatAlg):
-        self.algebra = b
-        field = b.ring
-        u = quat_zero_divisor(b)
-        # 2-dimensional left ideal B*u, as a column space over F
-        ideal = independent_subset(field, [(x * u).c for x in b.basis()], 2)
-        self.ideal_basis = [QuatElem(b, c) for c in ideal]
-        self._solve_mat = Mat(field, [[ideal[j][i] for j in range(2)]
-                                      for i in range(4)])
-
-    def matrix(self, x: QuatElem) -> Mat:
-        """Image of x: the action of left multiplication on the ideal."""
-        field = self.algebra.ring
-        cols = []
-        for w in self.ideal_basis:
-            img = x * w
-            sol = self._solve_mat.solve(img.c)
-            if sol is None:
-                raise NotASplittingField("ideal is not invariant (internal error)")
-            cols.append(sol)
-        return Mat(field, [[cols[j][i] for j in range(2)] for i in range(2)])
-
-
-class SplitEmbedding:
-    """B = (eta, delta / F) embedded in M_2(K) for K = F(sqrt(eta)).
-
-    z + w j  |->  ((z, delta w), (w^sigma, z^sigma)), with z, w in K.
-    """
-
-    def __init__(self, b: QuatAlg, k: EtaleQuad, delta):
-        field = b.ring
-        if not isinstance(field, FieldDesc):
-            raise NotASplittingField("split embedding expects a FieldDesc base")
-        delta = field(delta)
-        if k.field != field:
-            raise NotASplittingField("K is over the wrong field")
-        # K must be F(sqrt(alpha)) and delta the other symbol entry
-        if k.is_split:
-            if not is_square(b.alpha):
-                raise NotASplittingField("split K but alpha is not a square")
-        elif k.d != b.alpha:
-            raise NotASplittingField("K does not match sqrt(alpha)")
-        if delta != b.beta:
-            raise NotASplittingField("delta does not match the symbol")
-        self.algebra = b
-        self.K = k
-        self.delta = delta
-        # the image of i: sqrt(alpha) g = (r, -r) in F x F, else g
-        self._s = k.gen0() * sqrt_exact(b.alpha) if k.is_split else k.gen0()
-
-    def matrix(self, x: QuatElem) -> Mat:
-        k = self.K
-        return _split_mat2(k, [k(v) for v in x.c], self._s, EQElem.conj,
-                           k(self.delta))
-
-    def sigma(self, m: Mat) -> Mat:
-        """Entrywise Galois action Id_B (x) sigma on M_2(K)."""
-        return m.map(lambda e: e.conj())
-
-    def norm_det(self, x: QuatElem) -> Scalar:
-        d = berkowitz_det(self.matrix(x))
-        if not d.is_scalar():
-            raise NotASplittingField("determinant not rational (internal error)")
-        return d.scalar_part()
-
-
 def _split_mat2(ring, coeffs, s, conj, delta) -> Mat:
     """a + b i + c j + d k = z + w j  |->  ((z, delta w), (w^sigma, z^sigma))
     in M_2(ring): z = a + s b and w = c + s d for s the image of i, and
@@ -437,14 +360,6 @@ class BiquatElem(TableElem):
         if n.is_zero() or isinstance(n, EQElem) and n.norm().is_zero():
             raise NonInvertible("BiquatElem is a zero divisor")
         return (t * adj).scale(n.inverse())
-
-    def plus_part(self) -> "BiquatElem":
-        half = self.algebra.ring(2).inverse()
-        return (self + self.bar()).scale(half)
-
-    def minus_part(self) -> "BiquatElem":
-        half = self.algebra.ring(2).inverse()
-        return (self - self.bar()).scale(half)
 
     def in_minus_space(self) -> bool:
         v, _ = self._ints()
@@ -514,13 +429,6 @@ class BiquatAlg(TableAlgebra):
     def over(self, e: EtaleQuad) -> "BiquatAlg":
         """A_E = B_E (x) C_E."""
         return BiquatAlg(self.B.over(e), self.C.over(e))
-
-    def tensor(self, b: QuatElem, c: QuatElem) -> BiquatElem:
-        coords = [self.ring.zero()] * 16
-        for s in range(4):
-            for t in range(4):
-                coords[4 * s + t] = b.c[s] * c.c[t]
-        return BiquatElem(self, coords)
 
     def basis_elem(self, s: int, t: int) -> BiquatElem:
         coords = [self.ring.zero()] * 16

@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from .algebras import BiquatAlg, QuatAlg
-from .errors import IsogenyKitError, InvariantViolated, ParseError, UnknownSuite
+from .errors import BadParameters, IsogenyKitError, InvariantViolated, ParseError, UnknownSuite
 from .exactfield import parse_field
 from .linalg import Mat
 from .quadforms import (
@@ -30,6 +30,8 @@ def space_from_json(obj) -> QuadSpace:
     try:
         field = parse_field(obj["field"])
         gram = [[field(v) for v in row] for row in obj["gram"]]
+        if not gram:
+            raise ParseError("bad quadratic-space JSON: empty Gram matrix")
         return QuadSpace(field, Mat(field, gram))
     except IsogenyKitError:
         raise
@@ -148,6 +150,12 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _check_model_space(iso, space):
+    if iso.space.gram != space.gram:
+        raise BadParameters("the isometry's Gram matrix is not the model's "
+                            "space %r" % (space.gram.rows,))
+
+
 def _check_lift(image, iso):
     if image.matrix != iso.matrix:
         raise InvariantViolated("the lift does not act as the given isometry")
@@ -162,6 +170,7 @@ def cmd_lift(args) -> int:
         from .spin_low import Dim3Model
         b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
         model = Dim3Model(b)
+        _check_model_space(iso, model.space)
         g = model.lift(iso)
         _check_lift(model.act(g), iso)
         report = {"model": "dim3", "lift": [repr(c) for c in g.c]}
@@ -170,8 +179,10 @@ def cmd_lift(args) -> int:
         b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
         c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
         algebra = BiquatAlg(b, c)
+        space = algebra.albert_space()
+        _check_model_space(iso, space)
         x = spin_six.dim6d1_lift(iso, algebra)
-        _check_lift(spin_six.cover_act_isometry(x, algebra.albert_space()), iso)
+        _check_lift(spin_six.cover_act_isometry(x, space), iso)
         report = {"model": "dim6d1", "g": [repr(v) for v in x.g.c],
                   "t": repr(x.t)}
     elif args.model == "dim8id1":
@@ -179,8 +190,10 @@ def cmd_lift(args) -> int:
         b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
         c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
         algebra = BiquatAlg(b, c)
+        space = spin_eight.vec8_space(algebra)
+        _check_model_space(iso, space)
         x = spin_eight.dim8_lift(iso, algebra)
-        _check_lift(spin_eight.act8_isometry(x, spin_eight.vec8_space(algebra)), iso)
+        _check_lift(spin_eight.act8_isometry(x, space), iso)
         report = {"model": "dim8id1",
                   "blocks": [[repr(v) for v in e.c]
                              for e in x.matrix().entries()],
@@ -217,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("space", help="JSON file with field and gram")
     p_classify.add_argument("--budget", type=int, default=10)
     p_classify.add_argument("--out")
-    p_classify.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run named verification suites")
     p_verify.add_argument("suite", help="suite name, comma list, or 'all'")
@@ -227,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     # no suite reads it; kept because its value is echoed into the --out report
     p_verify.add_argument("--budget", type=int, default=10)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_dec = sub.add_parser("decompose", help="generic form of a GSp element")
     p_dec.add_argument("gsp", help="JSON file with field, B, C, blocks")
     p_dec.add_argument("--out")
-    p_dec.set_defaults(func=cmd_decompose)
 
     p_lift = sub.add_parser("lift", help="lift an isometry to the covering group")
     p_lift.add_argument("isometry", help="JSON file with field, gram, matrix")
@@ -241,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--B", type=_symbol, default=["-1", "-1"])
     p_lift.add_argument("--C", type=_symbol, default=["1", "1"])
     p_lift.add_argument("--out")
-    p_lift.set_defaults(func=cmd_lift)
 
     p_census = sub.add_parser("census", help="small-field group census")
     p_census.add_argument("p", type=int)
     p_census.add_argument("maxdim", type=int, nargs="?", default=6)
     p_census.add_argument("--out")
-    p_census.set_defaults(func=cmd_census)
 
     return parser
 

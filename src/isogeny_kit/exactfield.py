@@ -63,10 +63,6 @@ class FieldDesc:
         self._zero = Scalar(self, 0 if p else Fraction(0))
         self._one = Scalar(self, 1 if p else Fraction(1))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def __eq__(self, other):
         return isinstance(other, FieldDesc) and self.p == other.p
 
@@ -248,11 +244,6 @@ QQ = FieldDesc()
 
 def GF(p: int) -> FieldDesc:
     return FieldDesc(p)
-
-
-def scalar_from_json(obj) -> Scalar:
-    field = parse_field(obj["field"])
-    return field(obj["value"])
 
 
 def parse_field(spec: str) -> FieldDesc:

@@ -498,10 +498,6 @@ def random_isometry(space: QuadSpace, rng: random.Random,
     return compose_reflections(space, mirrors)
 
 
-def hyperbolic_plane(field: FieldDesc) -> QuadSpace:
-    return QuadSpace(field, [[0, 1], [1, 0]])
-
-
 def orthogonal_sum(a: QuadSpace, b: QuadSpace) -> QuadSpace:
     field = a.field
     z = field.zero()

@@ -304,11 +304,6 @@ def gsp_membership(m: M2A, check_norm: bool = True) -> Optional[GSpElem]:
     return GSpElem(m, mult)
 
 
-def gsp_hat_membership(m: M2A) -> Optional[GSpElem]:
-    """The wider group GSp-hat: membership without the norm refinement."""
-    return gsp_membership(m, check_norm=False)
-
-
 # ---------------------------------------------------------------------------
 # D, the generic form, and the double cover
 # ---------------------------------------------------------------------------

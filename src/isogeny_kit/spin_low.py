@@ -199,9 +199,6 @@ class Dim4Model:
         return isometry_of_map(self.space, lambda x: self.act_on(g, x),
                                self.to_vec, self.from_vec)
 
-    def iota_isometry(self) -> Isometry:
-        return isometry_of_map(self.space, lambda x: x.bar(), self.to_vec, self.from_vec)
-
     def reflection_on(self, g: QuatElem, x: QuatElem) -> QuatElem:
         """x -> g bar(x) bar(g)^rho / N(g), the reflection inverting g."""
         return self.act_on(g, x.bar())

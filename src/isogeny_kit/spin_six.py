@@ -50,10 +50,6 @@ class CoveredElem:
     def inverse(self) -> "CoveredElem":
         return CoveredElem(self.g.inverse(), self.t.inverse(), check=False)
 
-    def theta_conj(self) -> "CoveredElem":
-        """The order-2 automorphism (g, t) -> (t bar(g)^-1, t)."""
-        return CoveredElem(self.g.bar().inverse().scale(self.t), self.t, check=False)
-
     def act_on(self, u: AminusVector) -> AminusVector:
         """u -> g u bar(g) / t."""
         z = (self.g * u.embed() * self.g.bar()).scale(self.t.inverse())
@@ -64,14 +60,6 @@ class CoveredElem:
 
     def __repr__(self):
         return "CoveredElem(%r, t=%s)" % (self.g, self.t)
-
-
-def cover_from_aminus(v: AminusVector) -> CoveredElem:
-    """(g, |g|^2) for invertible g in A^-; N(g) = (|g|^2)^2 makes it valid."""
-    n = albert_norm(v)
-    if n.is_zero():
-        raise IsotropicMirror("vector is not invertible")
-    return CoveredElem(v.embed(), n, check=False)
 
 
 def cover_act_isometry(a: CoveredElem, space: QuadSpace) -> Isometry:

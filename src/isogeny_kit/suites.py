@@ -899,7 +899,18 @@ def suite_sp6gen(rec, rng, config):
                   "rho-is-reflection-in-hQ")
 
 
-DIM7RD_EXTRA_DRAWS = 32
+EXTRA_DRAWS = 32
+
+
+def _draws(trials, found):
+    """The draws of a suite that samples group members: most draws fall
+    outside the group over small fields, so a run whose first `trials`
+    draws give no member (`found()` false) keeps drawing from the same
+    stream until one does, up to EXTRA_DRAWS more."""
+    draws = 0
+    while draws < trials + (0 if found() else EXTRA_DRAWS):
+        draws += 1
+        yield
 
 
 def suite_dim7rd(rec, rng, config):
@@ -908,12 +919,7 @@ def suite_dim7rd(rec, rng, config):
     delta = nonsquare_of(field)
     q = spin_eight.dim7_q(algebra, delta)
     stab_count = 0
-    draws = 0
-    # most generators fall outside GSp over small fields; a run whose first
-    # `trials` draws give no stabilizer keeps drawing from the same stream
-    # until one does, up to DIM7RD_EXTRA_DRAWS more
-    while draws < config.trials + (0 if stab_count else DIM7RD_EXTRA_DRAWS):
-        draws += 1
+    for _ in _draws(config.trials, lambda: stab_count > 0):
         v = random_aminus(algebra, rng)
         mat = spin_eight.M2A(algebra, v.embed(), algebra.from_scalar(delta),
                              algebra.one(), -algebras.theta(v).embed())
@@ -1021,7 +1027,7 @@ def suite_GSprhoQst(rec, rng, config):
     ts = twisted_instance(field)
     tw8 = spin_eight.Twisted8(ts)
     members = 0
-    for _ in range(config.trials):
+    for _ in _draws(config.trials, lambda: members > 0):
         coords = field_elems(field, rng, 8)
         v8 = tw8.from_coords(coords)
         n = v8.vnorm()

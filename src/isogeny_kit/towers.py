@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import AlgebraMismatch, FieldMismatch, NonInvertible
 from .exactfield import FieldDesc, Scalar, _ints_over_lcm, is_square
@@ -340,9 +340,6 @@ class TableElem:
         res = self.algebra._restriction()
         v, d = self._ints()
         return res.coeffs(self.algebra.ring, v[:res.r], d)[0]
-
-    def map_coeffs(self, f, algebra: Optional["TableAlgebra"] = None):
-        return type(self)(algebra or self.algebra, [f(a) for a in self.c])
 
     def rho(self):
         """The Galois action g -> -g of E: E's conjugation on E itself and

@@ -189,3 +189,44 @@ def test_census_bad_arguments_are_named_errors(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: BadParameters: %s\n" % message
+
+
+def test_classify_empty_gram_is_a_named_error(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", {"field": "p=5", "gram": []})
+    assert main(["classify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ParseError: bad quadratic-space JSON: "
+                            "empty Gram matrix\n")
+
+
+def test_zero_quaternion_symbol_is_a_named_error(tmp_path, capsys):
+    iso = write(tmp_path, "iso.json", {
+        "field": "p=5", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    gsp = write(tmp_path, "gsp.json", {"field": "p=5", "B": [0, 1], "C": [1, 2],
+                                       "blocks": [[0] * 16 for _ in range(4)]})
+    for argv in (["lift", iso, "--model", "dim3", "--B", "0,1"],
+                 ["decompose", gsp]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: BadParameters: quaternion symbol "
+                                "entries must be nonzero\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "dim3", "--B", "3,2"],    # model space diag(2, 3, 1)
+    ["--model", "dim3"],                  # model space diag(1, 1, 1)
+    ["--model", "dim6d1", "--B", "2,-1", "--C", "1,2"],
+    ["--model", "dim8id1", "--B", "2,-1", "--C", "1,2"],
+])
+def test_lift_off_the_model_space_is_a_named_error(argv, tmp_path, capsys):
+    path = write(tmp_path, "iso.json", {
+        "field": "p=5", "gram": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert main(["lift", path] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BadParameters: the isometry's Gram "
+                                   "matrix is not the model's space")

@@ -15,7 +15,7 @@ from isogeny_kit.errors import (
     IsotropicMirror,
     NoIsotropicVector,
 )
-from isogeny_kit.exactfield import GF, QQ, SquareClass, square_class
+from isogeny_kit.exactfield import GF, QQ, FieldDesc, SquareClass, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
     Isometry,
@@ -26,7 +26,6 @@ from isogeny_kit.quadforms import (
     diagonalize,
     discriminant,
     find_isotropic,
-    hyperbolic_plane,
     random_isometry,
     reflect,
     spinor_norm,
@@ -38,6 +37,10 @@ from tests_helpers import run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
+
+
+def hyperbolic_plane(field: FieldDesc) -> QuadSpace:
+    return QuadSpace(field, [[0, 1], [1, 0]])
 
 
 def test_pairing_examples():

@@ -25,6 +25,7 @@ from isogeny_kit.spin_low import (
     alt3_symmetric_image,
     alt4_action,
     isometry_from_images,
+    isometry_of_map,
     mat2_of_split_quat,
     r2_matrix,
     split_quat_of_mat2,
@@ -202,7 +203,8 @@ def test_dim4_act_examples():
             h = model.E.gen0()
             assert model.act(model.BE.from_scalar(h)).matrix == ident * field(-1)
             # iota is an isometry of determinant -1
-            iota = model.iota_isometry()
+            iota = isometry_of_map(model.space, lambda x: x.bar(),
+                                   model.to_vec, model.from_vec)
             assert iota.det() == field(-1)
 
 

@@ -59,9 +59,37 @@ def test_dim7rd_redraws_after_stabilizer_shortfall(monkeypatch):
     assert res.passed, res.failures[:3]
     assert res.cases > 1
     # once the redraws run out, the shortfall is still a failure
-    monkeypatch.setattr(suites, "DIM7RD_EXTRA_DRAWS", 0)
+    monkeypatch.setattr(suites, "EXTRA_DRAWS", 0)
     res = run_suite("dim7rd", config)
     assert [f["case"] for f in res.failures] == ["sampled-any-stabilizers"]
+
+
+def test_gsprhoqst_redraws_after_member_shortfall(monkeypatch):
+    # at p=5, seed 7, neither of the first two draws gives a member
+    config = RunConfig.from_args("p=5", seed=7, trials=2)
+    res = run_suite("GSprhoQst", config)
+    assert res.passed, res.failures[:3]
+    assert res.cases > 1
+    monkeypatch.setattr(suites, "EXTRA_DRAWS", 0)
+    res = run_suite("GSprhoQst", config)
+    assert [f["case"] for f in res.failures] == ["sampled-any-members"]
+
+
+def test_gsprhoqst_redraws_do_not_hide_an_empty_membership():
+    """A membership test that finds no member still fails the suite, also
+    under python -O, at any number of trials."""
+    out = run_optimized("""
+        from isogeny_kit import spin_eight
+        from isogeny_kit.suites import RunConfig, run_suite
+        assert False, "asserts are live"
+        spin_eight.Twisted8.membership = lambda self, g: None
+        for trials in (0, 2, 8):
+            res = run_suite("GSprhoQst", RunConfig.from_args("p=5", seed=7, trials=trials))
+            print(trials, res.passed, sorted({f["case"] for f in res.failures}))
+        """)
+    assert out.splitlines() == [
+        "%d False ['gQhat-inverse-is-member', 'sampled-any-members']" % trials
+        for trials in (0, 2, 8)]
 
 
 def test_run_all_threaded():

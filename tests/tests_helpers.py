@@ -1,5 +1,6 @@
-"""Shared sample builders and oracles for the test modules, and a runner
-for checks that must hold under `python -O`."""
+"""Shared sample builders and oracles for the test modules (among them the
+explicit isomorphism B -> M_2(F) of a split quaternion algebra), and a
+runner for checks that must hold under `python -O`."""
 
 import os
 import subprocess
@@ -7,8 +8,11 @@ import sys
 import textwrap
 
 import isogeny_kit
+from isogeny_kit.errors import NotASplittingField
 from isogeny_kit.exactfield import is_square, sqrt_exact
-from isogeny_kit.algebras import QuatElem, reduced_norm_A
+from isogeny_kit.algebras import SPLIT_SEARCH_BUDGET, QuatAlg, QuatElem, reduced_norm_A
+from isogeny_kit.linalg import Mat, independent_subset
+from isogeny_kit.quadforms import find_isotropic
 from isogeny_kit.spin_eight import CoveredGSpElem, GenForm, cover_identity, cover_mul
 
 
@@ -82,6 +86,48 @@ def reduced_norm_A_poly(x):
         - two * eta * eps * (al.bar() * be * de.bar() * ga).trace()
         + two * eta * eps * (al.bar() * ga * de.bar() * be).trace()
     )
+
+
+def quat_zero_divisor(b: QuatAlg) -> QuatElem:
+    """A nonzero element of norm 0 in a split algebra."""
+    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
+                       warn_inconclusive=False)
+    if v is None:
+        raise NotASplittingField("algebra has no zero divisors")
+    return b.elem(v)
+
+
+class SplitIso:
+    """Explicit isomorphism B -> M_2(F) for split B (left ideal action)."""
+
+    def __init__(self, b: QuatAlg):
+        self.algebra = b
+        field = b.ring
+        u = quat_zero_divisor(b)
+        # 2-dimensional left ideal B*u, as a column space over F
+        ideal = independent_subset(field, [(x * u).c for x in b.basis()], 2)
+        self.ideal_basis = [QuatElem(b, c) for c in ideal]
+        self._solve_mat = Mat(field, [[ideal[j][i] for j in range(2)]
+                                      for i in range(4)])
+
+    def matrix(self, x: QuatElem) -> Mat:
+        """Image of x: the action of left multiplication on the ideal."""
+        field = self.algebra.ring
+        cols = []
+        for w in self.ideal_basis:
+            img = x * w
+            sol = self._solve_mat.solve(img.c)
+            if sol is None:
+                raise NotASplittingField("ideal is not invariant (internal error)")
+            cols.append(sol)
+        return Mat(field, [[cols[j][i] for j in range(2)] for i in range(2)])
+
+
+def map_coeffs(x, f, algebra=None):
+    """The table element with coefficients f(c) for the coefficients c of
+    x, in `algebra` (x's own by default): the coefficientwise oracle of
+    `TableElem.rho` and `TableElem.over`."""
+    return type(x)(algebra or x.algebra, [f(a) for a in x.c])
 
 
 def run_optimized(code):
