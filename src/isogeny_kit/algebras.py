@@ -29,7 +29,6 @@ from .errors import (
     BadParameters,
     NonInvertible,
     NormNotInBaseField,
-    SearchBudgetExceeded,
 )
 from .exactfield import FieldDesc, Scalar, is_square
 from .linalg import Mat, berkowitz_det, kron
@@ -280,9 +279,9 @@ def quat_is_split(b: QuatAlg) -> bool:
     """Whether B is isomorphic to M_2(F); base FieldDesc only.
 
     The norm form <1, -alpha, -beta, alpha*beta> is isotropic iff split.
-    Over F_p this is always True.  Over Q: certified split when a vector
-    is found, certified division when the form is definite (alpha < 0 and
-    beta < 0), otherwise SearchBudgetExceeded.
+    Over F_p this is always True.  Over Q: certified division when the form
+    is definite (alpha < 0 and beta < 0), certified split when the search
+    finds a vector, and otherwise the search's SearchBudgetExceeded.
     """
     field = b.ring
     if not isinstance(field, FieldDesc):
@@ -291,11 +290,7 @@ def quat_is_split(b: QuatAlg) -> bool:
         return True
     if b.alpha.value < 0 and b.beta.value < 0:
         return False  # definite norm form: a division algebra
-    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
-                       warn_inconclusive=False)
-    if v is not None:
-        return True
-    raise SearchBudgetExceeded("isotropy of the norm form undecided")
+    return find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET) is not None
 
 
 def _split_mat2(ring, coeffs, s, conj, delta) -> Mat:
@@ -473,12 +468,6 @@ class AminusVector:
 
     def coords(self):
         return self.x + self.y
-
-    def theta(self) -> "AminusVector":
-        return theta(self)
-
-    def albert_norm(self):
-        return albert_norm(self)
 
     def _same_algebra(self, other: "AminusVector") -> bool:
         return other.algebra is self.algebra or other.algebra == self.algebra

@@ -61,10 +61,6 @@ class NormNotInBaseField(IsogenyKitError):
     pass
 
 
-class NotASplittingField(IsogenyKitError):
-    pass
-
-
 class NotFullySplit(IsogenyKitError):
     pass
 

@@ -125,9 +125,6 @@ class Mat:
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def map(self, f, ring=None):
-        return Mat(ring or self.ring, [[f(e) for e in r] for r in self.rows])
-
     def _values(self):
         """Bare entry values (F_p residues or Fractions) and the prime."""
         if not isinstance(self.ring, FieldDesc):

@@ -1,6 +1,7 @@
-"""Quadratic spaces over F_p or Q: diagonalization, isotropy, Witt
-decomposition, reflections, constructive Cartan-Dieudonne factorization,
-and the spinor norm (from the Wall form, with no factorization).
+"""Quadratic spaces over F_p or Q: orthogonal complements, diagonalization,
+isotropy, Witt decomposition, reflections, constructive Cartan-Dieudonne
+factorization, and the spinor norm (from the Wall form, with no
+factorization).
 
 A space is a nondegenerate symmetric Gram matrix; vectors are coordinate
 lists; isometries are matrices T with T^t G T = G.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from operator import mul
 from typing import List, Optional, Tuple
 
@@ -91,8 +91,11 @@ class QuadSpace:
     def basis_vector(self, i):
         return [self.field(1 if j == i else 0) for j in range(self.dim)]
 
-    def zero_vector(self):
-        return [self.field.zero()] * self.dim
+    def restrict(self, basis) -> "QuadSpace":
+        """The subspace spanned by `basis`, with the Gram matrix of its
+        pairings (DegenerateSpace when that is singular)."""
+        return QuadSpace(self.field, Mat(self.field, [[self.pairing(u, v) for v in basis]
+                                                      for u in basis]))
 
     def to_json(self):
         return {"field": "p=%d" % self.field.p if self.field.p else "Q",
@@ -179,7 +182,6 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
     if cached is not None:
         return cached
     field = space.field
-    g = space.gram
     n = space.dim
     basis = [space.basis_vector(i) for i in range(n)]
     out_basis = []
@@ -188,17 +190,32 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
         v = _anisotropic_in_span(space, basis)
         if v is None:
             raise DegenerateSpace("no anisotropic vector in complement")
-        c = space.vnorm(v)
         out_basis.append(v)
-        diag.append(c)
-        new_basis = []
-        for b in basis:
-            w = _sub_vec(b, _scale_vec(space.pairing(b, v) / c, v))
-            new_basis.append(w)
-        basis = independent_subset(field, new_basis, len(basis) - 1)
+        diag.append(space.vnorm(v))
+        basis = complement(space, v, basis)
     p = Mat(field, [[out_basis[j][i] for j in range(n)] for i in range(n)])
     space._diag_cache = (p, diag)
     return p, diag
+
+
+def complement(space: QuadSpace, v, basis=None):
+    """A basis of the orthogonal complement of the anisotropic v inside
+    span(basis) (the whole space by default): each basis vector projected
+    off v, keeping the first len(basis) - 1 independent ones."""
+    if basis is None:
+        basis = [space.basis_vector(i) for i in range(space.dim)]
+    c = space.vnorm(v)
+    projected = [_sub_vec(b, _scale_vec(space.pairing(b, v) / c, v)) for b in basis]
+    return independent_subset(space.field, projected, len(basis) - 1)
+
+
+def to_ambient(coords, basis):
+    """The vector sum_k coords[k] basis[k]: coordinates in a subspace's
+    basis carried to those of the space the basis vectors live in."""
+    out = _scale_vec(coords[0], basis[0])
+    for c, b in zip(coords[1:], basis[1:]):
+        out = _add_vec(out, _scale_vec(c, b))
+    return out
 
 
 def _scale_vec(c: Scalar, v):
@@ -239,15 +256,13 @@ def discriminant(space: QuadSpace) -> SquareClass:
     return square_class(space.gram.det() * sign)
 
 
-def find_isotropic(space: QuadSpace, budget: int = 10,
-                   warn_inconclusive: bool = True):
+def find_isotropic(space: QuadSpace, budget: int = 10):
     """A nonzero isotropic vector, or None.
 
     Dim 2: one square root decides d0 x^2 + d1 y^2 = 0 on the diagonal
     (certified).  F_p: coordinate-slicing in dim >= 3 (always conclusive).
     Q: certified None for definite forms; otherwise a height-bounded
-    search that warns (dim 3, 4) or raises SearchBudgetExceeded (dim >= 5)
-    when exhausted.
+    search that raises SearchBudgetExceeded when exhausted.
     """
     field = space.field
     n = space.dim
@@ -310,10 +325,6 @@ def find_isotropic(space: QuadSpace, budget: int = 10,
             v = [field(c) for c in coords]
             if value(v).is_zero():
                 return back(v)
-        if warn_inconclusive:
-            warnings.warn("isotropy search budget exhausted in dim %d; "
-                          "form may be anisotropic" % n)
-        return None
     raise SearchBudgetExceeded("no isotropic vector found within budget")
 
 
@@ -324,9 +335,9 @@ def split_hyperbolic(space: QuadSpace, budget: int = 10):
     the ambient space).
     """
     field = space.field
-    e = find_isotropic(space, budget=budget, warn_inconclusive=False)
+    e = find_isotropic(space, budget=budget)
     if e is None:
-        raise NoIsotropicVector("space is anisotropic (or search failed)")
+        raise NoIsotropicVector("space is anisotropic")
     # partner with <e, f'> != 0
     f = None
     for i in range(space.dim):
@@ -336,16 +347,10 @@ def split_hyperbolic(space: QuadSpace, budget: int = 10):
             break
     f = _scale_vec(space.pairing(e, f).inverse(), f)
     f = _sub_vec(f, _scale_vec(space.vnorm(f) / field(2), e))
-    # complement: project basis off span(e, f)
-    comp = []
-    for i in range(space.dim):
-        b = space.basis_vector(i)
-        w = _sub_vec(b, _scale_vec(space.pairing(b, f), e))
-        w = _sub_vec(w, _scale_vec(space.pairing(w, e), f))
-        comp.append(w)
-    comp = independent_subset(field, comp, space.dim - 2)
-    gram = Mat(field, [[space.pairing(u, v) for v in comp] for u in comp])
-    sub = QuadSpace(field, gram) if comp else None
+    # e + f and e - f are orthogonal, of norms 2 and -2
+    comp = complement(space, _add_vec(e, f))
+    comp = complement(space, _sub_vec(e, f), comp)
+    sub = space.restrict(comp) if comp else None
     return e, f, sub, comp
 
 
@@ -355,18 +360,12 @@ def witt_decompose(space: QuadSpace, budget: int = 10):
     current = space
     embed = [space.basis_vector(i) for i in range(space.dim)]
     while current is not None:
-        v = find_isotropic(current, budget=budget, warn_inconclusive=False)
-        if v is None:
+        try:
+            _, _, sub, comp = split_hyperbolic(current, budget=budget)
+        except NoIsotropicVector:
             break
-        _, _, sub, comp = split_hyperbolic(current, budget=budget)
         r += 1
-        embed_next = []
-        for w in comp:
-            amb = space.zero_vector()
-            for c, b in zip(w, embed):
-                amb = _add_vec(amb, _scale_vec(c, b))
-            embed_next.append(amb)
-        embed = embed_next
+        embed = [to_ambient(w, embed) for w in comp]
         current = sub
     return r, current, embed
 
@@ -415,7 +414,7 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
         p_mat, diag = diagonalize(space)
         trivial = p_mat == Mat.identity(field, n)
         p_inv = p_mat.inverse()
-        dspace = space if trivial else QuadSpace(field, p_mat.T * space.gram * p_mat)
+        dspace = space if trivial else QuadSpace.diagonal(field, diag)
         cached = (p_mat, p_inv, dspace, trivial)
         space._cdt_cache = cached
     p_mat, p_inv, dspace, trivial = cached

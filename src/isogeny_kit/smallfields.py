@@ -23,14 +23,16 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import EtaleQuad
 from .errors import BadParameters, BudgetExceeded, InvariantViolated
 from .exactfield import FieldDesc, Scalar, SquareClass, square_class
-from .linalg import Mat, independent_subset
+from .linalg import Mat
 from .quadforms import (
     Isometry,
     QuadSpace,
+    complement,
     diagonalize,
     discriminant,
     reflect,
     spinor_norm,
+    to_ambient,
 )
 
 EXHAUSTIVE_LIMIT = 200_000  # largest |O(V)| enumerated element by element
@@ -84,38 +86,21 @@ def _match_diagonal(b: QuadSpace, diag_a: List[int]) -> Optional[List[List[Scala
     field = b.field
     p = field.p
     current = b
-    embed = [b.basis_vector(i) for i in range(b.dim)]
+    basis = [b.basis_vector(i) for i in range(b.dim)]   # of current, in b
     out = []
     for c in diag_a:
         diag_c, p_mat = _diag_ints(current)
         found = None
         for v in _vectors_of_norm(diag_c, c, p):
-            found = p_mat.apply([field(x) for x in v])
+            found = to_ambient(p_mat.apply([field(x) for x in v]), basis)
             break
         if found is None:
             return None
-        amb = _lift(field, found, embed)
-        out.append(amb)
+        out.append(found)
         if current.dim == 1:
             break
-        # orthogonal complement of found inside current
-        nrm = current.vnorm(found)
-        comp = []
-        for i in range(current.dim):
-            e = current.basis_vector(i)
-            comp.append([x - current.pairing(e, found) / nrm * y
-                         for x, y in zip(e, found)])
-        comp = independent_subset(field, comp, current.dim - 1)
-        gram = Mat(field, [[current.pairing(u, w) for w in comp] for u in comp])
-        embed = [_lift(field, w, embed) for w in comp]
-        current = QuadSpace(field, gram)
-    return out
-
-
-def _lift(field, coords, embed):
-    out = [field.zero()] * len(embed[0])
-    for c, b in zip(coords, embed):
-        out = [x + c * y for x, y in zip(out, b)]
+        basis = complement(b, found, basis)
+        current = b.restrict(basis)
     return out
 
 

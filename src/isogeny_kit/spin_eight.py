@@ -283,7 +283,7 @@ class GSpElem:
                 "multiplier": repr(self.m)}
 
 
-def gsp_membership(m: M2A, check_norm: bool = True) -> Optional[GSpElem]:
+def gsp_membership(m: M2A) -> Optional[GSpElem]:
     """The GSp relations: a bar(b), c bar(d) in A^-; a bar(d) + b bar(c) = m
     scalar; and (the GSp refinement) reduced norm = m^4."""
     a, b, c, d = m.entries()
@@ -297,10 +297,8 @@ def gsp_membership(m: M2A, check_norm: bool = True) -> Optional[GSpElem]:
     mult = s.scalar_part()
     if mult.is_zero():
         return None
-    if check_norm:
-        m4 = mult * mult * mult * mult
-        if reduced_norm_M2A(m) != m4:
-            return None
+    if reduced_norm_M2A(m) != mult * mult * mult * mult:
+        return None
     return GSpElem(m, mult)
 
 
@@ -646,14 +644,7 @@ def dim7_q(algebra: BiquatAlg, delta) -> Vec8:
 
 def dim7_space(algebra: BiquatAlg, delta) -> QuadSpace:
     """A^- + <delta>: the complement of dim7_q inside A^- + H."""
-    field = algebra.ring
-    z = field.zero()
-    rows = []
-    alb = algebra.albert_space()
-    for i in range(6):
-        rows.append(list(alb.gram.rows[i]) + [z])
-    rows.append([z] * 6 + [field(delta)])
-    return QuadSpace(field, Mat(field, rows))
+    return orthogonal_sum(algebra.albert_space(), QuadSpace.diagonal(algebra.ring, [delta]))
 
 
 def dim7_embed(algebra: BiquatAlg, delta, coords) -> Vec8:
@@ -842,9 +833,6 @@ class Twisted8:
     def psi_qhat(self, x: CoveredGSpElem) -> CoveredGSpElem:
         return cover_mul(cover_mul(self.q_hat, psi(x)), self.q_hat_inv)
 
-    def rho(self, x: CoveredGSpElem) -> CoveredGSpElem:
-        return cover_rho(x)
-
     def membership(self, g: M2A) -> Optional["RhoQ8Elem"]:
         """psi_Qhat(x) = x^rho for a lift x of g, with multiplier in F^x."""
         member = gsp_membership(g)
@@ -856,7 +844,7 @@ class Twisted8:
         root = eq_sqrt(reduced_norm_A(gf.a))
         if root is None:
             return None
-        x = _root_branch(gf, root, lambda x: self.psi_qhat(x) == self.rho(x))
+        x = _root_branch(gf, root, lambda x: self.psi_qhat(x) == cover_rho(x))
         return None if x is None else RhoQ8Elem(self, x)
 
 
@@ -875,10 +863,6 @@ class RhoQ8Elem:
 
     def act_on(self, v: Vec8) -> Vec8:
         return act8(self.x, v)
-
-    def act_isometry(self) -> Isometry:
-        return isometry_of_map(self.tw8.space, self.act_on, self.tw8.to_coords,
-                               self.tw8.from_coords)
 
     def __repr__(self):
         return "RhoQ8Elem(m=%s)" % self.m

@@ -28,8 +28,8 @@ from .errors import (
     NonInvertible,
 )
 from .exactfield import Scalar
-from .linalg import Mat, independent_subset
-from .quadforms import Isometry, QuadSpace
+from .linalg import Mat
+from .quadforms import Isometry, QuadSpace, complement
 from .spin_low import isometry_of_map, rotation_mirrors
 
 
@@ -168,18 +168,6 @@ def _scalar(z) -> Scalar:
     return z.scalar_part()
 
 
-def perp_basis_of_q(albert: QuadSpace, q_coords) -> List[List[Scalar]]:
-    """Five independent vectors spanning Q^perp inside the Albert space."""
-    field = albert.field
-    nq = albert.vnorm(q_coords)
-    projected = []
-    for i in range(6):
-        b = albert.basis_vector(i)
-        coeff = albert.pairing(b, q_coords) / nq
-        projected.append([x - coeff * y for x, y in zip(b, q_coords)])
-    return independent_subset(field, projected, 5)
-
-
 # ---------------------------------------------------------------------------
 # dimension 6, general discriminant: the twisted space
 # ---------------------------------------------------------------------------
@@ -203,8 +191,7 @@ class TwistedSpace:
         self.QE = q.embed().over(self.AE)
         self.q_norm = albert_norm(q)
         # basis: orthogonal-complement vectors of Q in A^- over F, then h*Q
-        albert = algebra.albert_space()
-        perp = perp_basis_of_q(albert, q.coords())
+        perp = complement(algebra.albert_space(), q.coords())
         h = e.gen0()
         basis = [algebra.aminus_of(v).embed().over(self.AE) for v in perp]
         basis.append(self.QE.scale(h))
@@ -266,9 +253,6 @@ class RhoQGroupElem:
     def act_on(self, u: BiquatElem) -> BiquatElem:
         """u -> g u bar(g) / t; preserves the twisted space."""
         return (self.g * u * self.g.bar()).scale(self.t.inverse())
-
-    def act_isometry(self) -> Isometry:
-        return isometry_of_map(self.ts.space, self.act_on, self.ts.to_vec, self.ts.from_vec)
 
     def __repr__(self):
         return "RhoQGroupElem(t=%s)" % self.t

@@ -33,11 +33,13 @@ from .linalg import Mat, berkowitz_det
 from .quadforms import (
     QuadSpace,
     cartan_dieudonne,
+    complement,
     compose_reflections,
     discriminant,
     random_isometry,
     reflect,
     spinor_norm,
+    to_ambient,
 )
 from .spin_low import (
     Dim2Model,
@@ -792,16 +794,12 @@ def suite_dim5(rec, rng, config):
     algebra = biquat_instances(field)[0]
     space = algebra.albert_space()
     q = _anisotropic_q(algebra)
-    from .spin_six import perp_basis_of_q
-    perp = perp_basis_of_q(space, q.coords())
+    perp = complement(space, q.coords())
     for _ in range(config.trials):
         # SO(A^-) element fixing q: product of two reflections in q-perp
         mirrors = []
         while len(mirrors) < 2:
-            v = [field.zero()] * 6
-            for w in perp:
-                c = field_elems(field, rng, 1)[0]
-                v = [x + c * y for x, y in zip(v, w)]
+            v = to_ambient([field_elems(field, rng, 1)[0] for _ in perp], perp)
             if not space.vnorm(v).is_zero():
                 mirrors.append(v)
         t = compose_reflections(space, mirrors)
@@ -1005,7 +1003,7 @@ def suite_Qhatpsi(rec, rng, config):
     qh = tw8.q_hat
     # psi(Qhat) has the stated diagonal; Qhat psi(Qhat) = -|Q|^2 with root |Q|^4
     pq = spin_eight.psi(qh)
-    expect = spin_eight.M2A.diag(tw8.AE, -ts.QE.to_aminus().theta().embed(), ts.QE)
+    expect = spin_eight.M2A.diag(tw8.AE, -algebras.theta(ts.QE.to_aminus()).embed(), ts.QE)
     rec.check(pq.matrix() == expect, "psi-Qhat-matrix")
     prod = spin_eight.cover_mul(qh, pq)
     qn = ts.E.from_scalar(ts.q_norm)
@@ -1039,11 +1037,11 @@ def suite_GSprhoQst(rec, rng, config):
             continue
         members += 1
         # the defining condition holds on the membership branch
-        rec.check(tw8.psi_qhat(member.x) == tw8.rho(member.x),
+        rec.check(tw8.psi_qhat(member.x) == spin_eight.cover_rho(member.x),
                   "psiQhat-equals-rho")
         # the other root branch is excluded
         other = spin_eight.CoveredGSpElem(member.x.gf, -member.x.t, check=False)
-        rec.check(not (tw8.psi_qhat(other) == tw8.rho(other)),
+        rec.check(not (tw8.psi_qhat(other) == spin_eight.cover_rho(other)),
                   "other-branch-excluded")
         # and the action preserves the F-structure
         w8 = tw8.from_coords(field_elems(field, rng, 8))

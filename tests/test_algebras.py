@@ -19,7 +19,6 @@ from isogeny_kit.errors import (
     BadParameters,
     NonInvertible,
     NormNotInBaseField,
-    NotASplittingField,
 )
 from isogeny_kit.exactfield import GF, QQ, FieldDesc, Scalar, is_square, sqrt_exact
 from isogeny_kit.algebras import (
@@ -42,7 +41,7 @@ from isogeny_kit.algebras import (
 from isogeny_kit.linalg import Mat, berkowitz_det
 from isogeny_kit.towers import TableElem
 
-from tests_helpers import SplitIso, reduced_norm_A_poly
+from tests_helpers import NotASplittingField, SplitIso, reduced_norm_A_poly
 
 F3 = GF(3)
 F5 = GF(5)
@@ -79,10 +78,6 @@ class SplitEmbedding:
         k = self.K
         return _split_mat2(k, [k(v) for v in x.c], self._s, EQElem.conj,
                            k(self.delta))
-
-    def sigma(self, m: Mat) -> Mat:
-        """Entrywise Galois action Id_B (x) sigma on M_2(K)."""
-        return m.map(lambda e: e.conj())
 
     def norm_det(self, x: QuatElem) -> Scalar:
         d = berkowitz_det(self.matrix(x))

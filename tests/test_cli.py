@@ -230,3 +230,14 @@ def test_lift_off_the_model_space_is_a_named_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: BadParameters: the isometry's Gram "
                                    "matrix is not the model's space")
+
+
+def test_classify_exhausted_search_is_a_named_error(tmp_path, capsys):
+    """<1, 7, -58> over Q is isotropic, (15, 1, 2), past the default height
+    10: classify exits 2 instead of reporting witt 0."""
+    path = write(tmp_path, "t.json", {"field": "Q", "gram": [[1, 0, 0], [0, 7, 0], [0, 0, -58]]})
+    assert main(["classify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: SearchBudgetExceeded: "
+                            "no isotropic vector found within budget\n")

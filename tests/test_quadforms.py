@@ -10,17 +10,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isogeny_kit import quadforms
 from isogeny_kit.errors import (
+    DegenerateSpace,
     DimensionMismatch,
     InvariantViolated,
     IsotropicMirror,
     NoIsotropicVector,
+    SearchBudgetExceeded,
 )
 from isogeny_kit.exactfield import GF, QQ, FieldDesc, SquareClass, square_class
-from isogeny_kit.linalg import Mat
+from isogeny_kit.linalg import Mat, independent_subset
 from isogeny_kit.quadforms import (
     Isometry,
     QuadSpace,
     cartan_dieudonne,
+    complement,
     compose_reflections,
     determinant_class,
     diagonalize,
@@ -33,7 +36,7 @@ from isogeny_kit.quadforms import (
     witt_decompose,
 )
 
-from tests_helpers import run_optimized
+from tests_helpers import nondiagonal_space, run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
@@ -69,7 +72,7 @@ def test_diagonal_pairing_matches_dense_gram():
                     assert m.T * s.gram * m == s.gram
                     assert m.apply(v) == [-x for x in v]
             with pytest.raises(DimensionMismatch):
-                s.pairing(s.zero_vector() + [field(1)], s.zero_vector())
+                s.pairing([field(0)] * n + [field(1)], [field(0)] * n)
             with pytest.raises(DimensionMismatch):
                 reflect(s, s.basis_vector(0) + [field(1)])
     assert hyperbolic_plane(F5).diag is None
@@ -155,6 +158,20 @@ def test_dim2_isotropy_over_q_needs_no_factoring():
     s = QuadSpace.diagonal(QQ, [1, -1470600058489])
     assert find_isotropic(s) == [QQ(1212683), QQ(1)]
     assert witt_decompose(s)[0] == 1
+
+
+def test_exhausted_search_is_a_named_error_in_every_dimension():
+    """<1, 1, -2> and <1, 1, 1, -3> are isotropic, with witnesses of height
+    1; a height-0 search runs out and raises, never returns None."""
+    for diag in ([1, 1, -2], [1, 1, 1, -3], [1, -1, 1, 1, 1]):
+        s = QuadSpace.diagonal(QQ, diag)
+        with pytest.raises(SearchBudgetExceeded):
+            find_isotropic(s, budget=0)
+        with pytest.raises(SearchBudgetExceeded):
+            witt_decompose(s, budget=0)
+        assert s.vnorm(find_isotropic(s, budget=1)).is_zero()
+    with pytest.raises(SearchBudgetExceeded):
+        find_isotropic(QuadSpace.diagonal(QQ, [1, 7, -58]))   # (15, 1, 2)
 
 
 def test_split_hyperbolic():
@@ -399,3 +416,129 @@ def test_wall_spinor_norm_matches_mirror_product(space, kind, seed):
     assert spinor_norm(t) == mirror_norm_product(t)
     if kind == "minus" and n % 2 == 0:
         assert spinor_norm(t) == determinant_class(space)
+
+
+# ---------------------------------------------------------------------------
+# orthogonal complements, against the sub-space recursions they replaced
+# ---------------------------------------------------------------------------
+
+FIELDS = [GF(3), GF(5), GF(7), QQ]
+
+
+def _units(field, rng, k):
+    if field.p:
+        return [rng.randrange(1, field.p) for _ in range(k)]
+    return [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(k)]
+
+
+def _rank(field, vecs):
+    return Mat(field, [list(v) for v in vecs]).rank() if vecs else 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_complement_is_an_orthogonal_basis_of_the_rest(field):
+    rng = random.Random(20)
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        s = nondiagonal_space(field, _units(field, rng, n), rng)
+        v = s.random_anisotropic(rng, height=2)
+        # the whole space, or a span that holds v, given by a basis
+        m = rng.randrange(n) + 1
+        while True:
+            span = [v] + [s.random_vector(rng, height=2) for _ in range(m - 1)]
+            if _rank(field, span) == m:
+                break
+        for basis in (None, span):
+            k = n if basis is None else m
+            comp = complement(s, v, basis)
+            assert len(comp) == k - 1 and _rank(field, comp) == k - 1
+            assert all(s.pairing(w, v).is_zero() for w in comp)
+            if not comp:
+                continue
+            gram = Mat(field, [[s.pairing(a, b) for b in comp] for a in comp])
+            if gram.det().is_zero():   # a degenerate span
+                with pytest.raises(DegenerateSpace):
+                    s.restrict(comp)
+            else:
+                assert s.restrict(comp).gram == gram
+
+
+def split_by_projection(space, budget=10):
+    """split_hyperbolic as it was: e from the search, f from the first basis
+    vector that pairs with it, each basis vector projected off span(e, f)
+    in one step."""
+    field = space.field
+    e = find_isotropic(space, budget=budget)
+    if e is None:
+        raise NoIsotropicVector("space is anisotropic")
+    f = next(b for b in map(space.basis_vector, range(space.dim))
+             if not space.pairing(e, b).is_zero())
+    f = [space.pairing(e, f).inverse() * x for x in f]
+    f = [x - space.vnorm(f) / field(2) * y for x, y in zip(f, e)]
+    comp = []
+    for i in range(space.dim):
+        w = space.basis_vector(i)
+        w = [x - space.pairing(w, f) * y for x, y in zip(w, e)]
+        w = [x - space.pairing(w, e) * y for x, y in zip(w, f)]
+        comp.append(w)
+    comp = independent_subset(field, comp, space.dim - 2)
+    gram = Mat(field, [[space.pairing(u, v) for v in comp] for u in comp])
+    return e, f, QuadSpace(field, gram) if comp else None, comp
+
+
+def witt_by_subspaces(space, budget=10):
+    """witt_decompose as it was: a search per plane before each split, and
+    the kernel basis carried into ambient coordinates by hand."""
+    r, current = 0, space
+    embed = [space.basis_vector(i) for i in range(space.dim)]
+    while current is not None and find_isotropic(current, budget=budget) is not None:
+        _, _, current, comp = split_by_projection(current, budget)
+        r += 1
+        embed = [[sum((c * b[i] for c, b in zip(w, embed)), space.field.zero())
+                  for i in range(space.dim)] for w in comp]
+    return r, current, embed
+
+
+def _outcome(f, space):
+    """repr of f(space), or the name of the library error it raised."""
+    try:
+        return repr(f(space))
+    except (NoIsotropicVector, SearchBudgetExceeded) as exc:
+        return type(exc).__name__
+
+
+def test_split_and_witt_match_the_subspace_recursions():
+    rng = random.Random(21)
+    for field in FIELDS:
+        for _ in range(25):
+            n = rng.randrange(1, 7) if field.p else rng.randrange(2, 4)
+            d = _units(field, rng, n)
+            if not field.p and n == 3:
+                d[1] = -d[0]   # isotropic: a Q search of dim 3 that runs dry takes 1 s
+            s = nondiagonal_space(field, d, rng)
+            assert _outcome(witt_decompose, s) == _outcome(witt_by_subspaces, s)
+            split = _outcome(split_hyperbolic, s)
+            assert split == _outcome(split_by_projection, s)
+            if split not in ("NoIsotropicVector", "SearchBudgetExceeded"):
+                assert is_hyperbolic_split(s, *split_hyperbolic(s))
+
+
+def is_hyperbolic_split(space, e, f, sub, comp):
+    """(e, f) a hyperbolic pair and comp a basis of its orthogonal
+    complement, with sub the Gram of comp."""
+    zero = space.field.zero()
+    return (space.vnorm(e) == zero and space.vnorm(f) == zero
+            and space.pairing(e, f) == space.field(1)
+            and len(comp) == space.dim - 2 == (sub.dim if sub else 0)
+            and all(space.pairing(w, x) == zero for w in comp for x in (e, f)))
+
+
+def test_a_split_projected_off_e_plus_f_only_is_caught():
+    """The mutant that skips the projection off e - f keeps e - f in the
+    complement: one dimension too many, and not orthogonal to e or f."""
+    rng = random.Random(22)
+    for field in FIELDS:
+        s = nondiagonal_space(field, [1, -1, 1, 2][:4 if field.p else 3], rng)
+        e, f, _, _ = split_hyperbolic(s)
+        comp = complement(s, [a + b for a, b in zip(e, f)])
+        assert not is_hyperbolic_split(s, e, f, s.restrict(comp), comp)

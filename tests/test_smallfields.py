@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ from isogeny_kit import smallfields
 from isogeny_kit.algebras import EtaleQuad
 from isogeny_kit.errors import BudgetExceeded, InvariantViolated
 from isogeny_kit.exactfield import GF
-from isogeny_kit.linalg import Mat
+from isogeny_kit.linalg import Mat, independent_subset
 from isogeny_kit.quadforms import QuadSpace, find_isotropic
 from isogeny_kit.smallfields import (
     EUCLIDEAN_NOTE,
@@ -27,6 +28,7 @@ from isogeny_kit.smallfields import (
     orthogonal_order,
     so_plus_index,
 )
+from tests_helpers import nondiagonal_space
 
 F3 = GF(3)
 F5 = GF(5)
@@ -148,7 +150,7 @@ def test_euclidean_note_is_documentation():
 
 def test_classify_invariant_under_base_change():
     import random
-    from isogeny_kit.linalg import Mat
+    from isogeny_kit.linalg import Mat, independent_subset
     rng = random.Random(9)
     for _ in range(60):
         dim = rng.randrange(1, 5)
@@ -162,6 +164,54 @@ def test_classify_invariant_under_base_change():
         s2 = QuadSpace(F3, p.T * s.gram * p)
         k1, k2 = classify_form(s), classify_form(s2)
         assert k1[0] == k2[0] and k1[1] == k2[1]
+
+
+def match_by_subspaces(b, diag_a):
+    """_match_diagonal as it was: each complement a QuadSpace in its own
+    coordinates, its vectors carried back to b through the chain of bases."""
+    field = b.field
+    current = b
+    embed = [b.basis_vector(i) for i in range(b.dim)]
+
+    def lift(coords):
+        return [sum((c * e[i] for c, e in zip(coords, embed)), field.zero())
+                for i in range(b.dim)]
+
+    out = []
+    for c in diag_a:
+        diag_c, p_mat = smallfields._diag_ints(current)
+        v = next(smallfields._vectors_of_norm(diag_c, c, field.p), None)
+        if v is None:
+            return None
+        found = p_mat.apply([field(x) for x in v])
+        out.append(lift(found))
+        if current.dim == 1:
+            break
+        nrm = current.vnorm(found)
+        comp = [[x - current.pairing(e, found) / nrm * y for x, y in zip(e, found)]
+                for e in map(current.basis_vector, range(current.dim))]
+        comp = independent_subset(field, comp, current.dim - 1)
+        gram = Mat(field, [[current.pairing(u, w) for w in comp] for u in comp])
+        embed = [lift(w) for w in comp]
+        current = QuadSpace(field, gram)
+    return out
+
+
+def test_match_diagonal_matches_the_subspace_recursion():
+    """Exact vectors and explicit isometries on non-diagonal forms, also
+    when b has no vector of some norm (None)."""
+    rng = random.Random(23)
+    for p in (3, 5, 7):
+        field = GF(p)
+        for _ in range(40):
+            n = rng.randrange(1, 6 if p == 3 else 5)
+            a = nondiagonal_space(field, [rng.randrange(1, p) for _ in range(n)], rng)
+            b = nondiagonal_space(field, [rng.randrange(1, p) for _ in range(n)], rng)
+            diag_a = smallfields._diag_ints(a)[0]
+            assert repr(smallfields._match_diagonal(b, diag_a)) == repr(
+                match_by_subspaces(b, diag_a))
+            m = explicit_isometry(a, b)
+            assert (m is None) == (classify_form(a) != classify_form(b))
 
 
 def _bruteforce_columns(diag, p):

@@ -23,6 +23,7 @@ from isogeny_kit.errors import (
 from isogeny_kit.exactfield import GF, QQ, square_class
 from isogeny_kit.linalg import Mat
 from isogeny_kit.quadforms import (
+    complement,
     compose_reflections,
     discriminant,
     random_isometry,
@@ -38,14 +39,13 @@ from isogeny_kit.spin_six import (
     dim6d1_lift,
     norm_group_M2B,
     pair_lift,
-    perp_basis_of_q,
     qtheta_cover_conj,
     ref6d1_map,
     ref6gen_isometry,
     ref6gen_lift,
     rhoQ_membership,
 )
-from isogeny_kit.spin_low import isometry_from_images
+from isogeny_kit.spin_low import isometry_from_images, isometry_of_map
 from tests_helpers import map_coeffs, run_optimized
 
 F3 = GF(3)
@@ -215,7 +215,7 @@ def test_dim5_lifts_act_on_q_fixers():
     a = make_algebra(F5)
     space = a.albert_space()
     q = a.aminus([F5(0)] * 3, [F5(1), F5(2), F5(0)])
-    perp = perp_basis_of_q(space, q.coords())
+    perp = complement(space, q.coords())
     rng = random.Random(6)
     for _ in range(100):
         mirrors = []
@@ -239,7 +239,7 @@ def test_nqf2na_conjugation():
     space = a.albert_space()
     q = a.aminus([F3(0)] * 3, [F3(1), F3(0), F3(0)])
     assert not albert_norm(q).is_zero()
-    perp = perp_basis_of_q(space, q.coords())
+    perp = complement(space, q.coords())
     rng = random.Random(7)
     from isogeny_kit.algebras import reduced_norm_A
     for _ in range(30):
@@ -326,12 +326,14 @@ def test_rhoq_membership_examples():
     # r in F^x: member with t = r^2, trivial action
     m = rhoQ_membership(ts, ts.AE.from_scalar(ts.E.from_scalar(F5(2))))
     assert m is not None and m.t == F5(4)
-    assert m.act_isometry().matrix == Mat.identity(F5, 6)
+    assert (isometry_of_map(ts.space, m.act_on, ts.to_vec, ts.from_vec).matrix
+            == Mat.identity(F5, 6))
     # r in E_0: member with t = -r^2, acts as -Id
     h = ts.E.gen0()
     m2 = rhoQ_membership(ts, ts.AE.from_scalar(h))
     assert m2 is not None and m2.t == -((h * h).scalar_part())
-    assert m2.act_isometry().matrix == Mat.identity(F5, 6) * F5(-1)
+    assert (isometry_of_map(ts.space, m2.act_on, ts.to_vec, ts.from_vec).matrix
+            == Mat.identity(F5, 6) * F5(-1))
     # g h Q^-1 for anisotropic twisted g: member with t = d |g|^2 / |Q|^2
     rng = random.Random(9)
     d = (h * h).scalar_part()

@@ -1,12 +1,14 @@
 """`src/` holds what the library, the CLI and perfbench use.
 
 An AST scan of `src/isogeny_kit` for top-level functions and classes, and
-for the methods whose name is defined only once in `src/` (a shared name
-such as `matrix` cannot be traced by name), that nothing outside `tests/`
-reaches.  A definition counts as reached when its name is read (as a name,
-an attribute, an import or an equal string constant) in another `src/`
-module, in its own module outside its definition, or in a `perfbench/`
-file.  Test oracles belong in `tests/`, next to the tests that use them.
+for methods, that nothing outside `tests/` reaches.  A function or class
+counts as reached when its name is read (as a name, an attribute, an
+import or an equal string constant) in another `src/` module, in its own
+module outside its definition, or in a `perfbench/` file.  A method counts
+as reached only by an attribute read or an equal string constant there:
+a bare name such as the builtin `map` does not reach `Mat.map`.  A method
+name that several classes share is reached for all of them by one read.
+Test oracles belong in `tests/`, next to the tests that use them.
 """
 
 import ast
@@ -40,37 +42,35 @@ def _parse(path):
 
 
 def _names_read(tree):
-    """How often `tree` reads each name."""
-    out = Counter()
+    """How often `tree` reads each name, and how often as an attribute or
+    a string constant: (all reads, attribute reads)."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.alias):
-            out[node.name] += 1
+            names[node.name] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out[node.value] += 1
-    return out
+            attrs[node.value] += 1
+    return names + attrs, attrs
 
 
 def _definitions(trees):
-    """(module, label, name, node) for every top-level function and class,
-    and every method whose name no other definition in `src/` shares."""
-    counts = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    """(module, label, name, node, is_method) for every top-level function
+    and class and every method but the dunders."""
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs.append((module, node.name, node.name, node))
+            defs.append((module, node.name, node.name, node, False))
             if isinstance(node, ast.ClassDef):
-                defs.extend((module, "%s.%s" % (node.name, sub.name), sub.name, sub)
+                defs.extend((module, "%s.%s" % (node.name, sub.name), sub.name, sub, True)
                             for sub in node.body
                             if isinstance(sub, ast.FunctionDef)
-                            and not sub.name.startswith("__")
-                            and counts[sub.name] == 1)
+                            and not sub.name.startswith("__"))
     return defs
 
 
@@ -79,34 +79,53 @@ def unreached():
     reaches, in source order."""
     trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
     reads = {module: _names_read(tree) for module, tree in trees.items()}
-    elsewhere = Counter()
+    elsewhere = [Counter(), Counter()]
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        elsewhere.update(_names_read(_parse(path)))
+        for total, part in zip(elsewhere, _names_read(_parse(path))):
+            total.update(part)
     # cli.main calls globals()["cmd_" + args.command] for each subcommand
-    elsewhere.update("cmd_" + name for name in reads["cli"])
+    elsewhere[0].update("cmd_" + name for name in reads["cli"][0])
     out = []
     flagged_classes = set()
-    for module, label, name, node in _definitions(trees):
+    for module, label, name, node, is_method in _definitions(trees):
         if label.split(".")[0] in flagged_classes:
             continue   # a method of a class reported already
-        outside_own = reads[module][name] - _names_read(node)[name]
-        if not (outside_own or elsewhere[name]
-                or any(reads[other][name] for other in trees if other != module)):
+        kind = 1 if is_method else 0
+        outside_own = reads[module][kind][name] - _names_read(node)[kind][name]
+        if not (outside_own or elsewhere[kind][name]
+                or any(reads[other][kind][name] for other in trees if other != module)):
             out.append(label)
             if isinstance(node, ast.ClassDef):
                 flagged_classes.add(name)
     return out
 
 
+def _used_errors():
+    """The errors.py classes that `src/` raises, catches or subclasses."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.update(n.id for n in ast.walk(exc) if isinstance(n, ast.Name))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+            elif isinstance(node, ast.ClassDef):
+                used.update(n.id for base in node.bases for n in ast.walk(base)
+                            if isinstance(n, ast.Name))
+    return used
+
+
 def allowed():
     """KEPT, the names tests/test_acceptance.py imports from the library
-    (its public API), and the exception classes of errors.py."""
+    (its public API), and the exception classes of errors.py that `src/`
+    raises, catches or subclasses."""
     names = set(KEPT)
     for node in ast.walk(_parse(ROOT / "tests" / "test_acceptance.py")):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("isogeny_kit"):
             names.update(alias.name for alias in node.names)
     names.update(node.name for node in _parse(SRC / "errors.py").body
-                 if isinstance(node, ast.ClassDef))
+                 if isinstance(node, ast.ClassDef) and node.name in _used_errors())
     return names
 
 
@@ -131,3 +150,13 @@ def test_scan_sees_references():
                  "gsp_membership"):
         assert name not in found
     assert "GF" in found and "GF" in allowed()   # reached only from tests
+
+
+def test_methods_are_reached_by_attribute_reads_only():
+    names, attrs = _names_read(ast.parse("map(f, xs)\nm.apply(v)\ngetattr(m, 'col')"))
+    assert names["map"] == 1 and attrs["map"] == 0
+    assert attrs["apply"] == 1 and attrs["col"] == 1
+    found = set(unreached())
+    assert "Mat.apply" not in found and "QuadSpace.restrict" not in found
+    used = _used_errors()
+    assert {"IsogenyKitError", "SearchBudgetExceeded", "NoIsotropicVector"} <= used

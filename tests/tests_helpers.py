@@ -8,12 +8,31 @@ import sys
 import textwrap
 
 import isogeny_kit
-from isogeny_kit.errors import NotASplittingField
+from isogeny_kit.errors import IsogenyKitError
 from isogeny_kit.exactfield import is_square, sqrt_exact
 from isogeny_kit.algebras import SPLIT_SEARCH_BUDGET, QuatAlg, QuatElem, reduced_norm_A
 from isogeny_kit.linalg import Mat, independent_subset
-from isogeny_kit.quadforms import find_isotropic
+from isogeny_kit.quadforms import QuadSpace, find_isotropic
 from isogeny_kit.spin_eight import CoveredGSpElem, GenForm, cover_identity, cover_mul
+
+
+def nondiagonal_space(field, diag, rng):
+    """P^t diag(d) P for a random invertible P, drawn again until the Gram
+    matrix has an off-diagonal entry (when len(diag) > 1)."""
+    n = len(diag)
+    draw = (lambda: rng.randrange(field.p)) if field.p else (lambda: rng.randint(-1, 1))
+    gram = QuadSpace.diagonal(field, diag).gram
+    while True:
+        p = Mat(field, [[field(draw()) for _ in range(n)] for _ in range(n)])
+        if not p.det().is_zero():
+            space = QuadSpace(field, p.T * gram * p)
+            if n == 1 or space.diag is None:
+                return space
+
+
+class NotASplittingField(IsogenyKitError):
+    """A split-algebra oracle of the tests met an algebra or an extension
+    that does not split it."""
 
 
 def rand_cover(algebra, rng, k=3):
@@ -90,8 +109,7 @@ def reduced_norm_A_poly(x):
 
 def quat_zero_divisor(b: QuatAlg) -> QuatElem:
     """A nonzero element of norm 0 in a split algebra."""
-    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET,
-                       warn_inconclusive=False)
+    v = find_isotropic(b.norm_form(), budget=SPLIT_SEARCH_BUDGET)
     if v is None:
         raise NotASplittingField("algebra has no zero divisors")
     return b.elem(v)
