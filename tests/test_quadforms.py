@@ -161,8 +161,9 @@ def test_dim2_isotropy_over_q_needs_no_factoring():
 
 
 def test_exhausted_search_is_a_named_error_in_every_dimension():
-    """<1, 1, -2> and <1, 1, 1, -3> are isotropic, with witnesses of height
-    1; a height-0 search runs out and raises, never returns None."""
+    """<1, 1, -2>, <1, 1, 1, -3> and <1, -1, 1, 1, 1> are isotropic, with
+    witnesses of height 1; a height-0 search runs out and raises in each
+    dimension, never returns None."""
     for diag in ([1, 1, -2], [1, 1, 1, -3], [1, -1, 1, 1, 1]):
         s = QuadSpace.diagonal(QQ, diag)
         with pytest.raises(SearchBudgetExceeded):
@@ -524,8 +525,8 @@ def test_split_and_witt_match_the_subspace_recursions():
 
 
 def is_hyperbolic_split(space, e, f, sub, comp):
-    """(e, f) a hyperbolic pair and comp a basis of its orthogonal
-    complement, with sub the Gram of comp."""
+    """(e, f) a hyperbolic pair, comp dim - 2 vectors orthogonal to both
+    and sub a space of that dimension (None for a plane)."""
     zero = space.field.zero()
     return (space.vnorm(e) == zero and space.vnorm(f) == zero
             and space.pairing(e, f) == space.field(1)

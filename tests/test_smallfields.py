@@ -150,7 +150,7 @@ def test_euclidean_note_is_documentation():
 
 def test_classify_invariant_under_base_change():
     import random
-    from isogeny_kit.linalg import Mat, independent_subset
+    from isogeny_kit.linalg import Mat
     rng = random.Random(9)
     for _ in range(60):
         dim = rng.randrange(1, 5)
