@@ -6,22 +6,25 @@ The etale E, the quaternion and the bi-quaternion algebras are
 subclasses of the structure-constant core in `towers` (`TableAlgebra`,
 `TableElem`), which gives their coercion, linear operations, equality,
 table product and the unit coefficient of a product; here they add only
-their structure tables, involutions, norms, traces, inverses and A^-
-maps.  E is of rank 2 over F on the basis (1, g), g^2 = d, with g =
-(1, -1) when E = F x F; its elements keep a conj/N inverse and the (x, y)
-views of the pair or of x + y sqrt(d).  The coefficient ring of the
-others is F_p, Q or E (restriction of scalars to F), so the same code
-serves B and B_E; their norms are unit coefficients of products, and the
-reduced-norm oracle is a determinant over a multi-quadratic tower.  The
+their structure tables, involutions, norms, traces and inverses.  E is
+of rank 2 over F on the basis (1, g), g^2 = d, with g = (1, -1) when
+E = F x F; its elements keep a conj/N inverse and the (x, y) views of the
+pair or of x + y sqrt(d).  The coefficient ring of the others is F_p, Q
+or E (restriction of scalars to F), so the same code serves B and B_E;
+their norms are unit coefficients of products, and the reduced-norm
+oracle is a determinant over a multi-quadratic tower.  The
 split-embedding determinant oracle of B in M_2(K) is a test (`tests/`).
+
+A vector of A^- = B_0 (x) 1 + 1 (x) C_0 is the element of A it is: an
+`AminusVector` holds one `BiquatElem`, and its sums, scaling, equality
+and theta (a sign mask) run on that element's ints.  The Albert form
+<u, v> is the unit coefficient of u theta(v), one expression over F_p, Q
+and E.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import (
@@ -159,8 +162,9 @@ _BAR_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in _BAR_SIGNS)
 _TAU_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in (1, -1, 1, 1))
 _ADJ_SIGNS16 = (1,) + (-1,) * 15
 # the coefficients of A^- = B_0 (x) 1 + 1 (x) C_0: x at b_s (x) 1 (s = 1, 2,
-# 3), then y at 1 (x) c_t (t = 1, 2, 3)
+# 3), then y at 1 (x) c_t (t = 1, 2, 3); theta negates the x part
 _AMINUS_INDEX = (4, 8, 12, 1, 2, 3)
+_THETA_SIGNS16 = tuple(-1 if i in _AMINUS_INDEX[:3] else 1 for i in range(16))
 
 
 class QuatElem(TableElem):
@@ -326,16 +330,6 @@ class BiquatElem(TableElem):
     # counts bi-quaternion products by name
     __mul__ = TableElem.__mul__
 
-    def _coerce(self, other):
-        if isinstance(other, AminusVector):
-            return other.embed()
-        return TableElem._coerce(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, AminusVector):
-            return other.embed() * self
-        return TableElem.__rmul__(self, other)
-
     def bar(self) -> "BiquatElem":
         """The involution iota_B (x) iota_C."""
         return self._signed(_BAR_SIGNS16)
@@ -362,17 +356,10 @@ class BiquatElem(TableElem):
         return not any(v[i] for i in range(len(v)) if _BAR_SIGNS16[i // r] == 1)
 
     def to_aminus(self) -> "AminusVector":
-        """The A^- vector with x = the b_s (x) 1 and y = the 1 (x) c_t
-        coefficients, read off the six of them on the ints."""
+        """This element as an A^- vector; ValueError outside A^-."""
         if not self.in_minus_space():
             raise ValueError("element is not in A^-")
-        algebra = self.algebra
-        res = algebra._restriction()
-        v, d = self._ints()
-        r = res.r
-        six = [v[r * i + a] for i in _AMINUS_INDEX for a in range(r)]
-        c = res.coeffs(algebra.ring, six, d)
-        return AminusVector(algebra, c[:3], c[3:])
+        return AminusVector._of(self)
 
     def __repr__(self):
         names = []
@@ -402,9 +389,6 @@ class BiquatAlg(TableAlgebra):
         self.B = b
         self.C = c
         self.ring = b.ring
-        # the diagonal Albert form on A^-: B_0-part and negated C_0-part
-        self.albert_diag = (-b.alpha, -b.beta, b.alpha * b.beta,
-                            c.alpha, c.beta, -c.alpha * c.beta)
 
     def table(self):
         """The tab16 fusion: (b_s c_t)(b_u c_v) = fb fc b_wb c_wc."""
@@ -431,8 +415,7 @@ class BiquatAlg(TableAlgebra):
         return BiquatElem(self, coords)
 
     def aminus(self, x_coords, y_coords) -> "AminusVector":
-        return AminusVector(self, [self.ring(v) for v in x_coords],
-                            [self.ring(v) for v in y_coords])
+        return AminusVector(self, x_coords, y_coords)
 
     def aminus_of(self, coords) -> "AminusVector":
         """The A^- vector with Albert coordinates coords[:6], the inverse of
@@ -440,34 +423,50 @@ class BiquatAlg(TableAlgebra):
         return self.aminus(coords[:3], coords[3:6])
 
     def albert_space(self) -> QuadSpace:
-        """The Albert form on A^-, diagonal `albert_diag`."""
-        return QuadSpace.diagonal(self.ring, self.albert_diag)
+        """The Albert form on A^-: the B_0 norm form and the negated C_0 one."""
+        b, c = self.B, self.C
+        return QuadSpace.diagonal(self.ring, [-b.alpha, -b.beta, b.alpha * b.beta,
+                                              c.alpha, c.beta, -c.alpha * c.beta])
 
 
 class AminusVector:
-    """Element of A^- = (B_0 (x) 1) + (1 (x) C_0), the Albert form space."""
+    """Element of A^- = (B_0 (x) 1) + (1 (x) C_0), the Albert form space:
+    the element of A it is (`embed`), with x its b_s (x) 1 and y its
+    1 (x) c_t coefficients (s, t = 1, 2, 3)."""
 
-    __slots__ = ("algebra", "x", "y")
+    __slots__ = ("_e",)
 
     def __init__(self, algebra: BiquatAlg, x, y):
-        self.algebra = algebra
-        self.x = list(x)
-        self.y = list(y)
+        c = [algebra.ring.zero()] * 16
+        for i, v in zip(_AMINUS_INDEX, [*x, *y]):
+            c[i] = algebra.ring(v)
+        self._e = BiquatElem(algebra, c)
+
+    @classmethod
+    def _of(cls, e: BiquatElem) -> "AminusVector":
+        """The vector that is e, an element of A^-."""
+        u = cls.__new__(cls)
+        u._e = e
+        return u
+
+    @property
+    def algebra(self) -> BiquatAlg:
+        return self._e.algebra
+
+    @property
+    def x(self):
+        return self.coords()[:3]
+
+    @property
+    def y(self):
+        return self.coords()[3:]
 
     def embed(self) -> BiquatElem:
-        """x at the b_s (x) 1 and y at the 1 (x) c_t coefficients, placed
-        on the ints."""
-        algebra = self.algebra
-        res = algebra._restriction()
-        r = res.r
-        six, d = res.unwrap(self.x + self.y)
-        v = [0] * (16 * r)
-        for k, i in enumerate(_AMINUS_INDEX):
-            v[r * i:r * i + r] = six[r * k:r * k + r]
-        return BiquatElem._of(algebra, v, d)
+        return self._e
 
     def coords(self):
-        return self.x + self.y
+        c = self._e.c
+        return [c[i] for i in _AMINUS_INDEX]
 
     def _same_algebra(self, other: "AminusVector") -> bool:
         return other.algebra is self.algebra or other.algebra == self.algebra
@@ -478,32 +477,26 @@ class AminusVector:
                                   % (other.algebra, self.algebra))
 
     def __add__(self, other: "AminusVector") -> "AminusVector":
-        self._check(other)
-        return AminusVector(self.algebra, [a + b for a, b in zip(self.x, other.x)],
-                            [a + b for a, b in zip(self.y, other.y)])
+        return AminusVector._of(self._e + other._e)
 
     def __sub__(self, other: "AminusVector") -> "AminusVector":
-        self._check(other)
-        return AminusVector(self.algebra, [a - b for a, b in zip(self.x, other.x)],
-                            [a - b for a, b in zip(self.y, other.y)])
+        return AminusVector._of(self._e - other._e)
 
     def __neg__(self):
-        return AminusVector(self.algebra, [-a for a in self.x], [-a for a in self.y])
+        return AminusVector._of(-self._e)
 
     def scale(self, s) -> "AminusVector":
-        s = self.algebra.ring(s)
-        return AminusVector(self.algebra, [a * s for a in self.x],
-                            [a * s for a in self.y])
+        return AminusVector._of(self._e.scale(s))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.coords())
+        return self._e.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, AminusVector) and self._same_algebra(other)
-                and self.x == other.x and self.y == other.y)
+                and self._e._ints() == other._e._ints())
 
     def __hash__(self):
-        return hash((self.algebra, tuple(self.x), tuple(self.y)))
+        return hash(self._e)
 
     def __repr__(self):
         return "AminusVector(x=%s, y=%s)" % (self.x, self.y)
@@ -511,7 +504,7 @@ class AminusVector:
 
 def theta(u: AminusVector) -> AminusVector:
     """The involution of A^- negating the B_0 part; u * theta(u) = |u|^2."""
-    return AminusVector(u.algebra, [-v for v in u.x], list(u.y))
+    return AminusVector._of(u.embed()._signed(_THETA_SIGNS16))
 
 
 def albert_norm(u: AminusVector):
@@ -520,22 +513,11 @@ def albert_norm(u: AminusVector):
 
 
 def albert_pair(u: AminusVector, v: AminusVector):
-    """<u, v> = sum of d_i u_i v_i over the Albert diagonal d.  Over F_p
-    and Q it runs on the bare values and makes one Scalar: over Q one int
-    numerator over the product of the denominators."""
+    """<u, v>, the unit coefficient of u theta(v) (its own sign mask, not
+    `theta`): sum of d_i u_i v_i with d = (-alpha, -beta, alpha beta) on
+    B_0 and (alpha', beta', -alpha' beta') on C_0."""
     u._check(v)
-    ring = u.algebra.ring
-    terms = zip(u.algebra.albert_diag, u.x + u.y, v.x + v.y)
-    if not isinstance(ring, FieldDesc):
-        return functools.reduce(operator.add, (a * b * c for a, b, c in terms))
-    if ring.p:
-        return Scalar(ring, sum(a.value * b.value * c.value for a, b, c in terms) % ring.p)
-    num, den = 0, 1
-    for a, b, c in terms:
-        a, b, c = a.value, b.value, c.value
-        k = a.denominator * b.denominator * c.denominator
-        num, den = num * k + a.numerator * b.numerator * c.numerator * den, den * k
-    return Scalar(ring, Fraction(num, den))
+    return u.embed()._unit_of(v.embed()._signed(_THETA_SIGNS16))
 
 
 # ---------------------------------------------------------------------------

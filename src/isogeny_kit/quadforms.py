@@ -193,7 +193,7 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
         out_basis.append(v)
         diag.append(space.vnorm(v))
         basis = complement(space, v, basis)
-    p = Mat(field, [[out_basis[j][i] for j in range(n)] for i in range(n)])
+    p = Mat(field, out_basis).T
     space._diag_cache = (p, diag)
     return p, diag
 

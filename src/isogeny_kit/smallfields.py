@@ -73,8 +73,7 @@ def explicit_isometry(a: QuadSpace, b: QuadSpace) -> Optional[Mat]:
     if cols_in_b is None:
         return None
     # columns express the image of a's diagonalizing basis inside b
-    m_cols = Mat(field, [[cols_in_b[j][i] for j in range(a.dim)]
-                         for i in range(a.dim)])
+    m_cols = Mat(field, cols_in_b).T
     out = m_cols * pa.inverse()
     if out.T * b.gram * out != a.gram:
         raise InvariantViolated("explicit isometry failed")
@@ -301,9 +300,8 @@ def enumerate_isometries(space: QuadSpace):
     p = field.p
     diag, p_mat = _diag_ints(space)
     p_inv = p_mat.inverse()
-    n = space.dim
     for cols, _det in enumerate_isometry_columns(diag, p):
-        m = Mat(field, [[field(cols[j][i]) for j in range(n)] for i in range(n)])
+        m = Mat(field, [map(field, c) for c in cols]).T
         yield Isometry(space, p_mat * m * p_inv, check=False)
 
 

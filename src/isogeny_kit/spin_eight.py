@@ -518,8 +518,7 @@ def cover_inverse(x: CoveredGSpElem) -> CoveredGSpElem:
 def cover_rho(x: CoveredGSpElem) -> CoveredGSpElem:
     """Coefficientwise Galois action on a cover element over A_E."""
     gf = x.gf
-    rho_am = lambda u: AminusVector(gf.A, [c.conj() for c in u.x],
-                                    [c.conj() for c in u.y])
+    rho_am = lambda u: u.embed().rho().to_aminus()
     out = GenForm(gf.A, rho_am(gf.v), gf.a.rho(), rho_am(gf.alpha),
                   rho_am(gf.beta), gf.m.conj())
     return CoveredGSpElem(out, x.t.conj(), check=False)

@@ -26,9 +26,7 @@ from .quadforms import Isometry, QuadSpace, cartan_dieudonne
 
 def isometry_from_images(space: QuadSpace, cols) -> Isometry:
     """Isometry whose j-th column is the image of the j-th basis vector."""
-    m = Mat(space.field, [[cols[j][i] for j in range(space.dim)]
-                          for i in range(space.dim)])
-    return Isometry(space, m)
+    return Isometry(space, Mat(space.field, cols).T)
 
 
 def isometry_of_map(space: QuadSpace, f, to_vec, from_vec) -> Isometry:

@@ -206,8 +206,7 @@ class TwistedSpace:
         self.space = QuadSpace(field, Mat(field, gram))
         # coordinate solver: 32 F-coordinates per A_E element
         cols = [b.field_coords() for b in basis]
-        self._solve_mat = Mat(field, [[cols[j][i] for j in range(6)]
-                                      for i in range(32)])
+        self._solve_mat = Mat(field, cols).T
 
     def contains(self, u: BiquatElem) -> bool:
         """Membership: u in A_E^- and u^rho = -Q theta(u) Q / |Q|^2."""

@@ -324,7 +324,7 @@ def suite_NAFg(rec, rng, config):
             coords = [f3.zero()] * 16
             coords[idx] = f3.one()
             ru_cols.append((algebras.BiquatElem(algebra, coords) * u).c)
-        ru = Mat(f3, [[ru_cols[j][i] for j in range(16)] for i in range(16)])
+        ru = Mat(f3, ru_cols).T
         # g u - u h = 0: [R_u | -L_u] (g; h) = 0
         for i in range(16):
             rows.append(list(ru.rows[i]) + [-x for x in lu.rows[i]])
@@ -414,7 +414,8 @@ def suite_GSpprod(rec, rng, config):
         target = spin_eight.GSpElem(prod_mat, x.gf.m * y.gf.m)
         try:
             gf_prod = spin_eight.gsp_decompose(target, v_constraints=[x.matrix()])
-        except DecompositionFailed:
+        except DecompositionFailed as exc:
+            rec.check(False, "GSpprod-decomposition-failed", error=exc)
             continue
         v = gf_prod.v
         x2 = x.reparam(v)

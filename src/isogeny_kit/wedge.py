@@ -72,7 +72,7 @@ def lambda2_matrix(g: Mat) -> Mat:
         for (k, l) in WEDGE_INDEX:
             col.append(g[k, i] * g[l, j] - g[k, j] * g[l, i])
         cols.append(col)
-    return Mat(g.ring, [[cols[j][i] for j in range(6)] for i in range(6)])
+    return Mat(g.ring, cols).T
 
 
 def wedge_space(field: FieldDesc) -> QuadSpace:
@@ -263,10 +263,8 @@ def _f_gram(field: FieldDesc, ring, gens) -> Mat:
     return Mat(field, rows)
 
 
-def in_span(ring, field: FieldDesc, gens: List, vec: List) -> bool:
+def in_span(field: FieldDesc, gens: List, vec: List) -> bool:
     """Whether vec lies in the F-span of the generators (tower coords)."""
-    dim = getattr(ring, "dim", 1)
-
     def flatten(v):
         out = []
         for c in v:
@@ -277,6 +275,5 @@ def in_span(ring, field: FieldDesc, gens: List, vec: List) -> bool:
         return out
 
     cols = [flatten(g) for g in gens]
-    mat = Mat(field, [[cols[j][i] for j in range(len(gens))]
-                      for i in range(6 * dim)])
+    mat = Mat(field, cols).T
     return mat.solve(flatten(vec)) is not None

@@ -312,6 +312,61 @@ def test_albert_pair_is_the_polarization(kind):
         assert albert_norm(u) == albert_pair(u, u) == _albert_norm_oracle(u)
 
 
+ALBERT_RINGS = {"F5": F5, "Q": QQ, "split E": EtaleQuad(F5), "F5(sqrt2)": EtaleQuad(F5, 2)}
+
+
+def _ring_coeff(kind):
+    """A strategy for coefficients of the named ring: residues over F5,
+    small fractions over Q, and (x, y) views over E."""
+    if kind == "F5":
+        return st.integers(0, 4).map(F5)
+    if kind == "Q":
+        return st.fractions(-3, 3, max_denominator=4).map(QQ)
+    e = ALBERT_RINGS[kind]
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda xy: e.from_xy(F5(xy[0]), F5(xy[1])))
+
+
+def _albert_diagonal_oracle(u, v):
+    """sum d_i u_i v_i, d = (-alpha, -beta, alpha beta, alpha', beta',
+    -alpha' beta') for B = (alpha, beta), C = (alpha', beta')."""
+    b, c = u.algebra.B, u.algebra.C
+    d = [-b.alpha, -b.beta, b.alpha * b.beta, c.alpha, c.beta, -(c.alpha * c.beta)]
+    return sum((di * ui * vi for di, ui, vi in zip(d, u.coords(), v.coords())),
+               u.algebra.ring.zero())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_albert_pair_is_the_diagonal_form(data):
+    kind = data.draw(st.sampled_from(sorted(ALBERT_RINGS)))
+    ring = ALBERT_RINGS[kind]
+    symbol = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    a = BiquatAlg(QuatAlg(ring, data.draw(symbol), data.draw(symbol)),
+                  QuatAlg(ring, data.draw(symbol), data.draw(symbol)))
+    six = st.lists(_ring_coeff(kind), min_size=6, max_size=6)
+    u, v = [a.aminus_of(data.draw(six)) for _ in range(2)]
+    assert albert_pair(u, v) == _albert_diagonal_oracle(u, v)
+    assert albert_norm(u) == _albert_diagonal_oracle(u, u)
+
+
+@pytest.mark.parametrize("kind", sorted(ALBERT_RINGS))
+def test_albert_pair_does_not_read_theta(kind, monkeypatch):
+    """The form has its own sign mask, so a theta mutant leaves it alone."""
+    ring = ALBERT_RINGS[kind]
+    a = BiquatAlg(QuatAlg(ring, 2, 3), QuatAlg(ring, -1, 2))
+    rng = random.Random(4)
+    vecs = [a.aminus_of([ring(rng.randint(-2, 2)) for _ in range(6)]) for _ in range(8)]
+    before = [albert_pair(u, v) for u in vecs for v in vecs]
+
+    def theta_raises(u):
+        raise AssertionError("albert_pair called theta")
+
+    monkeypatch.setattr(algebras, "theta", theta_raises)
+    assert [albert_pair(u, v) for u in vecs for v in vecs] == before
+    assert [albert_norm(u) for u in vecs] == [before[9 * i] for i in range(8)]
+
+
 def test_albert_pair_of_different_algebras_raises():
     a1 = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 2, 2))
     a2 = BiquatAlg(QuatAlg(F5, 2, 2), QuatAlg(F5, 2, 3))

@@ -206,10 +206,9 @@ MUTATIONS = [
     re.compile(r"\.[xy]\.(?:append|extend|insert|pop|remove|sort|reverse|clear)\("),
     re.compile(r"setattr\("),
 ]
-# the constructors, and RhoQ8Elem's cover element (also named x)
+# Scalar's constructor, and RhoQ8Elem's cover element (named x); an A^-
+# vector's x and y are read-only views of its element
 CONSTRUCTOR_LINES = {
-    ("algebras.py", "self.x = list(x)"),
-    ("algebras.py", "self.y = list(y)"),
     ("exactfield.py", "self.value = value"),
     ("spin_eight.py", "self.x = x"),
 }

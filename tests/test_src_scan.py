@@ -9,9 +9,13 @@ as reached only by an attribute read or an equal string constant there:
 a bare name such as the builtin `map` does not reach `Mat.map`.  A method
 name that several classes share is reached for all of them by one read.
 Test oracles belong in `tests/`, next to the tests that use them.
+
+The scan reads a fixed tree, so `unreached`, `_used_errors` and `allowed`
+each run once per session.
 """
 
 import ast
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -74,6 +78,7 @@ def _definitions(trees):
     return defs
 
 
+@functools.cache
 def unreached():
     """Labels of the `src/` definitions that no `src/` or `perfbench/` code
     reaches, in source order."""
@@ -97,9 +102,10 @@ def unreached():
             out.append(label)
             if isinstance(node, ast.ClassDef):
                 flagged_classes.add(name)
-    return out
+    return tuple(out)
 
 
+@functools.cache
 def _used_errors():
     """The errors.py classes that `src/` raises, catches or subclasses."""
     used = set()
@@ -113,9 +119,10 @@ def _used_errors():
             elif isinstance(node, ast.ClassDef):
                 used.update(n.id for base in node.bases for n in ast.walk(base)
                             if isinstance(n, ast.Name))
-    return used
+    return frozenset(used)
 
 
+@functools.cache
 def allowed():
     """KEPT, the names tests/test_acceptance.py imports from the library
     (its public API), and the exception classes of errors.py that `src/`
@@ -126,7 +133,7 @@ def allowed():
             names.update(alias.name for alias in node.names)
     names.update(node.name for node in _parse(SRC / "errors.py").body
                  if isinstance(node, ast.ClassDef) and node.name in _used_errors())
-    return names
+    return frozenset(names)
 
 
 def test_src_holds_no_test_only_definitions():

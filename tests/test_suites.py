@@ -13,7 +13,7 @@ import pytest
 import isogeny_kit
 from isogeny_kit import algebras, spin_eight, spin_six, suites
 from isogeny_kit.algebras import AminusVector
-from isogeny_kit.errors import InvariantViolated, UnknownSuite
+from isogeny_kit.errors import DecompositionFailed, InvariantViolated, UnknownSuite
 from isogeny_kit.spin_low import Dim2Model, Dim3Model, Dim4Model
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
 from isogeny_kit.towers import TableElem
@@ -50,6 +50,23 @@ def test_suites_deterministic():
     r1 = run_suite("normsq", FAST_CONFIG)
     r2 = run_suite("normsq", FAST_CONFIG)
     assert r1.cases == r2.cases and r1.failures == r2.failures
+
+
+def test_gspprod_records_a_failed_decomposition(monkeypatch):
+    """A product that gsp_decompose cannot decompose is a failed check with
+    its own label, so a run checks every case it draws."""
+    orig = spin_eight.gsp_decompose
+
+    def fail_in_gspprod(g, v_constraints=None):
+        if sys._getframe(1).f_code.co_name == "suite_GSpprod":
+            raise DecompositionFailed("injected")
+        return orig(g, v_constraints)
+
+    monkeypatch.setattr(spin_eight, "gsp_decompose", fail_in_gspprod)
+    res = run_suite("GSpprod", RunConfig.from_args("p=5", seed=0, trials=3))
+    assert res.cases == 3
+    assert [f["case"] for f in res.failures] == ["GSpprod-decomposition-failed"] * 3
+    assert "injected" in res.failures[0]["error"]
 
 
 def test_dim7rd_redraws_after_stabilizer_shortfall(monkeypatch):
