@@ -11,7 +11,7 @@ name that several classes share is reached for all of them by one read.
 Test oracles belong in `tests/`, next to the tests that use them.
 
 The scan reads a fixed tree, so `unreached`, `_used_errors` and `allowed`
-each run once per session.
+each run once per pytest run.
 """
 
 import ast
