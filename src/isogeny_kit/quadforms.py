@@ -446,6 +446,26 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
     return [p_mat.apply(v) for v in mirrors_d]
 
 
+def wall_value(one_minus, gram, p):
+    """2^k det(chi), chi the Wall form of T (see spinor_norm), from the
+    rows of 1 - T and the rows of G, or for a diagonal G its entries, as
+    residues mod p (the result too) or, when p is None, Fractions."""
+    n = len(one_minus)
+    pivots, _ = row_reduce([row[:] for row in one_minus], n, p)
+    k = len(pivots)
+    if not k:
+        return 1
+    if isinstance(gram[0], list):
+        chi = [[sum(one_minus[r][a] * gram[r][b] for r in range(n)) for b in pivots]
+               for a in pivots]
+    else:
+        chi = [[one_minus[b][a] * gram[b] for b in pivots] for a in pivots]
+    if p:
+        chi = [[x % p for x in row] for row in chi]
+    det = row_reduce(chi, k, p)[1] * (2 if k % 2 else 1)
+    return det % p if p else det
+
+
 def spinor_norm(t: Isometry) -> SquareClass:
     """theta(T) = 2^k det(chi) mod squares, chi the Wall form of T.
 
@@ -453,29 +473,20 @@ def spinor_norm(t: Isometry) -> SquareClass:
     pivot columns c of 1 - T.  The Wall form chi(x, (1 - T) v) = <x, v>
     has there the Gram matrix chi(y_a, y_b) = <y_a, e_b> = ((1 - T)^t G)_ab
     (Zassenhaus, Arch. Math. 13, 1962; Taylor, The Geometry of the
-    Classical Groups, Ch. 11).  For a reflection in u it is 2<v,u>^2/<u,u>,
-    so the factor 2^k makes theta the product of the mirror-norm classes
-    of any Cartan-Dieudonne factorization, with no factorization made.
+    Classical Groups, Ch. 11), and for a diagonal G = diag(d) simply
+    (1 - T)_ba d_b.  For a reflection in u it is 2<v,u>^2/<u,u>, so the
+    factor 2^k makes theta the product of the mirror-norm classes of any
+    Cartan-Dieudonne factorization, with no factorization made.  The
+    value is wall_value's, on bare values; the census calls it directly.
     """
     space = t.space
-    field = space.field
-    p = field.p
-    n = space.dim
+    p = space.field.p
     one_minus = [[(i == j) - e.value for j, e in enumerate(row)]
                  for i, row in enumerate(t.matrix.rows)]
     if p:
         one_minus = [[x % p for x in row] for row in one_minus]
-    pivots, _ = row_reduce([row[:] for row in one_minus], n, p)
-    k = len(pivots)
-    if not k:
-        return SquareClass(field, 1)
-    g = [[e.value for e in row] for row in space.gram.rows]
-    chi = [[sum(one_minus[r][a] * g[r][b] for r in range(n)) for b in pivots]
-           for a in pivots]
-    if p:
-        chi = [[x % p for x in row] for row in chi]
-    det = row_reduce(chi, k, p)[1]
-    return square_class(field(2 * det if k % 2 else det))
+    gram = [[e.value for e in row] for row in space.gram.rows]
+    return square_class(space.field(wall_value(one_minus, gram, p)))
 
 
 def compose_reflections(space: QuadSpace, mirrors) -> Isometry:

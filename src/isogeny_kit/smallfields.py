@@ -10,8 +10,11 @@ diagonal model: each remaining column keeps a pool, a bitset over the
 indexed sphere vectors, and choosing a column cuts every later pool with
 one `&` against that column's orthogonality bitset.  Each level carries
 the minors of its columns, so the last column, one of a pair {w, -w},
-gets its determinant as one dot product and -w the negation.  A failed
-count cross-check raises InvariantViolated.
+gets its determinant as one dot product and -w the negation; below the
+first column, the subtree under -v is replayed from its sign twin v's.
+The census takes each spinor norm from the int columns by
+quadforms.wall_value, with no Mat per isometry.  A failed count
+cross-check raises InvariantViolated.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .quadforms import (
     reflect,
     spinor_norm,
     to_ambient,
+    wall_value,
 )
 
 EXHAUSTIVE_LIMIT = 200_000  # largest |O(V)| enumerated element by element
@@ -225,6 +229,13 @@ def _laplace_plans(n: int):
     return plans
 
 
+def _replay(items, col, w, p):
+    """The (cols, det) items under a column's sign twin w, from the items
+    under the column -w: column `col` set to w and each det negated."""
+    for cols, det in items:
+        yield cols[:col] + (w,) + cols[col + 1:], -det % p
+
+
 def enumerate_isometry_columns(diag: List[int], p: int):
     """(cols, det) for every isometry of diag: the column tuple (ints,
     diagonal model) and its determinant mod p.
@@ -238,9 +249,13 @@ def enumerate_isometry_columns(diag: List[int], p: int):
     InvariantViolated.  Each level carries the minors of its columns on
     every row subset, each one Laplace step from its parent's, so the
     signed cofactors of the first n - 1 columns give det(cols, w) as one
-    n-term dot product, and det(cols, -w) = -det(cols, w).  |O(V)| is the
-    product of the pool sizes along the first branch (orbit-stabilizer),
-    checked against EXHAUSTIVE_LIMIT before anything is yielded.
+    n-term dot product, and det(cols, -w) = -det(cols, w).  Pools are
+    closed under v -> -v and orth(-v) = orth(v), so below the first column
+    v keeps its subtree's items when its sign twin -v comes later, and -v
+    replays them (_replay); first-column subtrees are not kept, as that
+    would hold a large share of O(V) at once.  |O(V)| is the product of
+    the pool sizes along the first branch (orbit-stabilizer), checked
+    against EXHAUSTIVE_LIMIT before anything is yielded.
     """
     vecs, spheres = _sphere_index(diag, p)
     orth = _orthogonal_masks(diag, p, vecs)
@@ -274,19 +289,25 @@ def enumerate_isometry_columns(diag: List[int], p: int):
         # the expansion along the next column as a matrix, one row per
         # subset, so each candidate's minors are C-level dot products
         expand = [[s * minors[j] for s, j in terms] for terms in plans[len(cols)]]
+        col = len(cols)
+        kept = {}   # index of -v -> the items under v, until -v comes up
         while pool:
             low = pool & -pool
             pool ^= low
             i = low.bit_length() - 1
             v = vecs[i]
+            if i in kept:
+                yield from _replay(kept.pop(i), col, v, p)
+                continue
             sub = [sum(map(mul, row, v)) for row in expand]
             o = orth(i)
             if len(rest) > 1:
-                yield from rec(cols + (v,), sub, [q & o for q in rest])
+                items = rec(cols + (v,), sub, [q & o for q in rest])
             else:
-                item, opposite = pair(cols + (v,), sub, rest[0] & o)
-                yield item
-                yield opposite
+                items = pair(cols + (v,), sub, rest[0] & o)
+            if col and neg[i] > i:
+                items = kept[neg[i]] = list(items)
+            yield from items
 
     if len(diag) == 1:
         yield from pair((), [1], first[0])
@@ -377,9 +398,11 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
     Dimensions <= 4 are enumerated exhaustively when |O| is small enough:
     the enumerator's (cols, det) items are counted against |O|, those of
     det 1 against |SO|; 5 and 6 use the orbit-stabilizer recursion.  |SO+|
-    is exhausted by spinor filtering on small groups (the Wall-form
-    spinor_norm of each det-1 isometry) and halved via the index-2 witness
-    otherwise.
+    is exhausted by spinor filtering on small groups and halved via the
+    index-2 witness otherwise.  The filter takes the spinor norm of each
+    det-1 isometry from its int columns and the diagonal by wall_value
+    (the core of spinor_norm), a square residue meaning trivial: no Mat,
+    Isometry or Scalar is built per isometry.
     """
     if p > 7:
         raise BudgetExceeded("census supports p <= 7")
@@ -389,6 +412,7 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
     if not 1 <= max_dim <= top:
         raise BadParameters("census covers dimensions 1-%d, not %d" % (top, max_dim))
     field = FieldDesc(p)
+    squares = {x * x % p for x in range(1, p)}
     rows = []
     for dim in range(1, max_dim + 1):
         disc_options = [True] if dim % 2 == 1 else [True, False]
@@ -406,17 +430,16 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
             if dim <= 4 and order <= EXHAUSTIVE_LIMIT:
                 method = "exhaustive"
                 filter_spinor = so <= 2000
-                dspace = QuadSpace.diagonal(field, [field(v) for v in diag])
                 count = count_so = count_plus = 0
                 for cols, det in enumerate_isometry_columns(diag, p):
                     count += 1
                     if det == 1:
                         count_so += 1
                         if filter_spinor:
-                            m = Mat(field, [[field(cols[j][i]) for j in range(dim)]
-                                            for i in range(dim)])
-                            iso = Isometry(dspace, m, check=False)
-                            if spinor_norm(iso).is_trivial():
+                            # the rows of 1 - T, whose columns are cols
+                            one_minus = [[((i == j) - x) % p for j, x in enumerate(row)]
+                                         for i, row in enumerate(zip(*cols))]
+                            if wall_value(one_minus, diag, p) in squares:
                                 count_plus += 1
                 if count != order:
                     raise InvariantViolated("enumerated %d isometries, |O| = %d"

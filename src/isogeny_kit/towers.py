@@ -233,7 +233,8 @@ class TableElem:
 
     def __neg__(self):
         v, d = (self._v, self._d) if self._v is not None else self._ints()
-        return self._of(self.algebra, [-a for a in v], d)
+        p = (self.algebra._res or self.algebra._restriction()).p
+        return self._reduced([p - a if a else 0 for a in v] if p else [-a for a in v], d)
 
     def _signed(self, signs):
         """The element with its i-th coefficient times signs[i] = +-1."""
@@ -241,8 +242,16 @@ class TableElem:
         r = len(v) // len(signs)
         if r > 1:
             signs = [s for s in signs for _ in range(r)]
-        return self._of(self.algebra, [a if s > 0 else -a
-                                       for a, s in zip(v, signs)], d)
+        p = (self.algebra._res or self.algebra._restriction()).p
+        return self._reduced([a if s > 0 or not a else p - a if p else -a
+                              for a, s in zip(v, signs)], d)
+
+    def _reduced(self, v, d):
+        """The element with F-coordinates v / d, already reduced: a sign
+        flip keeps them so (a residue a as p - a), so it skips `_of`."""
+        x = self.__new__(type(self))
+        x.algebra, x._v, x._d, x._c = self.algebra, v, d, None
+        return x
 
     def scale(self, s):
         """s * self for s in F (on the ints) or in E (E's own products)."""

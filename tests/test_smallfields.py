@@ -13,9 +13,16 @@ import isogeny_kit
 from isogeny_kit import smallfields
 from isogeny_kit.algebras import EtaleQuad
 from isogeny_kit.errors import BudgetExceeded, InvariantViolated
-from isogeny_kit.exactfield import GF
+from isogeny_kit.exactfield import GF, SquareClass, square_class
 from isogeny_kit.linalg import Mat, independent_subset
-from isogeny_kit.quadforms import QuadSpace, find_isotropic
+from isogeny_kit.quadforms import (
+    Isometry,
+    QuadSpace,
+    cartan_dieudonne,
+    find_isotropic,
+    spinor_norm,
+    wall_value,
+)
 from isogeny_kit.smallfields import (
     EUCLIDEAN_NOTE,
     census,
@@ -230,7 +237,10 @@ def _bruteforce_columns(diag, p):
 
 def test_isometry_columns_match_bruteforce():
     """Bitset-pool enumeration = filtered product, in the same order, and
-    each paired determinant is the determinant of its columns."""
+    each paired determinant is the determinant of its columns.  Dimension
+    3 is where a second column's subtrees are replayed from their sign
+    twins, so over F_5 it runs on every pattern of the two classes and on
+    the other representatives 3 and 4."""
     for p in (3, 5, 7):
         field = GF(p)
         nr = field.least_nonresidue().value
@@ -238,6 +248,9 @@ def test_isometry_columns_match_bruteforce():
                  [1, 1, 1], [1, 1, nr], [nr, 1, nr]]
         if p == 3:
             cases += [[1, 1, 1, 1], [1, 1, 1, nr], [nr, 1, nr, 1]]
+        if p == 5:
+            cases += [[1, nr, 1], [nr, 1, 1], [1, nr, nr], [nr, nr, 1],
+                      [nr, nr, nr], [3, 4, 2], [4, 3, 3]]
         for diag in cases:
             got = list(enumerate_isometry_columns(diag, p))
             assert [cols for cols, _ in got] == _bruteforce_columns(diag, p), (diag, p)
@@ -301,6 +314,59 @@ def test_a_flipped_laplace_sign_is_caught(monkeypatch):
         test_isometry_columns_match_bruteforce()
     with pytest.raises(InvariantViolated, match="of det 1"):
         census(5, 4)
+
+
+def _replay_keeping_dets(items, col, w, p):
+    """_replay with the twin's determinants left as they were."""
+    for cols, det in items:
+        yield cols[:col] + (w,) + cols[col + 1:], det
+
+
+def _replay_the_twin(items, col, w, p):
+    """_replay with the kept column v left in place of -v."""
+    for cols, det in items:
+        yield cols, -det % p
+
+
+@pytest.mark.parametrize("mutant", [_replay_keeping_dets, _replay_the_twin])
+def test_sign_twin_replay_mutants_are_caught(monkeypatch, mutant):
+    """Both mutants keep the count and the det-1 count (each {w, -w} pair
+    still splits into det 1 and det -1), so the census cannot see them;
+    the order and determinant tests do."""
+    monkeypatch.setattr(smallfields, "_replay", mutant)
+    with pytest.raises(AssertionError):
+        test_isometry_columns_match_bruteforce()
+    with pytest.raises(AssertionError):
+        test_determinants_match_mat_det_in_dimension_4(monkeypatch)
+
+
+def test_wall_value_on_int_columns_is_the_spinor_norm():
+    """The census's spinor filter: wall_value on the rows of 1 - T (from
+    the int columns) and the diagonal, against spinor_norm of the wrapped
+    Isometry and the mirror-norm product of cartan_dieudonne, for every
+    det-1 isometry of the exhaustive rows."""
+    for p, dims in ((3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))):
+        field = GF(p)
+        for dim in dims:
+            for trivial in ((True,) if dim % 2 else (True, False)):
+                diag = smallfields._diag_ints(census_space(field, dim, trivial))[0]
+                space = QuadSpace.diagonal(field, diag)
+                seen = 0
+                for cols, det in enumerate_isometry_columns(diag, p):
+                    if det != 1:
+                        continue
+                    seen += 1
+                    one_minus = [[((i == j) - x) % p for j, x in enumerate(row)]
+                                 for i, row in enumerate(zip(*cols))]
+                    cls = square_class(field(wall_value(one_minus, diag, p)))
+                    t = Isometry(space, Mat(field, [[field(x) for x in row]
+                                                    for row in zip(*cols)]))
+                    assert cls == spinor_norm(t), (p, diag, cols)
+                    mirrors = SquareClass(field, 1)
+                    for v in cartan_dieudonne(t):
+                        mirrors = mirrors * square_class(space.vnorm(v))
+                    assert cls == mirrors, (p, diag, cols)
+                assert seen * 2 == orthogonal_order(diag, p)
 
 
 def _bruteforce_order(diag, p):

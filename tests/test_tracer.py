@@ -45,16 +45,23 @@ def test_tracer_installs_reads_every_metric_and_uninstalls():
 
 def test_tracer_counts_every_enumerated_isometry():
     """The enumerator stays a generator function, so the tracer counts the
-    items it yields: |O| per exhaustive census row."""
+    items it yields: |O| per exhaustive census row.  The census filters
+    its det-1 isometries with quadforms.wall_value on ints, one traced
+    call each; smallfields' spinor_norm binding, which the tracer counts
+    as spinor_filtered, serves only so_plus_index, once per row whose
+    |SO+| comes from the index-2 witness (dimensions 5 and 6 here)."""
     tracer = Tracer().install()
     try:
-        rows = smallfields.census(3, 4).rows
+        rows = smallfields.census(3, 6).rows
         metrics = run.layer_metrics(tracer, {"seconds": 1.0},
                                     {"seconds": 1.0, "outcomes": []})
+        wall_calls = tracer.key_calls("quadforms.wall_value")
     finally:
         tracer.uninstall()
     orders = sum(2 * r.so for r in rows if r.method == "exhaustive")
     assert orders == 2 * (2 + 4 + 24 + 576 + 720)
     assert metrics["smallfields.isometries_enumerated"][0] == orders
-    assert metrics["smallfields.spinor_filtered"][0] == sum(
-        r.so for r in rows if r.method == "exhaustive")
+    witnessed = sum(1 for r in rows if r.method == "orbit-stabilizer")
+    assert metrics["smallfields.spinor_filtered"][0] == witnessed == 3
+    # spinor_norm takes its value from wall_value too
+    assert wall_calls == sum(r.so for r in rows if r.method == "exhaustive") + witnessed
