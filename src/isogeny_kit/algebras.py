@@ -341,7 +341,11 @@ class BiquatElem(TableElem):
     def inverse(self) -> "BiquatElem":
         """tau(x) (2 s_0 - s) / Nrd(x) for s = x tau(x), which satisfies
         s (2 s_0 - s) = Nrd(x) (see reduced_norm_A); NonInvertible exactly
-        when Nrd(x) is not a unit of the ring."""
+        when Nrd(x) is not a unit of the ring.  The unit is its own
+        inverse."""
+        v, d = self._ints()
+        if v[0] == d and not any(v[1:]):
+            return self
         t = self.tau()
         s = self * t
         adj = s._signed(_ADJ_SIGNS16)

@@ -3,20 +3,25 @@ isotropy, Witt decomposition, reflections, constructive Cartan-Dieudonne
 factorization, and the spinor norm (from the Wall form, with no
 factorization).
 
-A space is a nondegenerate symmetric Gram matrix; vectors are coordinate
-lists; isometries are matrices T with T^t G T = G.
+A space is a nondegenerate symmetric Gram matrix, held once as ints
+(residues mod p, or over Q numerators over one square denominator) that
+every pairing, norm, complement, isotropy search, reflection's G v and
+form check reads; vectors are coordinate lists of Scalars, unwrapped once
+per call; isometries are matrices T with T^t G T = G.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import (
     DegenerateSpace,
     DimensionMismatch,
+    DivisionByZero,
     InvariantViolated,
     IsotropicMirror,
     NoIsotropicVector,
@@ -34,7 +39,11 @@ from .linalg import Mat, independent_subset, row_reduce
 
 
 class QuadSpace:
-    """Nondegenerate quadratic space given by a symmetric Gram matrix."""
+    """Nondegenerate quadratic space given by a symmetric Gram matrix.
+
+    The form is built once as ints: the Gram rows `_rows` (and `_diag`, for
+    a diagonal Gram matrix) over the denominator `_den`, 1 over F_p; `gram`
+    and `diag` are their read-only Scalar views."""
 
     def __init__(self, field: FieldDesc, gram):
         self.field = field
@@ -42,18 +51,24 @@ class QuadSpace:
             self.gram = gram
         else:
             self.gram = Mat(field, [[field(e) for e in row] for row in gram])
-        self.dim = self.gram.nrows
-        if self.gram.T != self.gram:
+        self.dim = n = self.gram.nrows
+        rows, p = self.gram._values()
+        self._p, self._den = p, 1
+        if not p:
+            # over the square of the lcm L of the denominators, so that a
+            # k x k block's determinant is off by the square L^2k only
+            flat, lcm = _ints_over_lcm([x for row in rows for x in row])
+            self._den, flat = lcm * lcm, iter(flat)
+            rows = [[next(flat) * lcm for _ in row] for row in rows]
+        if [list(c) for c in zip(*rows)] != rows:
             raise ValueError("Gram matrix is not symmetric")
-        if self.gram.det().is_zero():
+        if not row_reduce([row[:] for row in rows], n, p)[1]:
             raise DegenerateSpace("Gram matrix is singular")
-        # diagonal entries of a diagonal Gram matrix (G v in O(n)), else None
-        rows = self.gram.rows
-        n = self.dim
-        self.diag = ([rows[i][i] for i in range(n)]
-                     if all(rows[i][j].is_zero()
-                            for i in range(n) for j in range(n) if i != j)
-                     else None)
+        self._rows = rows
+        diagonal = all(not rows[i][j] for i in range(n) for j in range(n) if i != j)
+        # G v in O(n) for a diagonal Gram matrix; diag is None otherwise
+        self._diag = [rows[i][i] for i in range(n)] if diagonal else None
+        self.diag = [self.gram.rows[i][i] for i in range(n)] if diagonal else None
 
     @classmethod
     def diagonal(cls, field: FieldDesc, entries):
@@ -70,23 +85,37 @@ class QuadSpace:
         return (isinstance(other, QuadSpace) and self.field == other.field
                 and self.gram == other.gram)
 
-    def _gram_apply(self, v):
-        """G v as a coordinate list."""
-        if self.diag is not None:
-            return [d * x for d, x in zip(self.diag, v)]
-        return self.gram.apply(v)
+    def _ints(self, v):
+        """The Scalar vector v as (ints, d) with v = ints / d: residues mod
+        p and d = 1, or over Q numerators over their lcm d."""
+        if len(v) != self.dim:
+            raise DimensionMismatch("vector does not conform to space")
+        vals = [x.value for x in v if type(x) is Scalar and x.field is self.field]
+        if len(vals) < len(v):      # ints, an equal field, or FieldMismatch
+            vals = [self.field(x).value for x in v]
+        return (vals, 1) if self._p else _ints_over_lcm(vals)
+
+    def _gv(self, x):
+        """The int form times the int vector x (not reduced mod p)."""
+        if self._diag is not None:
+            return list(map(mul, self._diag, x))
+        return [sum(map(mul, row, x)) for row in self._rows]
+
+    def _scalar(self, num: int, d: int) -> Scalar:
+        """The Scalar num / (d * den) of a form value num over vectors
+        whose denominators multiply to d."""
+        if self._p:
+            return Scalar(self.field, num % self._p)
+        return Scalar(self.field, Fraction(num, d * self._den))
 
     def pairing(self, u, v) -> Scalar:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatch("vector does not conform to space")
-        gv = self._gram_apply(v)
-        acc = self.field.zero()
-        for a, b in zip(u, gv):
-            acc = acc + a * b
-        return acc
+        x, dx = self._ints(u)
+        y, dy = self._ints(v)
+        return self._scalar(sum(map(mul, x, self._gv(y))), dx * dy)
 
     def vnorm(self, v) -> Scalar:
-        return self.pairing(v, v)
+        x, d = self._ints(v)
+        return self._scalar(sum(map(mul, x, self._gv(x))), d * d)
 
     def basis_vector(self, i):
         return [self.field(1 if j == i else 0) for j in range(self.dim)]
@@ -94,8 +123,11 @@ class QuadSpace:
     def restrict(self, basis) -> "QuadSpace":
         """The subspace spanned by `basis`, with the Gram matrix of its
         pairings (DegenerateSpace when that is singular)."""
-        return QuadSpace(self.field, Mat(self.field, [[self.pairing(u, v) for v in basis]
-                                                      for u in basis]))
+        vecs = [self._ints(b) for b in basis]
+        gvs = [self._gv(x) for x, _ in vecs]
+        return QuadSpace(self.field, Mat(self.field, [
+            [self._scalar(sum(map(mul, x, g)), d * e) for g, (_, e) in zip(gvs, vecs)]
+            for x, d in vecs]))
 
     def to_json(self):
         return {"field": "p=%d" % self.field.p if self.field.p else "Q",
@@ -123,26 +155,18 @@ class Isometry:
             raise ValueError("matrix does not preserve the form")
 
     def is_valid(self) -> bool:
-        """T^t G T == G.  For a diagonal G over F_p or Q, on bare values:
-        sum_k d_k T_ki T_kj for i <= j, each column of T as ints over one
-        denominator (and d over one more)."""
+        """T^t G T == G, on the space's int form: T_i . (G T_j) against
+        G_ij for i <= j, each column T_i of T as ints over one denominator."""
         space, t = self.space, self.matrix
-        n, field = space.dim, space.field
-        if space.diag is None or t.ring != field or t.nrows != n or t.ncols != n:
+        n, p = space.dim, space._p
+        if t.ring != space.field or t.nrows != n or t.ncols != n:
             return t.T * space.gram * t == space.gram
-        p = field.p
-        cols = [list(c) for c in zip(*t._values()[0])]
-        d = [e.value for e in space.diag]
-        if p:
-            dens = [1] * n
-        else:
-            d, _ = _ints_over_lcm(d)
-            cols, dens = zip(*map(_ints_over_lcm, cols))
-        for i, ci in enumerate(cols):
-            dci = list(map(mul, d, ci))
-            for j in range(i, n):
-                # G_ij over the common denominator of the (i, j) sum
-                s = sum(map(mul, dci, cols[j])) - (d[i] * dens[i] ** 2 if i == j else 0)
+        cols = [space._ints(c) for c in zip(*t.rows)]
+        for j, (cj, dj) in enumerate(cols):
+            gcj = space._gv(cj)
+            for i in range(j + 1):
+                ci, di = cols[i]
+                s = sum(map(mul, ci, gcj)) - space._rows[i][j] * di * dj
                 if (s % p if p else s):
                     return False
         return True
@@ -178,35 +202,57 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
     Symmetric Gauss pivoting; uses v with |v|^2 != 0, which exists for a
     nondegenerate form in characteristic != 2.  Cached per space.
     """
-    cached = getattr(space, "_diag_cache", None)
-    if cached is not None:
-        return cached
-    field = space.field
-    n = space.dim
-    basis = [space.basis_vector(i) for i in range(n)]
-    out_basis = []
-    diag = []
-    for _ in range(n):
-        v = _anisotropic_in_span(space, basis)
-        if v is None:
-            raise DegenerateSpace("no anisotropic vector in complement")
-        out_basis.append(v)
-        diag.append(space.vnorm(v))
-        basis = complement(space, v, basis)
-    p = Mat(field, out_basis).T
-    space._diag_cache = (p, diag)
-    return p, diag
+    if getattr(space, "_diag_cache", None) is None:
+        basis = [space.basis_vector(i) for i in range(space.dim)]
+        out_basis, diag = [], []
+        for _ in range(space.dim):
+            v = _anisotropic_in_span(space, basis)
+            if v is None:
+                raise DegenerateSpace("no anisotropic vector in complement")
+            out_basis.append(v)
+            diag.append(space.vnorm(v))
+            basis = complement(space, v, basis)
+        values = [x.value for x in diag]
+        space._diag_cache = (Mat(space.field, out_basis).T, diag,
+                             values if space._p else _ints_over_lcm(values)[0])
+    return space._diag_cache[:2]
+
+
+def diagonal_ints(space: QuadSpace) -> Tuple[List[int], Mat]:
+    """(d, P): the diagonal of diagonalize(space) as ints, residues mod p
+    or over Q the entries times one positive integer, and its basis P."""
+    p_mat, _ = diagonalize(space)
+    return space._diag_cache[2], p_mat
 
 
 def complement(space: QuadSpace, v, basis=None):
     """A basis of the orthogonal complement of the anisotropic v inside
     span(basis) (the whole space by default): each basis vector projected
-    off v, keeping the first len(basis) - 1 independent ones."""
+    off v, keeping the first len(basis) - 1 independent ones.
+
+    On ints, with v = x / dx and b = y / dy: b - (<b,v>/<v,v>) v is
+    (c y - t x) / (dy c) for c = x.Gx and t = y.Gx, so dx drops out."""
     if basis is None:
         basis = [space.basis_vector(i) for i in range(space.dim)]
-    c = space.vnorm(v)
-    projected = [_sub_vec(b, _scale_vec(space.pairing(b, v) / c, v)) for b in basis]
-    return independent_subset(space.field, projected, len(basis) - 1)
+    field, p = space.field, space._p
+    x, _ = space._ints(v)
+    gx = space._gv(x)
+    c = sum(map(mul, x, gx)) % p if p else sum(map(mul, x, gx))
+    if not c:
+        if basis:
+            raise DivisionByZero("inverse of zero")
+        return []
+    inv = pow(c, -1, p) if p else None
+    projected = []
+    for y, dy in map(space._ints, basis):
+        t = sum(map(mul, y, gx))
+        if p:
+            f = t * inv
+            projected.append([Scalar(field, (a - f * b) % p) for a, b in zip(y, x)])
+        else:
+            projected.append([Scalar(field, Fraction(c * a - t * b, dy * c))
+                              for a, b in zip(y, x)])
+    return independent_subset(field, projected, len(basis) - 1)
 
 
 def to_ambient(coords, basis):
@@ -230,19 +276,22 @@ def _add_vec(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def _is_zero_vec(v):
-    return all(x.is_zero() for x in v)
-
-
 def _anisotropic_in_span(space: QuadSpace, basis):
-    """Anisotropic vector in the span of `basis` (chars != 2 guarantee)."""
-    for v in basis:
-        if not space.vnorm(v).is_zero():
+    """Anisotropic vector in the span of `basis` (chars != 2 guarantee):
+    a basis vector, else u + v for the first pair with <u, v> != 0, since
+    |u + v|^2 = 2 <u, v> once every basis vector is isotropic."""
+    p = space._p
+    xs = [space._ints(b)[0] for b in basis]
+    gxs = list(map(space._gv, xs))
+
+    def nonzero(n):
+        return n % p if p else n
+    for v, x, gx in zip(basis, xs, gxs):
+        if nonzero(sum(map(mul, x, gx))):
             return v
-    for u, v in itertools.combinations(basis, 2):
-        w = _add_vec(u, v)
-        if not space.vnorm(w).is_zero():
-            return w
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        if nonzero(sum(map(mul, xs[i], gxs[j]))):
+            return _add_vec(basis[i], basis[j])
     return None
 
 
@@ -268,25 +317,24 @@ def find_isotropic(space: QuadSpace, budget: int = 10):
     n = space.dim
     if n == 1:
         return None
-    p_mat, diag = diagonalize(space)
+    d, p_mat = diagonal_ints(space)
 
     def back(coords):
         return p_mat.apply(coords)
 
     if n == 2:
-        d0, d1 = diag
         if field.p is not None:
-            r = sqrt_exact(-d0 / d1)
+            r = sqrt_exact(Scalar(field, -d[0] * pow(d[1], -1, field.p) % field.p))
             return None if r is None else back([field(1), r])
-        r = sqrt_exact(-d1 / d0)
+        r = sqrt_exact(field(Fraction(-d[1], d[0])))
         return None if r is None else back([r, field(1)])
     if field.p is not None:
         p = field.p
         # dim >= 3: slice over the first two coordinates
+        inv = pow(d[2], -1, p)
         for a in range(p):
             for b in range(p):
-                val = -(diag[0] * field(a) * field(a) + diag[1] * field(b) * field(b))
-                c = sqrt_exact(val / diag[2])
+                c = sqrt_exact(Scalar(field, -(d[0] * a * a + d[1] * b * b) * inv % p))
                 if c is None or (a == 0 and b == 0 and c.is_zero()):
                     continue
                 v = [field(a), field(b), c] + [field(0)] * (n - 3)
@@ -294,15 +342,11 @@ def find_isotropic(space: QuadSpace, budget: int = 10):
         return None
 
     # Q: certificates first
-    signs = {1 if e.value > 0 else -1 for e in diag}
-    if len(signs) == 1:
+    if all(e > 0 for e in d) or all(e < 0 for e in d):
         return None  # definite
 
-    def value(coords):
-        acc = field.zero()
-        for e, x in zip(diag, coords):
-            acc = acc + e * x * x
-        return acc
+    def isotropic(support, coords):
+        return any(coords) and not sum(d[i] * c * c for i, c in zip(support, coords))
 
     rng_range = range(-budget, budget + 1)
     # sparse supports first: keeps high dimensions tractable
@@ -311,20 +355,15 @@ def find_isotropic(space: QuadSpace, budget: int = 10):
             break
         for support in itertools.combinations(range(n), support_size):
             for vals in itertools.product(rng_range, repeat=support_size):
-                if all(c == 0 for c in vals):
-                    continue
-                v = [field(0)] * n
-                for idx, c in zip(support, vals):
-                    v[idx] = field(c)
-                if value(v).is_zero():
+                if isotropic(support, vals):
+                    v = [field(0)] * n
+                    for idx, c in zip(support, vals):
+                        v[idx] = field(c)
                     return back(v)
     if n <= 4:
         for coords in itertools.product(rng_range, repeat=n):
-            if all(c == 0 for c in coords):
-                continue
-            v = [field(c) for c in coords]
-            if value(v).is_zero():
-                return back(v)
+            if isotropic(range(n), coords):
+                return back([field(c) for c in coords])
     raise SearchBudgetExceeded("no isotropic vector found within budget")
 
 
@@ -379,18 +418,22 @@ def reflect(space: QuadSpace, v) -> Isometry:
 def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
     """R_v * M as a rank-one update M - v s, s = (2/|v|^2) (v^t G M), on
     bare values: s sums over the nonzero entries of G v only, the rows
-    where v is 0 are kept, and each new entry is wrapped once."""
-    c = space.vnorm(v)
-    if c.is_zero():
-        raise IsotropicMirror("mirror vector is isotropic")
+    where v is 0 are kept, and each new entry is wrapped once.  With
+    v = x / d on the int form, v_i s = x_i (2 / x.Gx) (x^t G M): d drops out."""
     f = space.field
     p = f.p
-    gv = [(g.value, row) for g, row in zip(space._gram_apply(v), m.rows) if g.value]
-    factor = (f(2) / c).value
+    x, _ = space._ints(v)
+    gx = space._gv(x)
+    c = sum(map(mul, x, gx))
+    if (c % p if p else c) == 0:
+        raise IsotropicMirror("mirror vector is isotropic")
+    if p:
+        gx = [g % p for g in gx]
+    gv = [(g, row) for g, row in zip(gx, m.rows) if g]
+    factor = 2 * pow(c, -1, p) % p if p else Fraction(2, c)
     s = [factor * sum(g * row[j].value for g, row in gv) for j in range(space.dim)]
     rows = []
-    for a, row in zip(v, m.rows):
-        a = a.value
+    for a, row in zip(x, m.rows):
         if a and p:
             row = [Scalar(f, (e.value - a * t) % p) for e, t in zip(row, s)]
         elif a:
@@ -424,9 +467,9 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
     for k in order:
         e = dspace.basis_vector(k)
         w = m.col(k)
-        u = _sub_vec(w, e)
-        if _is_zero_vec(u):
+        if w == e:
             continue
+        u = _sub_vec(w, e)
         if not dspace.vnorm(u).is_zero():
             mirrors_d.append(u)
             m = _reflect_matrix_left(dspace, u, m)
@@ -480,13 +523,14 @@ def spinor_norm(t: Isometry) -> SquareClass:
     value is wall_value's, on bare values; the census calls it directly.
     """
     space = t.space
-    p = space.field.p
+    p = space._p
     one_minus = [[(i == j) - e.value for j, e in enumerate(row)]
                  for i, row in enumerate(t.matrix.rows)]
     if p:
         one_minus = [[x % p for x in row] for row in one_minus]
-    gram = [[e.value for e in row] for row in space.gram.rows]
-    return square_class(space.field(wall_value(one_minus, gram, p)))
+    # over Q the int form is G times a square: det(chi) moves by a square
+    form = space._rows if space._diag is None else space._diag
+    return square_class(space.field(wall_value(one_minus, form, p)))
 
 
 def compose_reflections(space: QuadSpace, mirrors) -> Isometry:

@@ -31,7 +31,7 @@ from .quadforms import (
     Isometry,
     QuadSpace,
     complement,
-    diagonalize,
+    diagonal_ints,
     discriminant,
     reflect,
     spinor_norm,
@@ -45,11 +45,6 @@ EXHAUSTIVE_LIMIT = 200_000  # largest |O(V)| enumerated element by element
 def classify_form(space: QuadSpace) -> Tuple[int, SquareClass]:
     """(dimension, discriminant class): a complete invariant over F_p."""
     return space.dim, discriminant(space)
-
-
-def _diag_ints(space: QuadSpace) -> Tuple[List[int], Mat]:
-    p_mat, diag = diagonalize(space)
-    return [d.value for d in diag], p_mat
 
 
 def _norm_int(diag: List[int], v: Tuple[int, ...], p: int) -> int:
@@ -72,7 +67,7 @@ def explicit_isometry(a: QuadSpace, b: QuadSpace) -> Optional[Mat]:
     p = field.p
     if classify_form(a) != classify_form(b):
         return None
-    diag_a, pa = _diag_ints(a)
+    diag_a, pa = diagonal_ints(a)
     cols_in_b = _match_diagonal(b, diag_a)
     if cols_in_b is None:
         return None
@@ -92,7 +87,7 @@ def _match_diagonal(b: QuadSpace, diag_a: List[int]) -> Optional[List[List[Scala
     basis = [b.basis_vector(i) for i in range(b.dim)]   # of current, in b
     out = []
     for c in diag_a:
-        diag_c, p_mat = _diag_ints(current)
+        diag_c, p_mat = diagonal_ints(current)
         found = None
         for v in _vectors_of_norm(diag_c, c, p):
             found = to_ambient(p_mat.apply([field(x) for x in v]), basis)
@@ -113,7 +108,7 @@ def so_plus_index(space: QuadSpace) -> Tuple[int, Optional[Isometry]]:
         return 1, None
     field = space.field
     p = field.p
-    diag, p_mat = _diag_ints(space)
+    diag, p_mat = diagonal_ints(space)
     first = {}      # square class -> the first vector with a norm in it
     for v in itertools.product(range(p), repeat=space.dim):
         n = _norm_int(diag, v, p)
@@ -319,7 +314,7 @@ def enumerate_isometries(space: QuadSpace):
     """All isometries of a space over F_p (Gram-constrained backtracking)."""
     field = space.field
     p = field.p
-    diag, p_mat = _diag_ints(space)
+    diag, p_mat = diagonal_ints(space)
     p_inv = p_mat.inverse()
     for cols, _det in enumerate_isometry_columns(diag, p):
         m = Mat(field, [map(field, c) for c in cols]).T
@@ -422,7 +417,7 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
             continue
         for trivial in disc_options:
             space = census_space(field, dim, trivial)
-            diag, _ = _diag_ints(space)
+            diag, _ = diagonal_ints(space)
             order = orthogonal_order(diag, p)
             so = order // 2
             method = "orbit-stabilizer"

@@ -13,6 +13,7 @@ caller's test.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from .algebras import (
@@ -360,18 +361,39 @@ def gsp_decompose(g: GSpElem, v_constraints: Optional[List[M2A]] = None) -> GenF
     """Generic-form parameters for g; searches v with a - v c invertible.
 
     v = 0 is tried first, then `_shear_candidates` in order, built only if
-    needed.  `v_constraints` lists further matrices whose sheared
-    upper-left block must also become invertible for the same v (used by
-    the cover product).
+    needed, then over F_p with p <= WALK_MAX_P every nonzero vector of
+    A^-(F_p), walked lazily, so that an exhausted search over such a field
+    is a certificate that no v exists.  `v_constraints` lists further
+    matrices whose sheared upper-left block must also become invertible
+    for the same v (used by the cover product).
     """
+    algebra = g.mat.A
     mats = [g.mat] + list(v_constraints or [])
     if all(_is_unit(reduced_norm_A(m.a)) for m in mats):
         return _decompose_at(g, None)
-    for v in _shear_candidates(g.mat.A):
+    for v in itertools.chain(_shear_candidates(algebra), _aminus_walk(algebra)):
         ve = v.embed()
         if all(_is_unit(reduced_norm_A(m.a - ve * m.c)) for m in mats):
             return _decompose_at(g, v)
-    raise DecompositionFailed("no unipotent shift renders the block invertible")
+    raise DecompositionFailed("no unipotent shift renders the block invertible%s" % (
+        " (all of A^-(F_%d) tried)" % algebra.ring.p if _walks(algebra.ring) else ""))
+
+
+WALK_MAX_P = 5      # A^-(F_p) has p^6 vectors: 729 over F_3, 15 625 over F_5
+
+
+def _walks(ring) -> bool:
+    return isinstance(ring, FieldDesc) and ring.p is not None and ring.p <= WALK_MAX_P
+
+
+def _aminus_walk(algebra: BiquatAlg):
+    """Every nonzero vector of A^-(F_p) in product order when p <=
+    WALK_MAX_P; none otherwise."""
+    if _walks(algebra.ring):
+        coords = itertools.product(algebra.ring.elements(), repeat=6)
+        next(coords)    # v = 0
+        for x in coords:
+            yield algebra.aminus(list(x[:3]), list(x[3:]))
 
 
 def _decompose_at(g: GSpElem, v: Optional[AminusVector]) -> GenForm:

@@ -1,6 +1,7 @@
 """The command-line front end: round trips, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -241,3 +242,32 @@ def test_classify_exhausted_search_is_a_named_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: SearchBudgetExceeded: "
                             "no isotropic vector found within budget\n")
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "classify_golden.json")
+with open(GOLDEN) as _fh:
+    GOLDEN_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES,
+                         ids=["%d-%s" % (i, c["field"]) for i, c in enumerate(GOLDEN_CASES)])
+def test_classify_output_is_unchanged(case, tmp_path, capsys):
+    """`classify --out` over F_3, F_5, F_7 and Q, on diagonal and dense
+    Gram matrices (some degenerate, one not symmetric), byte for byte
+    against classify_golden.json: the stdout, stderr, exit status and
+    report of the library before QuadSpace held its form as ints."""
+    path = write(tmp_path, "space.json", {"field": case["field"], "gram": case["gram"]})
+    out = tmp_path / "out.json"
+    assert main(["classify", path, "--out", str(out)]) == case["rc"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+    assert (out.read_text() if out.exists() else None) == case["out"]
+
+
+def test_golden_keeps_the_q_form_whose_isotropic_vector_is_missed():
+    """Its e_3 is isotropic, but the search runs in diagonalize's basis and
+    runs out: a named error, exit 2, never a wrong Witt index."""
+    case = next(c for c in GOLDEN_CASES
+                if c["gram"] == [[6, -2, -2], [-2, 3, 0], [-2, 0, 0]])
+    assert case["field"] == "Q" and case["rc"] == 2 and case["out"] is None
+    assert "SearchBudgetExceeded" in case["stderr"]

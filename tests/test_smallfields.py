@@ -19,6 +19,7 @@ from isogeny_kit.quadforms import (
     Isometry,
     QuadSpace,
     cartan_dieudonne,
+    diagonal_ints,
     find_isotropic,
     spinor_norm,
     wall_value,
@@ -143,8 +144,7 @@ def test_orbit_stabilizer_matches_enumeration():
             for trivial in ((True,) if dim % 2 else (True, False)):
                 space = census_space(field, dim, trivial)
                 count = sum(1 for _ in enumerate_isometries(space))
-                from isogeny_kit.smallfields import _diag_ints
-                diag, _ = _diag_ints(space)
+                diag, _ = diagonal_ints(space)
                 assert count == orthogonal_order(diag, field.p)
                 so = sum(1 for i in enumerate_isometries(space)
                          if i.det() == field(1))
@@ -186,7 +186,7 @@ def match_by_subspaces(b, diag_a):
 
     out = []
     for c in diag_a:
-        diag_c, p_mat = smallfields._diag_ints(current)
+        diag_c, p_mat = diagonal_ints(current)
         v = next(smallfields._vectors_of_norm(diag_c, c, field.p), None)
         if v is None:
             return None
@@ -214,7 +214,7 @@ def test_match_diagonal_matches_the_subspace_recursion():
             n = rng.randrange(1, 6 if p == 3 else 5)
             a = nondiagonal_space(field, [rng.randrange(1, p) for _ in range(n)], rng)
             b = nondiagonal_space(field, [rng.randrange(1, p) for _ in range(n)], rng)
-            diag_a = smallfields._diag_ints(a)[0]
+            diag_a = diagonal_ints(a)[0]
             assert repr(smallfields._match_diagonal(b, diag_a)) == repr(
                 match_by_subspaces(b, diag_a))
             m = explicit_isometry(a, b)
@@ -349,7 +349,7 @@ def test_wall_value_on_int_columns_is_the_spinor_norm():
         field = GF(p)
         for dim in dims:
             for trivial in ((True,) if dim % 2 else (True, False)):
-                diag = smallfields._diag_ints(census_space(field, dim, trivial))[0]
+                diag = diagonal_ints(census_space(field, dim, trivial))[0]
                 space = QuadSpace.diagonal(field, diag)
                 seen = 0
                 for cols, det in enumerate_isometry_columns(diag, p):

@@ -1188,3 +1188,37 @@ def test_shear_candidates_built_once_per_descriptor(monkeypatch):
     assert all(not v.is_zero() for v in picked)
     monkeypatch.setattr(spin_eight, "_shear_candidates", spin_eight._build_shear_candidates)
     assert [gsp_decompose(m).v for m in members] == picked
+
+
+# ---------------------------------------------------------------------------
+# the shift search over small fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gsppsi_over_f3_finds_a_shift_at_every_seed(seed, capsys):
+    """The fixed shear list offers 12 of the 728 nonzero vectors of
+    A^-(F_3), and at seed 0 no listed v made a product's blocks invertible
+    (DecompositionFailed, exit 2); the walk over A^-(F_3) after the list
+    finds one."""
+    from isogeny_kit.cli import main
+    assert main(["verify", "GSppsi", "--field", "p=3", "--seed", str(seed),
+                 "--trials", "100"]) == 0
+    assert "GSppsi       pass  cases=300 failures=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, walked", [(3, True), (5, True), (7, False)])
+def test_an_exhausted_shift_search_says_whether_it_was_exhaustive(monkeypatch, p, walked):
+    """Over F_p with p <= 5 the search tries v = 0, the shear list and then
+    every other vector of A^-(F_p), and its error says so; over F_7 it stops
+    after the list."""
+    from isogeny_kit.errors import DecompositionFailed
+    field = GF(p)
+    a = BiquatAlg(QuatAlg(field, 2, -1), QuatAlg(field, 1, 2))
+    g = spin_eight.gsp_membership(M2A(a, a.zero(), a.one(), a.one(), a.zero()))
+    calls = []
+    monkeypatch.setattr(spin_eight, "_is_unit", lambda n: calls.append(n) and False)
+    with pytest.raises(DecompositionFailed) as info:
+        spin_eight.gsp_decompose(g)
+    listed = len(spin_eight._shear_candidates(a))
+    assert len(calls) == 1 + listed + (p ** 6 - 1 if walked else 0)
+    assert ("all of A^-(F_%d) tried" % p in str(info.value)) == walked

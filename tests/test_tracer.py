@@ -65,3 +65,23 @@ def test_tracer_counts_every_enumerated_isometry():
     assert metrics["smallfields.spinor_filtered"][0] == witnessed == 3
     # spinor_norm takes its value from wall_value too
     assert wall_calls == sum(r.so for r in rows if r.method == "exhaustive") + witnessed
+
+
+def test_tracer_binds_the_quadratic_space_entry_points():
+    """perfbench counts pairings, reflections, factorisations and isotropy
+    searches by these names; the int form must leave them bound."""
+    from isogeny_kit import quadforms
+    tracer = Tracer().install()
+    try:
+        space = quadforms.QuadSpace.diagonal(GF(5), [1, 2, 3])
+        t = quadforms.reflect(space, [GF(5)(1), GF(5)(1), GF(5)(0)])
+        quadforms.cartan_dieudonne(t)
+        space.pairing(space.basis_vector(0), space.basis_vector(1))
+        quadforms.find_isotropic(space)
+        metrics = run.layer_metrics(tracer, {"seconds": 1.0},
+                                    {"seconds": 1.0, "outcomes": []})
+    finally:
+        tracer.uninstall()
+    for name in ("pairing", "reflect", "cartan_dieudonne"):
+        assert metrics["quadforms.%s.calls" % name][0] >= 1
+    assert tracer.key_calls("quadforms.find_isotropic") == 1
