@@ -8,6 +8,7 @@ randomness derives from the seed and the suite name only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -26,36 +27,48 @@ from .quadforms import (
 from .suites import SUITES, RunConfig, run_all
 
 
+def _reads_json(what):
+    """A reader of `what` from parsed JSON: the library's own errors pass
+    through, and any other (a missing key, a bad value) is a ParseError."""
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(obj):
+            try:
+                return read(obj)
+            except IsogenyKitError:
+                raise
+            except Exception as ex:
+                raise ParseError("bad %s JSON: %s" % (what, ex))
+        return reader
+    return wrap
+
+
+@_reads_json("quadratic-space")
 def space_from_json(obj) -> QuadSpace:
-    try:
-        field = parse_field(obj["field"])
-        gram = [[field(v) for v in row] for row in obj["gram"]]
-        if not gram:
-            raise ParseError("bad quadratic-space JSON: empty Gram matrix")
-        return QuadSpace(field, Mat(field, gram))
-    except IsogenyKitError:
-        raise
-    except Exception as ex:
-        raise ParseError("bad quadratic-space JSON: %s" % ex)
+    field = parse_field(obj["field"])
+    gram = [[field(v) for v in row] for row in obj["gram"]]
+    if not gram:
+        raise ParseError("bad quadratic-space JSON: empty Gram matrix")
+    return QuadSpace(field, Mat(field, gram))
 
 
+@_reads_json("isometry")
 def isometry_from_json(obj) -> Isometry:
     space = space_from_json(obj)
-    try:
-        field = space.field
-        m = Mat(field, [[field(v) for v in row] for row in obj["matrix"]])
-        return Isometry(space, m)
-    except IsogenyKitError:
-        raise
-    except Exception as ex:
-        raise ParseError("bad isometry JSON: %s" % ex)
+    field = space.field
+    return Isometry(space, Mat(field, [[field(v) for v in row] for row in obj["matrix"]]))
 
 
-def biquat_from_json(obj) -> BiquatAlg:
+@_reads_json("GSp")
+def gsp_from_json(obj):
+    """The 2 x 2 matrix over B (x) C of a decompose input: field, the
+    symbols B and C, and four blocks of 16 coefficients."""
+    from .spin_eight import M2A
     field = parse_field(obj["field"])
     b = QuatAlg(field, field(obj["B"][0]), field(obj["B"][1]))
     c = QuatAlg(field, field(obj["C"][0]), field(obj["C"][1]))
-    return BiquatAlg(b, c)
+    algebra = BiquatAlg(b, c)
+    return M2A(algebra, *[algebra.elem([field(v) for v in blk]) for blk in obj["blocks"]])
 
 
 def _dump(obj, out: Optional[str]):
@@ -129,11 +142,7 @@ def cmd_decompose(args) -> int:
     from . import spin_eight
     with open(args.gsp) as fh:
         obj = json.load(fh)
-    algebra = biquat_from_json(obj)
-    field = algebra.ring
-    blocks = [algebra.elem([field(v) for v in blk]) for blk in obj["blocks"]]
-    mat = spin_eight.M2A(algebra, *blocks)
-    member = spin_eight.gsp_membership(mat)
+    member = spin_eight.gsp_membership(gsp_from_json(obj))
     if member is None:
         print("not a GSp member")
         return 1

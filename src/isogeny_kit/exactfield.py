@@ -5,6 +5,12 @@ Scalars are immutable wrappers around an int residue (prime case) or a
 square-class representatives are exact: Euler's criterion and
 Tonelli-Shanks over F_p, squarefree-part extraction by trial division
 over Q.
+
+`FieldDesc.ints` and `FieldDesc.scalars` are the int view that the int
+kernels of linalg, quadforms and towers share: values as ints over one
+denominator (residues over 1 in F_p, numerators over the lcm of the
+denominators in Q) and back to one Scalar per entry.  No other module
+turns Q values into ints.
 """
 
 from __future__ import annotations
@@ -60,8 +66,7 @@ class FieldDesc:
         self.p = p
         self._nonresidue: Optional[int] = None
         # Scalars are immutable, so one zero and one one serve every caller
-        self._zero = Scalar(self, 0 if p else Fraction(0))
-        self._one = Scalar(self, 1 if p else Fraction(1))
+        self._zero, self._one = self.scalars([0, 1])
 
     def __eq__(self, other):
         return isinstance(other, FieldDesc) and self.p == other.p
@@ -95,15 +100,36 @@ class FieldDesc:
             return Scalar(self, value % self.p if self.p else Fraction(value))
         if isinstance(value, Scalar):
             return self.from_scalar(value)
-        if self.p is not None:
-            if isinstance(value, str):
-                value = Fraction(value)
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise DivisionByZero("denominator divisible by p")
-                value = value.numerator * pow(value.denominator, -1, self.p)
-            return Scalar(self, value % self.p)
-        return Scalar(self, Fraction(value))
+        value = Fraction(value)
+        return self.scalars([value.numerator], value.denominator)[0]
+
+    # -- the int view shared by the int kernels --
+
+    def ints(self, values):
+        """Values of this field (ints, over Q also Fractions) as (ints, d)
+        with values = ints / d: residues mod p and d = 1 over F_p, over Q
+        numerators over the lcm d of the denominators."""
+        p = self.p
+        if p:
+            return [v % p for v in values], 1
+        dens = [v.denominator for v in values]
+        d = math.lcm(*dens)
+        return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+    def scalars(self, ints, d=1):
+        """One Scalar per entry, equal to ints / d (d any int); over F_p
+        ints times d^-1 mod p.  DivisionByZero when d is 0 in the field."""
+        p = self.p
+        if p:
+            if d == 1:
+                return [Scalar(self, v % p) for v in ints]
+            if not d % p:
+                raise DivisionByZero("denominator divisible by p")
+            f = pow(d, -1, p)
+            return [Scalar(self, v * f % p) for v in ints]
+        if not d:
+            raise DivisionByZero("denominator 0")
+        return [Scalar(self, Fraction(v, d)) for v in ints]
 
     def elements(self):
         """All field elements; prime fields only."""
@@ -258,14 +284,6 @@ def parse_field(spec: str) -> FieldDesc:
         except ValueError as ex:
             raise ParseError("bad field spec %r: %s" % (spec, ex)) from None
     raise ParseError("bad field spec %r (expected 'p=N' or 'Q')" % spec)
-
-
-def _ints_over_lcm(values):
-    """Rationals (Fractions or ints) as (numerators, d) over d, the lcm of
-    their denominators: the integer kernels' view of a row over Q."""
-    dens = [v.denominator for v in values]
-    d = math.lcm(*dens)
-    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Entries are duck-typed: anything supporting +, -, * and unary -.  Every
 elimination (det, rank, solve, inverse, independent_subset) runs through
 one forward row reduction over F_p or Q on bare values: int residues mod
-p, or over Q rows scaled to ints and eliminated fraction-free (Bareiss),
-so no Fraction is formed until the solutions are divided through by one
-determinant.  Determinants over any other ring, including those with
-zero divisors, use the division-free Berkowitz algorithm.
+p, or over Q rows scaled to ints by `FieldDesc.ints` and eliminated
+fraction-free (Bareiss), so solutions come out as ints over one
+determinant for `FieldDesc.scalars`; products take the same int view.
+Determinants over any other ring, including those with zero divisors,
+use the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
-from .exactfield import FieldDesc, Scalar, _ints_over_lcm
+from .exactfield import QQ, FieldDesc
 
 
 class Mat:
@@ -68,19 +69,16 @@ class Mat:
         return Mat(self.ring, [[e * other for e in r] for r in self.rows])
 
     def _field_product(self, other):
-        """self * other over F_p or Q on bare values, one Scalar per entry:
-        over Q each row of self and column of other as ints over one
-        denominator, so an entry is one int dot product."""
+        """self * other over F_p or Q on the int view: other as ints over
+        one denominator dc and each row of self over its own dr, so an
+        entry is one int dot product and a row one scalars call."""
         ring = self.ring
-        rows, p = self._values()
-        cols = [list(c) for c in zip(*other._values()[0])]
-        if p:
-            out = [[Scalar(ring, sum(map(mul, r, c)) % p) for c in cols] for r in rows]
-        else:
-            cols = [_ints_over_lcm(c) for c in cols]
-            out = [[Scalar(ring, Fraction(sum(map(mul, r, c)), dr * dc)) for c, dc in cols]
-                   for r, dr in map(_ints_over_lcm, rows)]
-        return Mat(ring, out)
+        n = other.ncols
+        flat, dc = ring.ints([e.value for row in other.rows for e in row])
+        cols = [flat[j::n] for j in range(n)]
+        rows = (ring.ints([e.value for e in row]) for row in self.rows)
+        return Mat(ring, [ring.scalars([sum(map(mul, r, c)) for c in cols], dr * dc)
+                          for r, dr in rows])
 
     def __add__(self, other):
         return Mat(self.ring, [[a + b for a, b in zip(r, s)]
@@ -148,9 +146,8 @@ class Mat:
         pivots, _ = row_reduce(a, n, p)
         if len(pivots) < n:
             raise NonInvertible("singular matrix")
-        cols = [back_substitute(a, pivots, n, n + j, p) for j in range(n)]
-        return Mat(self.ring, [[Scalar(self.ring, c[i]) for c in cols]
-                               for i in range(n)])
+        return Mat(self.ring, [self.ring.scalars(*back_substitute(a, pivots, n, n + j, p))
+                               for j in range(n)]).T
 
     def solve(self, rhs):
         """Solve self * x = rhs (rhs a coordinate list); None if inconsistent.
@@ -165,8 +162,7 @@ class Mat:
         pivots, _ = row_reduce(a, self.ncols, p)
         if any(row[-1] for row in a[len(pivots):]):
             return None
-        x = back_substitute(a, pivots, self.ncols, self.ncols, p)
-        return [Scalar(self.ring, v) for v in x]
+        return self.ring.scalars(*back_substitute(a, pivots, self.ncols, self.ncols, p))
 
     def rank(self):
         a, p = self._values()
@@ -257,7 +253,7 @@ def row_reduce(a, ncols: int, p=None):
     if p is None:
         scale = 1
         for row in a:
-            row[:], s = _ints_over_lcm(row)
+            row[:], s = QQ.ints(row)
             scale *= s
         prev = 1
     for c in range(ncols):
@@ -304,25 +300,25 @@ def row_reduce(a, ncols: int, p=None):
 
 def back_substitute(a, pivots, ncols: int, k: int, p=None):
     """The solution of the system reduced by row_reduce whose right-hand
-    side is column k of `a`, with every free variable 0.
+    side is column k of `a`, with every free variable 0, as (x, d) with
+    the solution x / d and d > 0: residues and d = 1 over F_p.
 
-    Over Q the rows are row_reduce's ints and the last pivot d is the
-    determinant of the pivot block, so d times the solution is integral
-    (Cramer): it is found on ints with exact divisions and divided
-    through by d as Fractions at the end.
+    Over Q the rows are row_reduce's ints and the last pivot is the
+    determinant of the pivot block, so its absolute value d times the
+    solution is integral (Cramer): x is found on ints with exact
+    divisions.
     """
-    if p is None:
-        d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    d = abs(a[len(pivots) - 1][pivots[-1]]) if pivots and not p else 1
     x = [0] * ncols
     for i in range(len(pivots) - 1, -1, -1):
         row = a[i]
-        acc = row[k] if p else row[k] * d
+        acc = row[k] * d
         for j in pivots[i + 1:]:
             if x[j]:
                 acc = acc - row[j] * x[j]
         c = pivots[i]
         x[c] = acc * pow(row[c], -1, p) % p if p else acc // row[c]
-    return x if p else [Fraction(v, d) for v in x]
+    return x, d
 
 
 def independent_subset(field: FieldDesc, vecs, k: int):

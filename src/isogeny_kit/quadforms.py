@@ -5,36 +5,30 @@ factorization).
 
 A space is a nondegenerate symmetric Gram matrix, held once as ints
 (residues mod p, or over Q numerators over one square denominator) that
-every pairing, norm, complement, isotropy search, reflection's G v and
-form check reads; vectors are coordinate lists of Scalars, unwrapped once
-per call; isometries are matrices T with T^t G T = G.
+every pairing, norm, complement, isotropy search, reflection and form
+check reads; vectors are coordinate lists of Scalars, unwrapped once per
+call.  Both conversions are exactfield's int view: `FieldDesc.ints` turns
+values into ints over one denominator and `FieldDesc.scalars` turns each
+result back, so every formula here has one path for F_p and Q.
+Isometries are matrices T with T^t G T = G.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import (
     DegenerateSpace,
     DimensionMismatch,
-    DivisionByZero,
     InvariantViolated,
     IsotropicMirror,
     NoIsotropicVector,
     SearchBudgetExceeded,
 )
-from .exactfield import (
-    FieldDesc,
-    Scalar,
-    SquareClass,
-    _ints_over_lcm,
-    sqrt_exact,
-    square_class,
-)
+from .exactfield import FieldDesc, Scalar, SquareClass, sqrt_exact, square_class
 from .linalg import Mat, independent_subset, row_reduce
 
 
@@ -52,14 +46,12 @@ class QuadSpace:
         else:
             self.gram = Mat(field, [[field(e) for e in row] for row in gram])
         self.dim = n = self.gram.nrows
-        rows, p = self.gram._values()
-        self._p, self._den = p, 1
-        if not p:
-            # over the square of the lcm L of the denominators, so that a
-            # k x k block's determinant is off by the square L^2k only
-            flat, lcm = _ints_over_lcm([x for row in rows for x in row])
-            self._den, flat = lcm * lcm, iter(flat)
-            rows = [[next(flat) * lcm for _ in row] for row in rows]
+        self._p = p = field.p
+        # over the square of the lcm L of the denominators (1 over F_p), so
+        # that a k x k block's determinant is off by the square L^2k only
+        flat, lcm = field.ints([e.value for row in self.gram.rows for e in row])
+        self._den, flat = lcm * lcm, iter(flat)
+        rows = [[next(flat) * lcm for _ in row] for row in self.gram.rows]
         if [list(c) for c in zip(*rows)] != rows:
             raise ValueError("Gram matrix is not symmetric")
         if not row_reduce([row[:] for row in rows], n, p)[1]:
@@ -93,7 +85,7 @@ class QuadSpace:
         vals = [x.value for x in v if type(x) is Scalar and x.field is self.field]
         if len(vals) < len(v):      # ints, an equal field, or FieldMismatch
             vals = [self.field(x).value for x in v]
-        return (vals, 1) if self._p else _ints_over_lcm(vals)
+        return self.field.ints(vals)
 
     def _gv(self, x):
         """The int form times the int vector x (not reduced mod p)."""
@@ -101,21 +93,14 @@ class QuadSpace:
             return list(map(mul, self._diag, x))
         return [sum(map(mul, row, x)) for row in self._rows]
 
-    def _scalar(self, num: int, d: int) -> Scalar:
-        """The Scalar num / (d * den) of a form value num over vectors
-        whose denominators multiply to d."""
-        if self._p:
-            return Scalar(self.field, num % self._p)
-        return Scalar(self.field, Fraction(num, d * self._den))
-
     def pairing(self, u, v) -> Scalar:
         x, dx = self._ints(u)
         y, dy = self._ints(v)
-        return self._scalar(sum(map(mul, x, self._gv(y))), dx * dy)
+        return self.field.scalars([sum(map(mul, x, self._gv(y)))], dx * dy * self._den)[0]
 
     def vnorm(self, v) -> Scalar:
         x, d = self._ints(v)
-        return self._scalar(sum(map(mul, x, self._gv(x))), d * d)
+        return self.field.scalars([sum(map(mul, x, self._gv(x)))], d * d * self._den)[0]
 
     def basis_vector(self, i):
         return [self.field(1 if j == i else 0) for j in range(self.dim)]
@@ -125,9 +110,10 @@ class QuadSpace:
         pairings (DegenerateSpace when that is singular)."""
         vecs = [self._ints(b) for b in basis]
         gvs = [self._gv(x) for x, _ in vecs]
+        scalars = self.field.scalars
         return QuadSpace(self.field, Mat(self.field, [
-            [self._scalar(sum(map(mul, x, g)), d * e) for g, (_, e) in zip(gvs, vecs)]
-            for x, d in vecs]))
+            [scalars([sum(map(mul, x, g))], d * e * self._den)[0]
+             for g, (_, e) in zip(gvs, vecs)] for x, d in vecs]))
 
     def to_json(self):
         return {"field": "p=%d" % self.field.p if self.field.p else "Q",
@@ -212,9 +198,8 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
             out_basis.append(v)
             diag.append(space.vnorm(v))
             basis = complement(space, v, basis)
-        values = [x.value for x in diag]
         space._diag_cache = (Mat(space.field, out_basis).T, diag,
-                             values if space._p else _ints_over_lcm(values)[0])
+                             space.field.ints([x.value for x in diag])[0])
     return space._diag_cache[:2]
 
 
@@ -231,27 +216,19 @@ def complement(space: QuadSpace, v, basis=None):
     off v, keeping the first len(basis) - 1 independent ones.
 
     On ints, with v = x / dx and b = y / dy: b - (<b,v>/<v,v>) v is
-    (c y - t x) / (dy c) for c = x.Gx and t = y.Gx, so dx drops out."""
+    (c y - t x) / (dy c) for c = x.Gx and t = y.Gx, so dx drops out; an
+    isotropic v makes dy c zero in the field, and scalars raises
+    DivisionByZero."""
     if basis is None:
         basis = [space.basis_vector(i) for i in range(space.dim)]
-    field, p = space.field, space._p
+    field = space.field
     x, _ = space._ints(v)
     gx = space._gv(x)
-    c = sum(map(mul, x, gx)) % p if p else sum(map(mul, x, gx))
-    if not c:
-        if basis:
-            raise DivisionByZero("inverse of zero")
-        return []
-    inv = pow(c, -1, p) if p else None
+    c = sum(map(mul, x, gx))
     projected = []
     for y, dy in map(space._ints, basis):
         t = sum(map(mul, y, gx))
-        if p:
-            f = t * inv
-            projected.append([Scalar(field, (a - f * b) % p) for a, b in zip(y, x)])
-        else:
-            projected.append([Scalar(field, Fraction(c * a - t * b, dy * c))
-                              for a, b in zip(y, x)])
+        projected.append(field.scalars([c * a - t * b for a, b in zip(y, x)], dy * c))
     return independent_subset(field, projected, len(basis) - 1)
 
 
@@ -324,9 +301,9 @@ def find_isotropic(space: QuadSpace, budget: int = 10):
 
     if n == 2:
         if field.p is not None:
-            r = sqrt_exact(Scalar(field, -d[0] * pow(d[1], -1, field.p) % field.p))
+            r = sqrt_exact(field.scalars([-d[0]], d[1])[0])
             return None if r is None else back([field(1), r])
-        r = sqrt_exact(field(Fraction(-d[1], d[0])))
+        r = sqrt_exact(field.scalars([-d[1]], d[0])[0])
         return None if r is None else back([r, field(1)])
     if field.p is not None:
         p = field.p
@@ -417,29 +394,23 @@ def reflect(space: QuadSpace, v) -> Isometry:
 
 def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
     """R_v * M as a rank-one update M - v s, s = (2/|v|^2) (v^t G M), on
-    bare values: s sums over the nonzero entries of G v only, the rows
-    where v is 0 are kept, and each new entry is wrapped once.  With
-    v = x / d on the int form, v_i s = x_i (2 / x.Gx) (x^t G M): d drops out."""
+    the int view: with v = x / d and M = Y / e, row i becomes
+    (c y_i - x_i S) / (c e) for c = x.Gx and S = 2 (Gx)^t Y, so d drops
+    out.  S sums over the nonzero entries of G x only, and the rows where
+    x is 0 are kept."""
     f = space.field
-    p = f.p
     x, _ = space._ints(v)
     gx = space._gv(x)
     c = sum(map(mul, x, gx))
-    if (c % p if p else c) == 0:
+    if f.scalars([c])[0].is_zero():
         raise IsotropicMirror("mirror vector is isotropic")
-    if p:
-        gx = [g % p for g in gx]
-    gv = [(g, row) for g, row in zip(gx, m.rows) if g]
-    factor = 2 * pow(c, -1, p) % p if p else Fraction(2, c)
-    s = [factor * sum(g * row[j].value for g, row in gv) for j in range(space.dim)]
-    rows = []
-    for a, row in zip(x, m.rows):
-        if a and p:
-            row = [Scalar(f, (e.value - a * t) % p) for e, t in zip(row, s)]
-        elif a:
-            row = [Scalar(f, e.value - a * t) for e, t in zip(row, s)]
-        rows.append(row)
-    return Mat(f, rows)
+    n = m.ncols
+    flat, e = f.ints([z.value for row in m.rows for z in row])
+    ys = [flat[i:i + n] for i in range(0, len(flat), n)]
+    gy = [(g, y) for g, y in zip(gx, ys) if g]
+    s = [2 * sum(g * y[j] for g, y in gy) for j in range(n)]
+    return Mat(f, [f.scalars([c * a - b * t for a, t in zip(y, s)], c * e) if b else row
+                   for b, y, row in zip(x, ys, m.rows)])
 
 
 def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):

@@ -23,6 +23,7 @@ from .algebras import (
     QuatAlg,
     albert_norm,
     albert_pair,
+    quat_to_mat2_tower,
     reduced_norm_A,
     reduced_norm_A_oracle,
     reduced_norm_M2B,
@@ -36,6 +37,7 @@ from .quadforms import (
     complement,
     compose_reflections,
     discriminant,
+    find_isotropic,
     random_isometry,
     reflect,
     spinor_norm,
@@ -265,7 +267,6 @@ def suite_NAexp(rec, rng, config):
         bb = QuatAlg(field, a, b)
         tower = QuadTower(field, [bb.alpha])
         lift = tower.from_scalar
-        from .algebras import quat_to_mat2_tower
         delta = lift(bb.beta)
         for _ in range(config.trials):
             m = [[random_quat(bb, rng, 3) for _ in range(2)] for _ in range(2)]
@@ -1097,8 +1098,6 @@ def suite_F_F2_2(rec, rng, config):
             rec.check(m is not None, "isometry-constructed", entries=entries)
         else:
             reps[key] = space
-        v = None
-        from .quadforms import find_isotropic
         v = find_isotropic(space)
         rec.check(v is not None, "dim3-isotropic", entries=entries)
     e = EtaleQuad(field, field.least_nonresidue())

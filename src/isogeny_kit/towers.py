@@ -12,7 +12,9 @@ of them (any other raises TypeError on the first arithmetic operation).
 E is itself a table algebra of rank 2 over F on the basis (1, g), and by
 restriction of scalars an algebra of rank n over E is one of rank 2n
 over F.  Ints are the state of an element: its F-coordinates over one
-denominator, canonical so that equal elements hold equal ints.  Sums,
+denominator, canonical so that equal elements hold equal ints, read
+from Scalars and turned back into them by exactfield's int view
+(`FieldDesc.ints`, `FieldDesc.scalars`).  Sums,
 products, scaling, the sign-mask involutions, equality and the inverse
 all run on those ints, with the structure constants kept as ints once
 per descriptor.  The ring coefficients `c` (Scalars, or elements of E
@@ -33,11 +35,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import AlgebraMismatch, FieldMismatch, NonInvertible
-from .exactfield import FieldDesc, Scalar, _ints_over_lcm, is_square
+from .errors import AlgebraMismatch, DimensionMismatch, FieldMismatch, NonInvertible
+from .exactfield import FieldDesc, Scalar, is_square
 from .linalg import Mat, back_substitute, row_reduce
 
 
@@ -49,7 +50,7 @@ class _Restriction:
     over F_p, den = 1), so a zero product is left out; `to_unit` lists the
     (I, J, t, n) with t < r.  E's own products u_a u_b come from E's int
     rows, `one` holds the unit's F-coordinates and `p` is F's prime (None
-    over Q).
+    over Q).  Every structure constant is read over one denominator.
     """
 
     __slots__ = ("field", "p", "r", "rows", "den", "one", "to_unit")
@@ -69,13 +70,16 @@ class _Restriction:
                             "quadratic algebra, not %r" % (ring,))
         r = self.r
         self.p = self.field.p
+        table = algebra.table()
+        # the table's coefficients k as ints over one kd
+        flat, kd = self.unwrap([k for row in table for _, k in row])
+        ks = iter([flat[i:i + r] for i in range(0, len(flat), r)])
         # (e_i u_a)(e_j u_b) = k e_t u_a u_b with k = sum_g k_g u_g, on ints
         # over kd unit_den^2
         entries = []
-        for i, row in enumerate(algebra.table()):
-            for j, (t, k) in enumerate(row):
-                kc, kd = self.unwrap([k])
-                den = kd * unit_den * unit_den
+        for i, row in enumerate(table):
+            for j, (t, _) in enumerate(row):
+                kc = next(ks)
                 for a, b in itertools.product(range(r), repeat=2):
                     c, m = units[a][b]
                     out = [0] * r
@@ -83,31 +87,24 @@ class _Restriction:
                         if kg:
                             h, n = units[g][c]
                             out[h] += kg * m * n
-                    entries += [(r * i + a, r * j + b, r * t + h,
-                                 v if den == 1 else Fraction(v, den))
-                                for h, v in enumerate(out) if v]
-        entries, self.den = self._over_den(entries)
+                    entries += [(r * i + a, r * j + b, r * t + h, v)
+                                for h, v in enumerate(out)]
+        # residues over F_p (where kd and unit_den are 1), over Q reduced
+        nums, self.den = self.reduce(self.field.ints([e[-1] for e in entries])[0],
+                                     kd * unit_den * unit_den)
         self.rows = [[] for _ in range(r * algebra.dim)]
-        for i, j, t, n in entries:
-            self.rows[i].append((j, t, n))
+        for (i, j, t, _), n in zip(entries, nums):
+            if n:
+                self.rows[i].append((j, t, n))
         self.to_unit = [(i, *e) for i, row in enumerate(self.rows)
                         for e in row if e[1] < r]
         self.one = self.unwrap(algebra.one().c)[0]
-
-    def _over_den(self, entries):
-        """The entries with the values that end them as ints over one
-        denominator (residues over F_p), and that denominator."""
-        values = [e[-1] for e in entries]
-        nums, den = (_ints_over_lcm(values) if self.field.p is None
-                     else ([v % self.field.p for v in values], 1))
-        return [(*e[:-1], n) for e, n in zip(entries, nums)], den
 
     def unwrap(self, coeffs):
         """The F-coordinates of ring coefficients as ints over one
         denominator: the values of Scalars, or the ints of E's elements."""
         if self.r == 1:
-            values = [s.value for s in coeffs]
-            return _ints_over_lcm(values) if self.field.p is None else (values, 1)
+            return self.field.ints([s.value for s in coeffs])
         parts = [z._ints() for z in coeffs]
         d = math.lcm(*(dz for _, dz in parts))
         return [v * (d // dz) for vs, dz in parts for v in vs], d
@@ -118,18 +115,11 @@ class _Restriction:
         g = math.gcd(d, *ints)
         return ([v // g for v in ints], d // g) if g > 1 else (ints, d)
 
-    def scalars(self, ints, d):
-        """Scalars of F equal to ints / d, reduced once each."""
-        f = self.field
-        if f.p is None:
-            return [Scalar(f, Fraction(v, d)) for v in ints]
-        return [Scalar(f, v % f.p) for v in ints]
-
     def coeffs(self, ring, ints, d):
         """Coefficients in `ring` with the F-coordinates ints / d."""
         r = self.r
         if r == 1:
-            return self.scalars(ints, d)
+            return self.field.scalars(ints, d)
         return [ring.Elem._of(ring, ints[i:i + r], d) for i in range(0, len(ints), r)]
 
     def left_rows(self, xs, dx):
@@ -257,10 +247,9 @@ class TableElem:
         """s * self for s in F (on the ints) or in E (E's own products)."""
         res = self.algebra._restriction()
         v, d = self._ints()
-        if res.r == 1 or isinstance(s, (int, Fraction, Scalar)):
-            s = res.field(s).value
-            return self._of(self.algebra, [a * s.numerator for a in v],
-                            d * s.denominator)
+        if res.r == 1 or not isinstance(s, TableElem):
+            (s,), ds = res.field.ints([res.field(s).value])
+            return self._of(self.algebra, [a * s for a in v], d * ds)
         # each coefficient's (1, g) coordinates times E's 2 x 2 left
         # multiplication by s
         z = self.algebra.ring(s)
@@ -316,7 +305,7 @@ class TableElem:
         coefficient."""
         res = self.algebra._restriction()
         rows, d = res.left_rows(*self._ints())
-        return Mat(res.field, [res.scalars(r, d) for r in rows])
+        return Mat(res.field, [res.field.scalars(r, d) for r in rows])
 
     def inverse(self):
         """Inverse via the regular representation; NonInvertible if singular.
@@ -332,8 +321,7 @@ class TableElem:
         pivots, _ = row_reduce(rows, n, p)
         if len(pivots) < n:
             raise NonInvertible("%s is a zero divisor" % type(self).__name__)
-        x = back_substitute(rows, pivots, n, n, p)
-        return self._of(self.algebra, *(_ints_over_lcm(x) if p is None else (x, 1)))
+        return self._of(self.algebra, *back_substitute(rows, pivots, n, n, p))
 
     def is_zero(self) -> bool:
         return not any(self._ints()[0])
@@ -373,7 +361,7 @@ class TableElem:
     def field_coords(self):
         """The F-coordinates as Scalars: the coefficients over F, and over E
         the (1, g) coordinates of each coefficient."""
-        return self.algebra._restriction().scalars(*self._ints())
+        return self.algebra._restriction().field.scalars(*self._ints())
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -414,6 +402,11 @@ class TableAlgebra:
         return self._res
 
     def elem(self, coeffs):
+        """The element with these coefficients, one per basis element;
+        DimensionMismatch on any other count."""
+        if len(coeffs) != self.dim:
+            raise DimensionMismatch("%d coefficients for an algebra of rank %d"
+                                    % (len(coeffs), self.dim))
         return self.Elem(self, [self.ring(v) for v in coeffs])
 
     def zero(self):

@@ -66,13 +66,18 @@ def test_verify_deterministic(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def swap_gsp(**change):
+    """The swap matrix's decompose input over F_5, with `change` applied
+    (a None value deletes the key)."""
+    blocks = [[0] * 16 for _ in range(4)]
+    blocks[1][0] = blocks[2][0] = 1
+    obj = {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks}
+    obj.update(change)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
 def test_decompose_roundtrip(tmp_path, capsys):
-    # the swap matrix as a GSp element over F5 with B = (2,-1), C = (1,2)
-    blocks = [[0] * 16, [0] * 16, [0] * 16, [0] * 16]
-    blocks[1][0] = 1
-    blocks[2][0] = 1
-    path = write(tmp_path, "gsp.json",
-                 {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks})
+    path = write(tmp_path, "gsp.json", swap_gsp())
     assert main(["decompose", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["multiplier"] == "1"
@@ -85,11 +90,7 @@ def test_decompose_reassembly_failure_exits_2(tmp_path, capsys, monkeypatch):
     from isogeny_kit import spin_eight
     monkeypatch.setattr(spin_eight.GenForm, "assemble",
                         lambda self: spin_eight.M2A.identity(self.A))
-    blocks = [[0] * 16 for _ in range(4)]
-    blocks[1][0] = 1
-    blocks[2][0] = 1
-    path = write(tmp_path, "gsp.json",
-                 {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks})
+    path = write(tmp_path, "gsp.json", swap_gsp())
     assert main(["decompose", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -104,6 +105,22 @@ def test_decompose_non_member(tmp_path, capsys):
     path = write(tmp_path, "bad.json",
                  {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks})
     assert main(["decompose", path]) == 1
+
+
+@pytest.mark.parametrize("change,error", [
+    ({"C": None}, "ParseError: bad GSp JSON: 'C'"),
+    ({"B": [2, "x"]}, "ParseError: bad GSp JSON: Invalid literal for Fraction: 'x'"),
+    ({"blocks": [[1, 0]] + [[0] * 16] * 3},
+     "DimensionMismatch: 2 coefficients for an algebra of rank 16"),
+    ({"blocks": [[0] * 16] * 3}, "ParseError: bad GSp JSON: "),
+    ({"field": "p=4"}, "ParseError: bad field spec 'p=4'"),
+], ids=["missing-C", "bad-symbol-entry", "short-block", "three-blocks", "bad-field"])
+def test_decompose_bad_input_is_a_named_error(change, error, tmp_path, capsys):
+    path = write(tmp_path, "gsp.json", swap_gsp(**change))
+    assert main(["decompose", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + error)
 
 
 def test_lift_dim3(tmp_path, capsys):

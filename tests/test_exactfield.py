@@ -1,11 +1,13 @@
 """Field arithmetic, square detection, square classes, exact roots."""
 
 import json
+import math
 import pathlib
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isogeny_kit
 from isogeny_kit.errors import DivisionByZero, FieldMismatch, ParseError, ZeroArgument
@@ -227,3 +229,63 @@ def test_no_scalar_or_aminus_vector_is_mutated():
             if any(p.search(code) for p in MUTATIONS):
                 hits.append("%s:%d: %s" % (path.name, no, code))
     assert hits == []
+
+
+# -- the int view: FieldDesc.ints and FieldDesc.scalars -----------------------
+INT_VIEW = settings(max_examples=60, deadline=None)
+# large coprime denominators over Q
+BIG_DENS = (10007, 10009, 10037, 65537, 2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7], ids=["F3", "F5", "F7"])
+@INT_VIEW
+@given(values=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       d=st.integers(-60, 60))
+def test_int_view_over_fp_matches_fraction_arithmetic(field, values, d):
+    p = field.p
+    ints, one = field.ints(values)
+    assert one == 1 and ints == [v % p for v in values]
+    assert field.scalars(ints) == [field(v) for v in values]
+    if d % p == 0:
+        # d = 0 in F_p, whether d is 0 or a nonzero multiple of p
+        with pytest.raises(DivisionByZero):
+            field.scalars(values, d)
+        return
+    got = field.scalars(values, d)
+    assert got == [field(Fraction(v, d)) for v in values]
+    assert all(type(s.value) is int and 0 <= s.value < p for s in got)
+
+
+rationals = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.sampled_from(BIG_DENS)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)))
+
+
+@INT_VIEW
+@given(values=st.lists(rationals, max_size=8), d=st.integers(-10 ** 5, 10 ** 5))
+def test_int_view_over_q_matches_fraction_arithmetic(values, d):
+    ints, den = QQ.ints(values)
+    assert den > 0 and all(type(n) is int for n in ints)
+    assert [Fraction(n, den) for n in ints] == [Fraction(v) for v in values]
+    assert den == math.lcm(*(Fraction(v).denominator for v in values))
+    assert QQ.scalars(ints, den) == [QQ(v) for v in values]
+    if not d:
+        with pytest.raises(DivisionByZero):
+            QQ.scalars(ints, d)
+        return
+    got = QQ.scalars(ints, d)
+    assert got == [QQ(Fraction(n, d)) for n in ints]
+    assert all(type(s.value) is Fraction for s in got)
+
+
+def test_int_view_examples():
+    assert QQ.ints([Fraction(1, 6), -2, Fraction(3, 4)]) == ([2, -24, 9], 12)
+    assert QQ.ints([]) == ([], 1)
+    assert F5.ints([7, -1, 0]) == ([2, 4, 0], 1)
+    assert F5.scalars([1, 2], 3) == [F5(2), F5(4)]      # 3^-1 = 2 mod 5
+    assert QQ.scalars([4, -6], -8) == [QQ("-1/2"), QQ("3/4")]
+    with pytest.raises(DivisionByZero):
+        F5.scalars([1], 10)
+    with pytest.raises(DivisionByZero):
+        QQ.scalars([1], 0)

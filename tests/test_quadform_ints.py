@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from isogeny_kit.errors import (
     DegenerateSpace,
     DimensionMismatch,
+    DivisionByZero,
     FieldMismatch,
     IsotropicMirror,
     SearchBudgetExceeded,
@@ -28,6 +29,7 @@ from isogeny_kit.linalg import Mat, independent_subset
 from isogeny_kit.quadforms import (
     Isometry,
     QuadSpace,
+    _reflect_matrix_left,
     compose_reflections,
     complement,
     diagonalize,
@@ -90,6 +92,16 @@ def o_complement(space, v, basis=None):
     c = o_pairing(space, v, v)
     projected = [[x - o_pairing(space, b, v) / c * y for x, y in zip(b, v)] for b in basis]
     return independent_subset(space.field, projected, len(basis) - 1)
+
+
+def o_reflect_left(space, v, m):
+    """R_v M column by column: x -> x - (2 <x,v> / <v,v>) v."""
+    c = o_pairing(space, v, v)
+    cols = []
+    for x in map(m.col, range(m.ncols)):
+        f = space.field(2) * o_pairing(space, x, v) / c
+        cols.append([a - f * b for a, b in zip(x, v)])
+    return Mat(space.field, cols).T
 
 
 def o_diagonalize(space):
@@ -203,6 +215,47 @@ def test_restrict_and_complement_match_the_scalar_loop(kind, seed, n, dense):
             assert outcome(lambda: space.restrict(want).gram) == o_restrict(space, want)
     basis = [draw_vector(space, rng, dens) for _ in range(rng.randrange(1, n + 1))]
     assert outcome(lambda: space.restrict(basis).gram) == o_restrict(space, basis)
+
+
+def mixed_row(field, rng, n):
+    """A row over F_p, or over Q with a different denominator in each
+    entry (some large, some 1) and some zeros."""
+    if field.p:
+        return [field(rng.randrange(field.p)) for _ in range(n)]
+    return [field(0) if rng.random() < 0.2 else
+            field(Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 7) + BIG)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5), dense=st.booleans())
+def test_complement_and_reflect_on_mixed_denominators_match_the_scalar_loop(
+        kind, seed, n, dense):
+    field, dens = kind
+    rng = random.Random(seed)
+    space = draw_space(field, rng, n, dense, dens)
+    v = mixed_row(field, rng, n)
+    m = Mat(field, [mixed_row(field, rng, n) for _ in range(n)])
+    basis = [mixed_row(field, rng, n) for _ in range(rng.randrange(n + 1))]
+    if o_pairing(space, v, v).is_zero():
+        with pytest.raises(IsotropicMirror):
+            _reflect_matrix_left(space, v, m)
+        if basis:
+            with pytest.raises(DivisionByZero):
+                complement(space, v, basis)
+        return
+    got = _reflect_matrix_left(space, v, m)
+    assert got == o_reflect_left(space, v, m)
+    assert all(type(e.value) is (int if field.p else Fraction) for r in got.rows for e in r)
+    span = [v] + basis
+    try:
+        want = o_complement(space, v, span)
+    except DegenerateSpace:
+        with pytest.raises(DegenerateSpace):
+            complement(space, v, span)
+        return
+    assert complement(space, v, span) == want
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)

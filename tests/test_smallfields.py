@@ -446,6 +446,29 @@ def test_census_catches_a_flipped_determinant(monkeypatch):
         census(3, 3)
 
 
+def _replay_keeping_dets(items, col, w, p):
+    """The sign-twin replay with each det left as the twin's."""
+    for cols, det in items:
+        yield cols[:col] + (w,) + cols[col + 1:], det
+
+
+def _replay_keeping_columns(items, col, w, p):
+    """The sign-twin replay with the twin's column -w left in place."""
+    for cols, det in items:
+        yield cols, -det % p
+
+
+@pytest.mark.parametrize("replay", [_replay_keeping_dets, _replay_keeping_columns],
+                         ids=["dets-kept", "columns-kept"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_census_catches_a_mis_replayed_sign_twin(replay, p, monkeypatch):
+    """Both mutants keep every count the census checks (|O|, the det-1
+    count, half of SO in SO+); the strided determinant check sees them."""
+    monkeypatch.setattr(smallfields, "_replay", replay)
+    with pytest.raises(InvariantViolated, match="enumerated as"):
+        census(p, 4)
+
+
 def test_last_pool_must_be_a_pair_of_opposites(monkeypatch):
     monkeypatch.setattr(smallfields, "_sphere_index",
                         _drop_sphere_vector(smallfields._sphere_index))

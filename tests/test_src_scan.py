@@ -167,3 +167,27 @@ def test_methods_are_reached_by_attribute_reads_only():
     assert "Mat.apply" not in found and "QuadSpace.restrict" not in found
     used = _used_errors()
     assert {"IsogenyKitError", "SearchBudgetExceeded", "NoIsotropicVector"} <= used
+
+
+def test_only_exactfield_turns_q_values_into_ints():
+    """`FieldDesc.ints` and `FieldDesc.scalars` are the one place where Q
+    values become ints over one denominator and back: no other module
+    names `_ints_over_lcm` or reads a `numerator` or `denominator`, and
+    quadforms and towers name no `Fraction` (nor `fractions`) at all."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "exactfield":
+            continue
+        names, attrs = _names_read(_parse(path))
+        no_fractions = ("Fraction", "fractions") if path.stem in ("quadforms", "towers") else ()
+        bad = ([n for n in ("_ints_over_lcm",) + no_fractions if names[n]]
+               + [a for a in ("numerator", "denominator") if attrs[a]])
+        if bad:
+            found[path.stem] = bad
+    assert found == {}
+    # the int view is still there, and the modules still use it
+    assert {"ints", "scalars"} <= {node.name for node in ast.walk(_parse(SRC / "exactfield.py"))
+                                   if isinstance(node, ast.FunctionDef)}
+    for stem in ("linalg", "quadforms", "towers"):
+        attrs = _names_read(_parse(SRC / ("%s.py" % stem)))[1]
+        assert attrs["ints"] or attrs["scalars"], stem

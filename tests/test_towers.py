@@ -16,7 +16,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isogeny_kit.algebras import BiquatAlg, EtaleQuad, QuatAlg
-from isogeny_kit.errors import FieldMismatch, NonInvertible
+from isogeny_kit.errors import DimensionMismatch, FieldMismatch, NonInvertible
 from isogeny_kit.exactfield import GF, QQ
 from isogeny_kit.linalg import Mat
 from isogeny_kit.towers import QuadTower
@@ -780,3 +780,20 @@ def test_lean_core_matches_nested_loop_reference(alg, data):
     for z in (x * y, x + y, x - y, -x, x._signed(signs), x * y_twin):
         assert z.algebra is alg
         assert_like_scalar_born(z)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_elem_of_the_wrong_length_raises(field):
+    """One coefficient per basis element; any other count, such as six
+    for a quaternion or two for a bi-quaternion, is a DimensionMismatch."""
+    b = QuatAlg(field, 2, 3)
+    for algebra in (EtaleQuad(field, 2), b, BiquatAlg(b, QuatAlg(field, 1, 2)),
+                    QuadTower(field, [2, 3])):
+        n = algebra.dim
+        for k in (0, 2, n - 1, n + 2):
+            if k != n:
+                with pytest.raises(DimensionMismatch):
+                    algebra.elem(list(range(1, k + 1)))
+        assert algebra.elem(list(range(n))).c == [field(i) for i in range(n)]
+    with pytest.raises(DimensionMismatch):
+        QuatAlg(GF(5), 2, 3).elem([1, 2, 3, 4, 0, 0])
