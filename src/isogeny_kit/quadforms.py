@@ -16,6 +16,7 @@ Isometries are matrices T with T^t G T = G.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import mul
 from typing import List, Optional, Tuple
@@ -103,7 +104,8 @@ class QuadSpace:
         return self.field.scalars([sum(map(mul, x, self._gv(x)))], d * d * self._den)[0]
 
     def basis_vector(self, i):
-        return [self.field(1 if j == i else 0) for j in range(self.dim)]
+        z, o = self.field.zero(), self.field.one()
+        return [o if j == i else z for j in range(self.dim)]
 
     def restrict(self, basis) -> "QuadSpace":
         """The subspace spanned by `basis`, with the Gram matrix of its
@@ -388,29 +390,48 @@ def witt_decompose(space: QuadSpace, budget: int = 10):
 
 def reflect(space: QuadSpace, v) -> Isometry:
     """The reflection inverting v: x -> x - 2<x,v>/|v|^2 v."""
-    m = _reflect_matrix_left(space, v, Mat.identity(space.field, space.dim))
-    return Isometry(space, m, check=False)
+    return compose_reflections(space, [v])
+
+
+def _reflect_ints(space: QuadSpace, x, ys, e):
+    """R_v (Y / e) on the int view, for the mirror v = x / d and the rows
+    ys of Y (e is 1 over F_p): the rank-one update (c Y - x S) / (c e) for
+    c = x.Gx and S = 2 (Gx)^t Y, so d drops out.  S sums over the nonzero
+    entries of G x only, and the rows where x is 0 keep their values.
+    Returns (rows, denominator): residues over 1 over F_p, and over Q with
+    the gcd of the entries and the denominator divided out."""
+    p = space._p
+    gx = space._gv(x)
+    c = sum(map(mul, x, gx))
+    if not (c % p if p else c):
+        raise IsotropicMirror("mirror vector is isotropic")
+    s = [0] * len(ys[0])
+    for g, y in zip(gx, ys):
+        if g:
+            s = [t + g * a for t, a in zip(s, y)]
+    if p:
+        f = 2 * pow(c, -1, p)
+        s = [t * f % p for t in s]
+        return [[(a - b * t) % p for a, t in zip(y, s)] if b else y
+                for b, y in zip(x, ys)], 1
+    rows = [[c * a - 2 * b * t for a, t in zip(y, s)] if b else [c * a for a in y]
+            for b, y in zip(x, ys)]
+    d = c * e
+    g = math.gcd(d, *itertools.chain.from_iterable(rows))
+    g = -g if d < 0 else g
+    return [[a // g for a in row] for row in rows], d // g
 
 
 def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
-    """R_v * M as a rank-one update M - v s, s = (2/|v|^2) (v^t G M), on
-    the int view: with v = x / d and M = Y / e, row i becomes
-    (c y_i - x_i S) / (c e) for c = x.Gx and S = 2 (Gx)^t Y, so d drops
-    out.  S sums over the nonzero entries of G x only, and the rows where
-    x is 0 are kept."""
+    """R_v * M: `_reflect_ints` on M's entries as ints over one
+    denominator, wrapped back row by row; the rows where v is 0 keep
+    their Scalars."""
     f = space.field
-    x, _ = space._ints(v)
-    gx = space._gv(x)
-    c = sum(map(mul, x, gx))
-    if f.scalars([c])[0].is_zero():
-        raise IsotropicMirror("mirror vector is isotropic")
     n = m.ncols
+    x, _ = space._ints(v)
     flat, e = f.ints([z.value for row in m.rows for z in row])
-    ys = [flat[i:i + n] for i in range(0, len(flat), n)]
-    gy = [(g, y) for g, y in zip(gx, ys) if g]
-    s = [2 * sum(g * y[j] for g, y in gy) for j in range(n)]
-    return Mat(f, [f.scalars([c * a - b * t for a, t in zip(y, s)], c * e) if b else row
-                   for b, y, row in zip(x, ys, m.rows)])
+    ys, e = _reflect_ints(space, x, [flat[i:i + n] for i in range(0, len(flat), n)], e)
+    return Mat(f, [f.scalars(y, e) if b else row for b, y, row in zip(x, ys, m.rows)])
 
 
 def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
@@ -505,10 +526,13 @@ def spinor_norm(t: Isometry) -> SquareClass:
 
 
 def compose_reflections(space: QuadSpace, mirrors) -> Isometry:
-    m = Mat.identity(space.field, space.dim)
+    """R_{v_1} ... R_{v_k}, the mirrors applied to one int state from the
+    last to the first and wrapped into one Mat."""
+    f, n = space.field, space.dim
+    ys, e = [[int(i == j) for j in range(n)] for i in range(n)], 1
     for v in reversed(mirrors):
-        m = _reflect_matrix_left(space, v, m)
-    return Isometry(space, m, check=False)
+        ys, e = _reflect_ints(space, space._ints(v)[0], ys, e)
+    return Isometry(space, Mat(f, [f.scalars(y, e) for y in ys]), check=False)
 
 
 def random_isometry(space: QuadSpace, rng: random.Random,

@@ -495,6 +495,12 @@ def psi(x: CoveredGSpElem) -> CoveredGSpElem:
     gf = x.gf
     new_a, new_t = _psi_diagonal(gf.a, x.t)
     out = GenForm(gf.A, theta(gf.v), new_a, theta(gf.alpha), theta(gf.beta), gf.m)
+    if _is_unit(x.t):
+        # t bar(a)^-1 has the inverse bar(a) t^-1; one product confirms it,
+        # so a _psi_diagonal that returns anything else is inverted anew
+        cand = gf.a.bar().scale(x.t.inverse())
+        if new_a * cand == gf.A.one():
+            out._a_inv = cand
     return CoveredGSpElem(out, new_t, check=False)
 
 

@@ -57,6 +57,16 @@ def test_verify_runs_and_reports(tmp_path, capsys):
     assert {s["suite"] for s in summary["suites"]} == {"BEpol", "Sadjt"}
 
 
+def test_verify_all_over_q_exits_0(tmp_path, capsys):
+    """Every suite over Q at the one seed that ROADMAP item 2's
+    trial-division crash spares."""
+    out = str(tmp_path / "report.jsonl")
+    assert main(["verify", "all", "--field", "Q", "--seed", "2", "--trials", "8",
+                 "--out", out]) == 0
+    summary = json.loads(open(out).read().strip().split("\n")[-1])
+    assert summary["passed"] is True and len(summary["suites"]) == 42
+
+
 def test_verify_deterministic(tmp_path):
     out1 = str(tmp_path / "r1.jsonl")
     out2 = str(tmp_path / "r2.jsonl")

@@ -1,21 +1,26 @@
-"""QuadSpace's int form against Scalar-loop oracles.
+"""QuadSpace's int form, and Mat's value paths, against Scalar-loop oracles.
 
 Each oracle below is the Scalar arithmetic the library did before its
 spaces held their forms as ints: u^t G v summed term by term, complements
-projected with Scalar products, the same Gauss pivoting and the same
-isotropy searches.  Spaces are drawn over F_3, F_5 and Q, diagonal and
-dense (P^t D P), and over Q with entries over large coprime denominators.
-Results must be equal, vector for vector, and the named errors must stay
-the same, also under `python -O`.
+projected with Scalar products, reflections applied column by column,
+the same Gauss pivoting and the same isotropy searches; and Mat equality
+and Mat.apply entry by entry.  Spaces are drawn over F_3, F_5 (and for
+reflection products F_7) and Q, diagonal and dense (P^t D P), and over Q
+with entries over large coprime denominators.  Results must be equal,
+vector for vector, and the named errors must stay the same, also under
+`python -O`.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from isogeny_kit import quadforms
 from isogeny_kit.errors import (
     DegenerateSpace,
     DimensionMismatch,
@@ -24,7 +29,7 @@ from isogeny_kit.errors import (
     IsotropicMirror,
     SearchBudgetExceeded,
 )
-from isogeny_kit.exactfield import GF, QQ, sqrt_exact, square_class
+from isogeny_kit.exactfield import GF, QQ, FieldDesc, sqrt_exact, square_class
 from isogeny_kit.linalg import Mat, independent_subset
 from isogeny_kit.quadforms import (
     Isometry,
@@ -37,6 +42,8 @@ from isogeny_kit.quadforms import (
     reflect,
     spinor_norm,
 )
+from isogeny_kit.suites import RunConfig, run_suite
+from isogeny_kit.towers import QuadTower
 from tests_helpers import run_optimized
 
 # (field, the denominators of Q entries)
@@ -357,3 +364,161 @@ def test_named_errors_survive_python_O():
                     print(field, "nothing raised")
     """)
     assert out.split() == ["F_3", "True"] * 4 + ["Q", "True"] * 4
+
+
+# -- reflection products and Mat's value paths --------------------------------
+
+REF_KINDS = KINDS + [(GF(7), None)]
+REF_IDS = KIND_IDS + ["F7"]
+
+
+def o_compose(space, mirrors):
+    """R_{v_1} ... R_{v_k}: the Scalar-loop reflections applied to the
+    identity from the last mirror to the first."""
+    m = Mat.identity(space.field, space.dim)
+    for v in reversed(mirrors):
+        m = o_reflect_left(space, v, m)
+    return m
+
+
+def o_apply(m, v):
+    return [sum((a * b for a, b in zip(row, v)), m.ring.zero()) for row in m.rows]
+
+
+def o_equal(a, b):
+    return (a.nrows, a.ncols) == (b.nrows, b.ncols) and all(
+        x == y for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=REF_IDS)
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5), dense=st.booleans(),
+       k=st.integers(0, 4))
+def test_compose_reflections_and_reflect_match_the_scalar_loop(kind, seed, n, dense, k):
+    """One int state across 0-4 mirrors with mixed (and over Q large)
+    denominators, on diagonal and dense forms: equal, Scalar for Scalar,
+    to the column-by-column reflections, with canonical values."""
+    field, dens = kind
+    rng = random.Random(seed)
+    space = draw_space(field, rng, n, dense, dens)
+    mirrors = [mixed_row(field, rng, n) for _ in range(k)]
+    if any(o_pairing(space, v, v).is_zero() for v in mirrors):
+        with pytest.raises(IsotropicMirror):
+            compose_reflections(space, mirrors)
+        return
+    got = compose_reflections(space, mirrors).matrix
+    assert got.rows == o_compose(space, mirrors).rows
+    assert all(type(e.value) is (int if field.p else Fraction) for r in got.rows for e in r)
+    for v in mirrors:
+        assert reflect(space, v).matrix.rows == o_compose(space, [v]).rows
+    # the kernel's state stays reduced: residues over 1, or a positive
+    # denominator prime to the entries
+    ys, e = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    for v in reversed(mirrors):
+        ys, e = quadforms._reflect_ints(space, space._ints(v)[0], ys, e)
+        flat = [a for row in ys for a in row]
+        if field.p:
+            assert e == 1 and all(0 <= a < field.p for a in flat)
+        else:
+            assert e > 0 and math.gcd(e, *flat) == 1
+
+
+@pytest.mark.parametrize("kind", REF_KINDS, ids=REF_IDS)
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5), m=st.integers(1, 5))
+def test_mat_equality_and_apply_on_values_match_entry_by_entry(kind, seed, n, m):
+    field, dens = kind
+    rng = random.Random(seed)
+    a = Mat(field, [mixed_row(field, rng, m) for _ in range(n)])
+    copy = Mat(field, [[field(e.value) for e in row] for row in a.rows])
+    k = rng.randrange(n)
+    bent = Mat(field, [[e + field(1) if (i, j) == (k, 0) else e
+                        for j, e in enumerate(row)] for i, row in enumerate(a.rows)])
+    other = Mat(field, [mixed_row(field, rng, m) for _ in range(n)])
+    for b in (a, copy, bent, other, a.T):
+        assert (a == b) == o_equal(a, b)
+        assert (a != b) == (not o_equal(a, b))
+    v = mixed_row(field, rng, m)
+    got = a.apply(v)
+    assert got == o_apply(a, v)
+    assert all(type(e.value) is (int if field.p else Fraction) for e in got)
+    # ints and Scalars of an equal field take the entry-by-entry path
+    mixed = [x.value if field.p and i % 2 else x for i, x in enumerate(v)]
+    assert a.apply(mixed) == got
+    twin = FieldDesc(field.p)
+    assert a.apply([twin(x.value) for x in v]) == got
+
+
+def test_mats_over_different_rings_never_compare_equal():
+    f5, f7 = GF(5), GF(7)
+    rows = [[1, 2, 0], [3, 4, 1]]
+    for a, b in ((f5, f7), (f5, QQ), (f7, QQ)):
+        ma = Mat(a, [[a(e) for e in r] for r in rows])
+        mb = Mat(b, [[b(e) for e in r] for r in rows])
+        assert ma != mb and mb != ma
+        assert not ma == mb
+    assert Mat.identity(f5, 3) != Mat.identity(QQ, 3)
+    assert Mat.identity(f5, 3) == Mat.identity(GF(5), 3)
+
+
+def test_mats_over_a_tower_take_the_generic_path():
+    """Tower elements have no `.value`: equality and apply over a
+    QuadTower, and against a Mat over its base field, go entry by entry
+    (a scalar of the tower equals the base-field Scalar it lifts)."""
+    f5 = GF(5)
+    tower = QuadTower(f5, [2, 3])
+    r0, r1 = tower.root(0), tower.root(1)
+    a = Mat(tower, [[r0, tower.one()], [r1, r0 * r1]])
+    assert a == Mat(tower, [[tower.root(0), tower.one()], [tower.root(1), r0 * r1]])
+    assert a != Mat(tower, [[r0, tower.one()], [r1, r0]])
+    for x, y in ((Mat.identity(tower, 2), Mat.identity(f5, 2)),
+                 (Mat.identity(f5, 2), Mat.identity(tower, 2)), (a, Mat.identity(f5, 2))):
+        assert (x == y) == o_equal(x, y)
+    assert a.apply([tower.one(), r1]) == [r0 + r1, r1 + r0 * r1 * r1]
+
+
+def reflect_ints_skipped(space, x, ys, e):
+    return ys, e
+
+
+def reflect_ints_without_two(space, x, ys, e):
+    """The rank-one update with S = (Gx)^t Y: the factor 2 dropped."""
+    p = space._p
+    gx = space._gv(x)
+    c = sum(map(mul, x, gx))
+    s = [sum(g * y[j] for g, y in zip(gx, ys)) for j in range(len(ys[0]))]
+    rows = [[c * a - b * t for a, t in zip(y, s)] for b, y in zip(x, ys)]
+    if p:
+        f = pow(c * e, -1, p)
+        return [[a * f % p for a in row] for row in rows], 1
+    return rows, c * e
+
+
+REFLECTION_SUITES = ("ref2", "ref3", "ref4", "ref6d1", "ref6gen", "ref8id1", "ref8igen")
+REFLECT_INTS_MUTANTS = {"skipped": reflect_ints_skipped, "without-two": reflect_ints_without_two}
+
+
+@pytest.mark.parametrize("mutant", sorted(REFLECT_INTS_MUTANTS))
+def test_reflection_suites_catch_reflect_ints_mutants(mutant, monkeypatch):
+    monkeypatch.setattr(quadforms, "_reflect_ints", REFLECT_INTS_MUTANTS[mutant])
+    for spec in ("p=5", "Q"):
+        config = RunConfig.from_args(spec, seed=0, trials=6)
+        for name in REFLECTION_SUITES:
+            assert not run_suite(name, config).passed, (mutant, spec, name)
+
+
+def test_reflect_ints_mutants_are_caught_under_python_O():
+    out = run_optimized("""
+        import test_quadform_ints as t
+        from isogeny_kit import quadforms
+        from isogeny_kit.suites import RunConfig, run_suite
+        assert False, "asserts are live"
+        for label, fn in sorted(t.REFLECT_INTS_MUTANTS.items()):
+            quadforms._reflect_ints = fn
+            for spec in ("p=5", "Q"):
+                config = RunConfig.from_args(spec, seed=0, trials=6)
+                print(label, spec, sum(not run_suite(n, config).passed
+                                       for n in t.REFLECTION_SUITES))
+        """)
+    assert out.split("\n")[:-1] == ["%s %s 7" % (m, spec) for m in sorted(REFLECT_INTS_MUTANTS)
+                                    for spec in ("p=5", "Q")]

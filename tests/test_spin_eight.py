@@ -573,6 +573,22 @@ def test_psi_examples():
     assert psi(xd).matrix() == expect
 
 
+def test_psi_seeds_the_inverse_of_its_new_block(monkeypatch):
+    """psi's form carries a^-1 = bar(a) t^-1 once one product confirms it;
+    a _psi_diagonal that returns another block (criterion 8's
+    psi-negate-block) leaves it unset, so a^-1 is computed anew."""
+    a = make_algebra(F5)
+    rng = random.Random(12)
+    for _ in range(10):
+        x = rand_cover(a, rng)
+        y = psi(x)
+        assert y.gf._a_inv is not None and y.gf._a_inv == y.gf.a.inverse()
+    monkeypatch.setattr(spin_eight, "_psi_diagonal",
+                        lambda b, t: (-(b.bar().inverse().scale(t)), t))
+    y = psi(x)
+    assert y.gf._a_inv is None and y.gf.a_inverse() * y.gf.a == a.one()
+
+
 def test_psi_group_properties():
     a = make_algebra(F5)
     rng = random.Random(10)

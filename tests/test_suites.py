@@ -46,6 +46,28 @@ def test_suite_passes(name):
     assert res.cases > 0
 
 
+Q_REFLECTION_SUITES = ("CDT", "ref2", "ref3", "ref4", "ref6d1", "ref6gen",
+                       "ref8id1", "ref8igen")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reflection_suites_pass_over_q(seed):
+    config = RunConfig.from_args("Q", seed=seed, trials=8)
+    for name in Q_REFLECTION_SUITES:
+        res = run_suite(name, config)
+        assert res.passed, (name, res.failures[:3])
+        assert res.cases > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 2: squarefree_part raises ValueError past its "
+                          "trial-division bound on a GSphom norm over Q")
+def test_gsphom_over_q(seed):
+    res = run_suite("GSphom", RunConfig.from_args("Q", seed=seed, trials=8))
+    assert res.passed, res.failures[:3]
+
+
 def test_suites_deterministic():
     r1 = run_suite("normsq", FAST_CONFIG)
     r2 = run_suite("normsq", FAST_CONFIG)
