@@ -247,10 +247,12 @@ class Scalar:
         return self.value == 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        # Scalar first: an isinstance test against Fraction's ABC is slow
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = self.field(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
-from .exactfield import QQ, FieldDesc, Scalar
+from .exactfield import QQ, FieldDesc
 
 
 class Mat:
@@ -92,15 +92,10 @@ class Mat:
         return Mat(self.ring, [[-e for e in r] for r in self.rows])
 
     def __eq__(self, other):
-        """Entry by entry; over one F_p or Q on the bare values."""
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        if isinstance(self.ring, FieldDesc) and other.ring == self.ring:
-            return ([e.value for r in self.rows for e in r]
-                    == [e.value for r in other.rows for e in r])
-        return all(a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s))
+        return self.nrows == other.nrows and self.ncols == other.ncols and all(
+            a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s))
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
@@ -114,14 +109,9 @@ class Mat:
         return self.transpose()
 
     def apply(self, vec):
-        """Matrix times coordinate list; over F_p or Q, with vec's entries
-        Scalars of that field, the int product with vec as one column."""
+        """Matrix times coordinate list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length %d vs %d cols" % (len(vec), self.ncols))
-        ring = self.ring
-        if isinstance(ring, FieldDesc) and all(type(x) is Scalar and x.field is ring
-                                               for x in vec):
-            return [r[0] for r in self._field_product(Mat(ring, [[x] for x in vec])).rows]
         out = []
         for i in range(self.nrows):
             acc = self.ring.zero()

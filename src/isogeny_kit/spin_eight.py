@@ -329,17 +329,20 @@ class GenForm:
     """Parameters (v, a, alpha, beta, m) of the generic-form factorization
     ((1,v),(0,1)) ((1,0),(beta,1)) ((a,0),(0,m bar(a)^-1)) ((1,alpha),(0,1))."""
 
-    __slots__ = ("A", "v", "a", "alpha", "beta", "m", "_mat", "_a_inv")
+    __slots__ = ("A", "v", "a", "alpha", "beta", "m", "_mat", "_a_inv", "_a_inv_guess")
 
     def __init__(self, algebra: BiquatAlg, v, a, alpha, beta, m):
         self.A = algebra
         self.v, self.a, self.alpha, self.beta, self.m = v, a, alpha, beta, m
-        self._mat = self._a_inv = None
+        self._mat = self._a_inv = self._a_inv_guess = None
 
     def a_inverse(self) -> BiquatElem:
-        """a^-1, computed once; bar(a)^-1 is its bar (an anti-automorphism)."""
+        """a^-1, computed once, or a guess confirmed by one product; bar(a)^-1
+        is its bar (an anti-automorphism)."""
         if self._a_inv is None:
-            self._a_inv = self.a.inverse()
+            g = self._a_inv_guess
+            ok = g is not None and self.a * g == self.A.one()
+            self._a_inv = g if ok else self.a.inverse()
         return self._a_inv
 
     def assemble(self) -> M2A:
@@ -496,11 +499,9 @@ def psi(x: CoveredGSpElem) -> CoveredGSpElem:
     new_a, new_t = _psi_diagonal(gf.a, x.t)
     out = GenForm(gf.A, theta(gf.v), new_a, theta(gf.alpha), theta(gf.beta), gf.m)
     if _is_unit(x.t):
-        # t bar(a)^-1 has the inverse bar(a) t^-1; one product confirms it,
-        # so a _psi_diagonal that returns anything else is inverted anew
-        cand = gf.a.bar().scale(x.t.inverse())
-        if new_a * cand == gf.A.one():
-            out._a_inv = cand
+        # t bar(a)^-1 has the inverse bar(a) t^-1; a_inverse confirms it on
+        # first use, so a _psi_diagonal that returns anything else is inverted anew
+        out._a_inv_guess = gf.a.bar().scale(x.t.inverse())
     return CoveredGSpElem(out, new_t, check=False)
 
 

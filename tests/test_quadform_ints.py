@@ -1,10 +1,11 @@
-"""QuadSpace's int form, and Mat's value paths, against Scalar-loop oracles.
+"""QuadSpace's int form, reflection products and equality against
+Scalar-loop oracles.
 
 Each oracle below is the Scalar arithmetic the library did before its
 spaces held their forms as ints: u^t G v summed term by term, complements
 projected with Scalar products, reflections applied column by column,
-the same Gauss pivoting and the same isotropy searches; and Mat equality
-and Mat.apply entry by entry.  Spaces are drawn over F_3, F_5 (and for
+the same Gauss pivoting and the same isotropy searches; and Scalar
+equality as it tested its operand's type before.  Spaces are drawn over F_3, F_5 (and for
 reflection products F_7) and Q, diagonal and dense (P^t D P), and over Q
 with entries over large coprime denominators.  Results must be equal,
 vector for vector, and the named errors must stay the same, also under
@@ -29,7 +30,7 @@ from isogeny_kit.errors import (
     IsotropicMirror,
     SearchBudgetExceeded,
 )
-from isogeny_kit.exactfield import GF, QQ, FieldDesc, sqrt_exact, square_class
+from isogeny_kit.exactfield import GF, QQ, FieldDesc, Scalar, sqrt_exact, square_class
 from isogeny_kit.linalg import Mat, independent_subset
 from isogeny_kit.quadforms import (
     Isometry,
@@ -366,7 +367,7 @@ def test_named_errors_survive_python_O():
     assert out.split() == ["F_3", "True"] * 4 + ["Q", "True"] * 4
 
 
-# -- reflection products and Mat's value paths --------------------------------
+# -- reflection products and equality -----------------------------------------
 
 REF_KINDS = KINDS + [(GF(7), None)]
 REF_IDS = KIND_IDS + ["F7"]
@@ -423,12 +424,31 @@ def test_compose_reflections_and_reflect_match_the_scalar_loop(kind, seed, n, de
             assert e > 0 and math.gcd(e, *flat) == 1
 
 
+def o_scalar_eq(a, b):
+    """Scalar.__eq__ as it tested its operand before the Scalar-first test."""
+    if isinstance(b, (int, Fraction)):
+        b = a.field(b)
+    if not isinstance(b, Scalar):
+        return NotImplemented
+    return a.field == b.field and a.value == b.value
+
+
 @pytest.mark.parametrize("kind", REF_KINDS, ids=REF_IDS)
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 5), m=st.integers(1, 5))
-def test_mat_equality_and_apply_on_values_match_entry_by_entry(kind, seed, n, m):
+def test_scalar_and_mat_equality_match_the_isinstance_order(kind, seed, n, m):
+    """Scalar-first equality against Scalars of the same, an equal and
+    other fields, ints, Fractions and non-numbers; and Mat equality and
+    apply entry by entry."""
     field, dens = kind
     rng = random.Random(seed)
+    x = mixed_row(field, rng, 1)[0]
+    twin = FieldDesc(field.p)
+    others = [field(x.value), twin(x.value), x + field(1), GF(11)(3), QQ(Fraction(1, 2)),
+              x.value, 0, 1, -3, True, Fraction(1, 2), Fraction(7, 11), None, "1", 1.0]
+    for y in others:
+        assert x.__eq__(y) == o_scalar_eq(x, y), y
+        assert (x == y) == (o_scalar_eq(x, y) is True), y
     a = Mat(field, [mixed_row(field, rng, m) for _ in range(n)])
     copy = Mat(field, [[field(e.value) for e in row] for row in a.rows])
     k = rng.randrange(n)
@@ -441,12 +461,7 @@ def test_mat_equality_and_apply_on_values_match_entry_by_entry(kind, seed, n, m)
     v = mixed_row(field, rng, m)
     got = a.apply(v)
     assert got == o_apply(a, v)
-    assert all(type(e.value) is (int if field.p else Fraction) for e in got)
-    # ints and Scalars of an equal field take the entry-by-entry path
-    mixed = [x.value if field.p and i % 2 else x for i, x in enumerate(v)]
-    assert a.apply(mixed) == got
-    twin = FieldDesc(field.p)
-    assert a.apply([twin(x.value) for x in v]) == got
+    assert a.apply([twin(y.value) for y in v]) == got
 
 
 def test_mats_over_different_rings_never_compare_equal():
@@ -461,10 +476,10 @@ def test_mats_over_different_rings_never_compare_equal():
     assert Mat.identity(f5, 3) == Mat.identity(GF(5), 3)
 
 
-def test_mats_over_a_tower_take_the_generic_path():
-    """Tower elements have no `.value`: equality and apply over a
-    QuadTower, and against a Mat over its base field, go entry by entry
-    (a scalar of the tower equals the base-field Scalar it lifts)."""
+def test_mat_equality_and_apply_over_a_tower():
+    """Equality and apply over a QuadTower, and against a Mat over its base
+    field, entry by entry (a scalar of the tower equals the base-field
+    Scalar it lifts)."""
     f5 = GF(5)
     tower = QuadTower(f5, [2, 3])
     r0, r1 = tower.root(0), tower.root(1)

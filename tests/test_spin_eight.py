@@ -574,19 +574,23 @@ def test_psi_examples():
 
 
 def test_psi_seeds_the_inverse_of_its_new_block(monkeypatch):
-    """psi's form carries a^-1 = bar(a) t^-1 once one product confirms it;
-    a _psi_diagonal that returns another block (criterion 8's
-    psi-negate-block) leaves it unset, so a^-1 is computed anew."""
+    """psi's form carries the guess a^-1 = bar(a) t^-1, and a_inverse takes
+    it once one product confirms it, with no inversion; a _psi_diagonal that
+    returns another block (criterion 8's psi-negate-block) fails the check,
+    so a^-1 is computed anew."""
     a = make_algebra(F5)
     rng = random.Random(12)
-    for _ in range(10):
-        x = rand_cover(a, rng)
-        y = psi(x)
-        assert y.gf._a_inv is not None and y.gf._a_inv == y.gf.a.inverse()
+    ys = [psi(rand_cover(a, rng)) for _ in range(10)]
+    expect = [y.gf.a.inverse() for y in ys]
+    assert all(y.gf._a_inv is None and y.gf._a_inv_guess is not None for y in ys)
+    with monkeypatch.context() as m:
+        m.setattr(BiquatElem, "inverse", lambda self: pytest.fail("inverted"))
+        assert [y.gf.a_inverse() for y in ys] == expect
     monkeypatch.setattr(spin_eight, "_psi_diagonal",
                         lambda b, t: (-(b.bar().inverse().scale(t)), t))
-    y = psi(x)
-    assert y.gf._a_inv is None and y.gf.a_inverse() * y.gf.a == a.one()
+    y = psi(rand_cover(a, rng))
+    assert y.gf._a_inv_guess * y.gf.a != a.one()
+    assert y.gf.a_inverse() * y.gf.a == a.one()
 
 
 def test_psi_group_properties():
