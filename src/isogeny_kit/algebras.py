@@ -492,9 +492,6 @@ class AminusVector:
     def scale(self, s) -> "AminusVector":
         return AminusVector._of(self._e.scale(s))
 
-    def is_zero(self) -> bool:
-        return self._e.is_zero()
-
     def __eq__(self, other):
         return (isinstance(other, AminusVector) and self._same_algebra(other)
                 and self._e._ints() == other._e._ints())

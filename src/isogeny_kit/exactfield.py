@@ -137,11 +137,6 @@ class FieldDesc:
             raise ValueError("cannot enumerate Q")
         return [Scalar(self, r) for r in range(self.p)]
 
-    def units(self):
-        if self.p is None:
-            raise ValueError("cannot enumerate Q")
-        return [Scalar(self, r) for r in range(1, self.p)]
-
     def least_nonresidue(self) -> "Scalar":
         """Least positive quadratic nonresidue mod p (deterministic)."""
         if self.p is None:
@@ -173,12 +168,10 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        if type(other) is not Scalar:
+        if type(other) is not Scalar or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        elif other.field.p != self.field.p:
-            other = self._coerce(other)
         p = self.field.p
         if p is not None:
             return Scalar(self.field, (self.value + other.value) % p)
@@ -187,12 +180,10 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
+        if type(other) is not Scalar or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        elif other.field.p != self.field.p:
-            other = self._coerce(other)
         p = self.field.p
         if p is not None:
             return Scalar(self.field, (self.value - other.value) % p)
@@ -202,12 +193,10 @@ class Scalar:
         return self.field(other) - self
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
+        if type(other) is not Scalar or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        elif other.field.p != self.field.p:
-            other = self._coerce(other)
         p = self.field.p
         if p is not None:
             return Scalar(self.field, (self.value * other.value) % p)
@@ -253,18 +242,14 @@ class Scalar:
                 other = self.field(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return ((self.field is other.field or self.field == other.field)
+                and self.value == other.value)
 
     def __hash__(self):
         return hash((self.field, self.value))
 
     def __repr__(self):
         return str(self.value)
-
-    def to_json(self):
-        if self.field.p is not None:
-            return {"field": "p=%d" % self.field.p, "value": self.value}
-        return {"field": "Q", "value": str(self.value)}
 
 
 QQ = FieldDesc()
@@ -400,9 +385,6 @@ class SquareClass:
         if self.field.p is not None:
             return square_class(Scalar(self.field, self.rep * other.rep % self.field.p))
         return SquareClass(self.field, squarefree_part(self.rep * other.rep))
-
-    def inverse(self) -> "SquareClass":
-        return self  # every square class has order dividing 2
 
     def is_trivial(self) -> bool:
         return self.rep == 1

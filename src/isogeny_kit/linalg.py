@@ -84,10 +84,6 @@ class Mat:
         return Mat(self.ring, [[a + b for a, b in zip(r, s)]
                                for r, s in zip(self.rows, other.rows)])
 
-    def __sub__(self, other):
-        return Mat(self.ring, [[a - b for a, b in zip(r, s)]
-                               for r, s in zip(self.rows, other.rows)])
-
     def __neg__(self):
         return Mat(self.ring, [[-e for e in r] for r in self.rows])
 

@@ -74,10 +74,6 @@ class QuadSpace:
     def __repr__(self):
         return "QuadSpace(%r, %s)" % (self.field, self.gram.rows)
 
-    def __eq__(self, other):
-        return (isinstance(other, QuadSpace) and self.field == other.field
-                and self.gram == other.gram)
-
     def _ints(self, v):
         """The Scalar vector v as (ints, d) with v = ints / d: residues mod
         p and d = 1, or over Q numerators over their lcm d."""
@@ -116,10 +112,6 @@ class QuadSpace:
         return QuadSpace(self.field, Mat(self.field, [
             [scalars([sum(map(mul, x, g))], d * e * self._den)[0]
              for g, (_, e) in zip(gvs, vecs)] for x, d in vecs]))
-
-    def to_json(self):
-        return {"field": "p=%d" % self.field.p if self.field.p else "Q",
-                "gram": [[repr(e) for e in row] for row in self.gram.rows]}
 
     def random_vector(self, rng: random.Random, height: int = 5):
         if self.field.p is not None:
@@ -170,15 +162,6 @@ class Isometry:
 
     def det(self) -> Scalar:
         return self.matrix.det()
-
-    @classmethod
-    def identity(cls, space: QuadSpace) -> "Isometry":
-        return cls(space, Mat.identity(space.field, space.dim), check=False)
-
-    def to_json(self):
-        return {"field": "p=%d" % self.space.field.p if self.space.field.p else "Q",
-                "gram": [[repr(e) for e in row] for row in self.space.gram.rows],
-                "matrix": [[repr(e) for e in row] for row in self.matrix.rows]}
 
     def __repr__(self):
         return "Isometry(%s)" % self.matrix.rows

@@ -218,15 +218,6 @@ class Vec8:
     def coords(self):
         return self.u.coords() + [self.p, self.q]
 
-    def __add__(self, other):
-        return Vec8(self.A, self.u + other.u, self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other):
-        return Vec8(self.A, self.u - other.u, self.p - other.p, self.q - other.q)
-
-    def __neg__(self):
-        return Vec8(self.A, -self.u, -self.p, -self.q)
-
     def scale(self, s) -> "Vec8":
         return Vec8(self.A, self.u.scale(s), self.p * s, self.q * s)
 
@@ -278,10 +269,6 @@ class GSpElem:
         relation: ((bar d, bar b), (bar c, bar a)) / m."""
         a, b, c, d = self.mat.entries()
         return M2A(self.mat.A, d.bar(), b.bar(), c.bar(), a.bar()).scale(self.m.inverse())
-
-    def to_json(self):
-        return {"blocks": [[repr(c) for c in e.c] for e in self.mat.entries()],
-                "multiplier": repr(self.m)}
 
 
 def gsp_membership(m: M2A) -> Optional[GSpElem]:
@@ -461,10 +448,6 @@ class CoveredGSpElem:
         self._psi_inv_mat = None
         if check and reduced_norm_A(gf.a) != self.t * self.t:
             raise NotSpecialOrthogonal("t^2 != N(a)")
-
-    @property
-    def m(self):
-        return self.gf.m
 
     def matrix(self) -> M2A:
         return self.gf.assemble()

@@ -47,9 +47,6 @@ class CoveredElem:
     def __mul__(self, other: "CoveredElem") -> "CoveredElem":
         return CoveredElem(self.g * other.g, self.t * other.t, check=False)
 
-    def inverse(self) -> "CoveredElem":
-        return CoveredElem(self.g.inverse(), self.t.inverse(), check=False)
-
     def act_on(self, u: AminusVector) -> AminusVector:
         """u -> g u bar(g) / t."""
         z = (self.g * u.embed() * self.g.bar()).scale(self.t.inverse())

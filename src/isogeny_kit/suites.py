@@ -11,7 +11,6 @@ import functools
 import hashlib
 import itertools
 import random
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional
 
@@ -76,16 +75,10 @@ class SuiteResult:
     name: str
     cases: int
     failures: List[dict]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self):
-        return {"suite": self.name, "cases": self.cases,
-                "failures": self.failures, "elapsed": round(self.elapsed, 3),
-                "passed": self.passed}
 
 
 def suite_rng(config: RunConfig, name: str) -> random.Random:
@@ -107,9 +100,8 @@ class _Recorder:
 
 def _run(name, config, body) -> SuiteResult:
     rec = _Recorder()
-    t0 = time.time()
     body(rec, suite_rng(config, name), config)
-    return SuiteResult(name, rec.cases, rec.failures, time.time() - t0)
+    return SuiteResult(name, rec.cases, rec.failures)
 
 
 # ---------------------------------------------------------------------------

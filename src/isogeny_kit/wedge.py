@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .algebras import BiquatAlg, BiquatElem, quat_to_mat2_tower
+from .algebras import BiquatAlg, BiquatElem, biquat_to_mat4
 from .errors import BadParameters, NotAntisymmetric
 from .exactfield import FieldDesc, is_square
 from .linalg import Mat, kron
@@ -27,6 +27,8 @@ _COMPL = {
     (1, 3): ((0, 2), -1),
     (2, 3): ((0, 1), 1),
 }
+# kron(c, b) is kron(b, c) with rows and columns in this order
+_FACTOR_SWAP = (0, 2, 1, 3)
 
 
 def wedge_pairing(ring, u: Sequence, w: Sequence):
@@ -111,26 +113,13 @@ class AlbertWedgeMap:
         self.A = algebra
         gens = [algebra.B.alpha, algebra.C.alpha] + list(extra_gens)
         self.tower = QuadTower(field, gens)
-        lift = self.tower.from_scalar
-        t = self.tower
-        self._mats_b = [quat_to_mat2_tower(e, t, 0, lift(algebra.B.beta), lift)
-                        for e in algebra.B.basis()]
-        self._mats_c = [quat_to_mat2_tower(e, t, 1, lift(algebra.C.beta), lift)
-                        for e in algebra.C.basis()]
-        self.s_mat = s_matrix(t)
+        self.s_mat = s_matrix(self.tower)
 
     def mat4(self, x: BiquatElem) -> Mat:
-        """The 4x4 matrix over the tower, with the C factor outermost."""
-        t = self.tower
-        lift = t.from_scalar
-        acc = Mat.zero(t, 4)
-        for s in range(4):
-            for c in range(4):
-                v = x.c[4 * s + c]
-                if v.is_zero():
-                    continue
-                acc = acc + kron(t, self._mats_c[c], self._mats_b[s]) * lift(v)
-        return acc
+        """The 4x4 matrix over the tower, with the C factor outermost:
+        biquat_to_mat4's, B outermost, with its tensor factors swapped."""
+        m, _ = biquat_to_mat4(x, self.tower)
+        return Mat(self.tower, [[m.rows[i][j] for j in _FACTOR_SWAP] for i in _FACTOR_SWAP])
 
     def wedge_coords(self, x: BiquatElem) -> List[TowerElem]:
         """A^- element -> wedge coordinates of (matrix of x) * S."""

@@ -9,6 +9,7 @@ import pytest
 
 from isogeny_kit import cli
 from isogeny_kit.cli import main
+from tests_helpers import swap_gsp
 
 RUN = [sys.executable, "-m", "isogeny_kit.cli"]
 
@@ -74,16 +75,6 @@ def test_verify_deterministic(tmp_path):
         assert main(["verify", "normsq,vnorm8", "--field", "p=3",
                      "--trials", "15", "--seed", "3", "--out", out]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
-def swap_gsp(**change):
-    """The swap matrix's decompose input over F_5, with `change` applied
-    (a None value deletes the key)."""
-    blocks = [[0] * 16 for _ in range(4)]
-    blocks[1][0] = blocks[2][0] = 1
-    obj = {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks}
-    obj.update(change)
-    return {k: v for k, v in obj.items() if v is not None}
 
 
 def test_decompose_roundtrip(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Field arithmetic, square detection, square classes, exact roots."""
 
-import json
 import math
 import pathlib
 import re
@@ -155,17 +154,6 @@ def test_squarefree_part_bound_message():
     with pytest.raises(ValueError, match="^trial division bound 1000000 "
                        "exceeded while factoring 1470600058489$"):
         squarefree_part(1212683 ** 2)
-
-
-def test_json_round_trip():
-    s = F7(3)
-    assert s.to_json() == {"field": "p=7", "value": 3}
-    obj = json.loads(json.dumps(s.to_json()))
-    assert parse_field(obj["field"])(obj["value"]) == s
-    q = QQ("-3/2")
-    assert q.to_json() == {"field": "Q", "value": "-3/2"}
-    obj = q.to_json()
-    assert parse_field(obj["field"])(obj["value"]) == q
 
 
 def test_parse_field():

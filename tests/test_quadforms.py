@@ -36,7 +36,7 @@ from isogeny_kit.quadforms import (
     witt_decompose,
 )
 
-from tests_helpers import nondiagonal_space, run_optimized
+from tests_helpers import identity_isometry, nondiagonal_space, run_optimized
 
 F3 = GF(3)
 F5 = GF(5)
@@ -280,7 +280,7 @@ def test_reflect_fixes_perp_exhaustive_f3():
 def test_cartan_dieudonne_examples():
     s = QuadSpace.diagonal(F5, [1, 1])
     from isogeny_kit.quadforms import Isometry
-    ident = Isometry.identity(s)
+    ident = identity_isometry(s)
     assert cartan_dieudonne(ident) == []
     r = reflect(s, [F5(1), F5(1)])
     mirrors = cartan_dieudonne(r)
@@ -339,7 +339,7 @@ def test_cdt_random_all_dims():
 def test_spinor_norm_examples():
     s = QuadSpace.diagonal(F5, [1, 2, 3])
     from isogeny_kit.quadforms import Isometry
-    assert spinor_norm(Isometry.identity(s)).is_trivial()
+    assert spinor_norm(identity_isometry(s)).is_trivial()
     v = [F5(1), F5(1), F5(0)]
     assert spinor_norm(reflect(s, v)) == square_class(s.vnorm(v))
     # -Id on an even-dimensional space has spinor norm = determinant class
@@ -406,7 +406,7 @@ def test_wall_spinor_norm_matches_mirror_product(space, kind, seed):
     rng = random.Random(seed)
     field, n = space.field, space.dim
     if kind == "identity":
-        t = Isometry.identity(space)
+        t = identity_isometry(space)
     elif kind == "reflection":
         t = reflect(space, space.random_anisotropic(rng, height=2))
     elif kind == "minus":

@@ -189,6 +189,33 @@ def test_reduced_norm_m2a_vs_split_oracle():
             assert reduced_norm_M2A(m) == _norm8_split_oracle(m)
 
 
+def test_reduced_norm_m2a_reaches_the_oracle_after_the_cascade(monkeypatch):
+    """Four equal zero-divisor blocks: the Schur block has norm 0 as it
+    stands, after either swap and after every shear, so the 8x8 split
+    oracle runs once, after all of them, and the norm is 0."""
+    a = make_algebra(F3)
+    rng = random.Random(0)
+    z = next(x for x in (a.elem([rng.randrange(3) for _ in range(16)]) for _ in range(1000))
+             if not x.is_zero() and reduced_norm_A(x).is_zero())
+    norms, oracle_after = [], []
+    norm, oracle = spin_eight.reduced_norm_A, spin_eight._norm8_split_oracle
+
+    def counted_norm(x):
+        norms.append(x)
+        return norm(x)
+
+    def counted_oracle(m):
+        oracle_after.append(len(norms))
+        return oracle(m)
+
+    monkeypatch.setattr(spin_eight, "reduced_norm_A", counted_norm)
+    monkeypatch.setattr(spin_eight, "_norm8_split_oracle", counted_oracle)
+    assert reduced_norm_M2A(M2A(a, z, z, z, z)) == F3(0)
+    # the block norms: as it stands, two swaps, one per shear
+    shears = spin_eight._shear_candidates(a)
+    assert len(shears) > 0 and oracle_after == [3 + len(shears)]
+
+
 def split_e_matrix():
     """((e1, e2), (-e2, e1)) over A = (3, 5) (x) (3, 6) over F7 x F7: its
     upper-left block has the nonzero zero-divisor norm e1; componentwise
@@ -217,7 +244,7 @@ def split_e_member():
 def test_gsp_decompose_skips_zero_divisor_block():
     member = split_e_member()
     gf = gsp_decompose(member)
-    assert not gf.v.is_zero()
+    assert not gf.v.embed().is_zero()
     assert gf.assemble() == member.mat
 
 
@@ -296,7 +323,7 @@ def rand_genform(algebra, coeff, rng):
         return algebra.aminus([coeff(rng) for _ in range(3)],
                               [coeff(rng) for _ in range(3)])
     v = rand_v()
-    while v.is_zero():
+    while v.embed().is_zero():
         v = rand_v()
     a = algebra.elem([coeff(rng) for _ in range(16)])
     while not spin_eight._is_unit(reduced_norm_A(a)):
@@ -429,7 +456,7 @@ def test_gsp_decompose_examples():
     m = field(3)
     diag = M2A.diag(a, x, x.bar().inverse().scale(m))
     gf = gsp_decompose(gsp_membership(diag))
-    assert gf.v.is_zero() and gf.alpha.is_zero() and gf.beta.is_zero()
+    assert all(u.embed().is_zero() for u in (gf.v, gf.alpha, gf.beta))
     assert gf.a == x and gf.m == m
     # the swap via the stated parameter recipe
     while True:
@@ -446,7 +473,7 @@ def test_gsp_decompose_examples():
     assert member is not None
     gf2 = gsp_decompose(member)
     assert gf2.assemble() == swapdiag
-    assert not gf2.v.is_zero()
+    assert not gf2.v.embed().is_zero()
 
 
 def test_gsp_decompose_f3_retry():
@@ -765,10 +792,10 @@ def test_ref8_examples():
         assert psi(lift).matrix() == M2A(a, *[-e for e in g8.hat_psi().matrix().entries()])
         assert lift.gf.m == g8.vnorm()
         # U = g -> -g; U perp g -> U
-        assert ref8_apply(lift, g8) == -g8
-        u = vec8_from_coords(a, [F5(rng.randrange(5)) for _ in range(8)])
-        pr = space.pairing(u.coords(), coords)
-        uperp = u - g8.scale(pr / g8.vnorm())
+        assert ref8_apply(lift, g8) == g8.scale(-1)
+        u = [F5(rng.randrange(5)) for _ in range(8)]
+        s = space.pairing(u, coords) / g8.vnorm()
+        uperp = vec8_from_coords(a, [x - s * y for x, y in zip(u, coords)])
         assert ref8_apply(lift, uperp) == uperp
         cols = [ref8_apply(lift, vec8_from_coords(a, space.basis_vector(i))).coords()
                 for i in range(8)]
@@ -1205,7 +1232,7 @@ def test_shear_candidates_built_once_per_descriptor(monkeypatch):
         assert spin_eight._shear_candidates(twin) is not first
         assert spin_eight._shear_candidates(twin) == first
     picked = [gsp_decompose(m).v for m in members]
-    assert all(not v.is_zero() for v in picked)
+    assert all(not v.embed().is_zero() for v in picked)
     monkeypatch.setattr(spin_eight, "_shear_candidates", spin_eight._build_shear_candidates)
     assert [gsp_decompose(m).v for m in members] == picked
 

@@ -31,6 +31,8 @@ from isogeny_kit.spin_low import (
     split_quat_of_mat2,
 )
 
+from tests_helpers import identity_isometry
+
 F3 = GF(3)
 F5 = GF(5)
 
@@ -171,8 +173,7 @@ def test_dim3_lift():
     for field in (F3, F5):
         bq = QuatAlg(field, field.least_nonresidue(), field(-1))
         model = Dim3Model(bq)
-        from isogeny_kit.quadforms import Isometry
-        ident = model.lift(Isometry.identity(model.space))
+        ident = model.lift(identity_isometry(model.space))
         assert model.act(ident).matrix == Mat.identity(field, 3)
         for _ in range(50):
             t = random_isometry(model.space, rng, special=True)

@@ -6,18 +6,37 @@ counts as reached when its name is read (as a name, an attribute, an
 import or an equal string constant) in another `src/` module, in its own
 module outside its definition, or in a `perfbench/` file.  A method counts
 as reached only by an attribute read or an equal string constant there:
-a bare name such as the builtin `map` does not reach `Mat.map`.  A method
-name that several classes share is reached for all of them by one read.
+a bare name such as the builtin `map` does not reach `Mat.map`.
 Test oracles belong in `tests/`, next to the tests that use them.
 
-The scan reads a fixed tree, so `unreached`, `_used_errors` and `allowed`
-each run once per pytest run.
+A read cannot tell apart the methods that several classes share a name
+with (one `x.to_json()` reads every `to_json`), nor the operator dunders
+that `a - b` or `a == b` call.  Those methods are checked by reachability
+instead: a fixed traffic of `cli.main` calls and one Cartan-Dieudonne
+round trip (what perfbench calls) runs under `sys.setprofile` in a fresh
+interpreter, and each such method must be entered by it, keyed by (file,
+co_qualname), or be listed in UNRUN with the reason it stays.  An UNRUN
+entry that the traffic enters fails as well.
+
+The scan reads a fixed tree and the traffic is fixed, so `unreached`,
+`_used_errors`, `allowed`, `checked_methods` and `entered` each run once
+per pytest run.
 """
 
 import ast
+import contextlib
 import functools
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+
+from tests_helpers import swap_gsp
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "isogeny_kit"
@@ -38,6 +57,25 @@ KEPT = {
     "dim7_space": "A^- + <delta>, the complement of ((0, -delta), (1, 0)) in "
                   "dimension 7 (tests/test_spin_eight.py)",
     "dim7_embed": "its embedding into A^- + H (tests/test_spin_eight.py)",
+}
+
+
+# methods of the reachability pass that the traffic below never enters,
+# each kept for the reason given
+UNRUN = {
+    "Scalar.__rsub__": "in perfbench/tracing.py's SCALAR_OPS, which it wraps "
+                       "by name: int - Scalar",
+    "Scalar.__rtruediv__": "in perfbench/tracing.py's SCALAR_OPS, which it "
+                           "wraps by name: int / Scalar",
+    "TableElem.inverse": "the regular-representation inverse that "
+                         "tests/test_algebras.py checks BiquatElem.inverse against",
+    "TableElem.__rsub__": "the tower and etale elements' ring operators, "
+                          "c - x: tests/test_towers.py's ring axioms, inverse "
+                          "and sympy-oracle tests (43 in all) run them",
+    "TableElem.__rmul__": "c * x, as TableElem.__rsub__",
+    "TableElem.__truediv__": "x / y, as TableElem.__rsub__",
+    "AminusVector.x": "AminusVector.__repr__ reads it for failure records",
+    "AminusVector.y": "AminusVector.__repr__ reads it for failure records",
 }
 
 
@@ -191,3 +229,154 @@ def test_only_exactfield_turns_q_values_into_ints():
     for stem in ("linalg", "quadforms", "towers"):
         attrs = _names_read(_parse(SRC / ("%s.py" % stem)))[1]
         assert attrs["ints"] or attrs["scalars"], stem
+
+
+# -- reachability ---------------------------------------------------------
+
+# dunders every class may define without the traffic calling them
+UNCHECKED_DUNDERS = ("__init__", "__repr__", "__hash__")
+
+
+@functools.cache
+def checked_methods():
+    """{(file stem, Class.name)} of the methods whose reads the scan cannot
+    tell apart: those whose name two or more `src/` classes define, and
+    the dunders but UNCHECKED_DUNDERS."""
+    methods, owners = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in _parse(path).body:
+            if isinstance(cls, ast.ClassDef):
+                for sub in cls.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        methods.append((path.stem, cls.name, sub.name))
+                        owners[sub.name] += 1
+    return frozenset((stem, "%s.%s" % (cls, name)) for stem, cls, name in methods
+                     if (name not in UNCHECKED_DUNDERS if name.startswith("__")
+                         else owners[name] > 1))
+
+
+def _traffic_files(tmp):
+    """The CLI's input files: one F_p and one Q form of classify_golden.json,
+    the decompose input and one isometry per lift model, built as
+    tests/test_cli.py builds them."""
+    from isogeny_kit.algebras import BiquatAlg, QuatAlg
+    from isogeny_kit.exactfield import GF
+    from isogeny_kit.quadforms import random_isometry
+    from isogeny_kit.spin_eight import vec8_space
+
+    def write(name, obj):
+        path = Path(tmp) / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def isometry(space, t):
+        return {"field": "p=5", "gram": [[repr(e) for e in row] for row in space.gram.rows],
+                "matrix": [[repr(e) for e in row] for row in t.matrix.rows]}
+
+    golden = json.loads((ROOT / "tests" / "classify_golden.json").read_text())
+    forms = [next(c for c in golden if c["field"] == spec and c["rc"] == 0)
+             for spec in ("p=3", "Q")]
+    f5 = GF(5)
+    algebra = BiquatAlg(QuatAlg(f5, 2, -1), QuatAlg(f5, 1, 2))
+    lifts = [("dim3", {"field": "p=5", "gram": [[-2, 0, 0], [0, 1, 0], [0, 0, -2]],
+                       "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})]
+    for model, space in (("dim6d1", algebra.albert_space()), ("dim8id1", vec8_space(algebra))):
+        lifts.append((model, isometry(space, random_isometry(space, random.Random(0),
+                                                              special=True))))
+    return ([write("form%d.json" % i, {"field": c["field"], "gram": c["gram"]})
+             for i, c in enumerate(forms)],
+            write("gsp.json", swap_gsp()),
+            [(model, write(model + ".json", obj)) for model, obj in lifts])
+
+
+def _run_traffic():
+    """[(file stem, co_qualname)] of the `src/` functions that the traffic
+    enters, and the exit statuses of its CLI calls and its round trip:
+    `verify all` over F_3, F_5 (seed 0) and Q (seed 2) at trials 2,
+    `census 3 4`, two classify, one decompose and one lift per model, and
+    one cartan_dieudonne -> compose_reflections round trip as perfbench
+    makes them."""
+    from isogeny_kit import cli
+    from isogeny_kit.exactfield import GF
+    from isogeny_kit.quadforms import (QuadSpace, cartan_dieudonne, compose_reflections,
+                                       random_isometry)
+
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        forms, gsp, lifts = _traffic_files(tmp)
+        out = str(Path(tmp) / "out.json")
+        argvs = [["verify", "all", "--field", field, "--seed", seed, "--trials", "2",
+                  "--out", out] for field, seed in (("p=3", "0"), ("p=5", "0"), ("Q", "2"))]
+        argvs += [["census", "3", "4", "--out", out], ["decompose", gsp, "--out", out]]
+        argvs += [["classify", form, "--out", out] for form in forms]
+        argvs += [["lift", path, "--model", model, "--B", "2,-1", "--C", "1,2"]
+                  for model, path in lifts]
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                statuses = [cli.main(argv) for argv in argvs]
+            f5 = GF(5)
+            space = QuadSpace.diagonal(f5, [f5(1), f5(2), f5(3), f5(4)])
+            t = random_isometry(space, random.Random(0), height=1)
+            statuses.append(compose_reflections(space, cartan_dieudonne(t)) == t)
+        finally:
+            sys.setprofile(None)
+    found = sorted({(Path(code.co_filename).stem, code.co_qualname) for code in codes
+                    if Path(code.co_filename).parent == SRC})
+    return found, statuses
+
+
+@functools.cache
+def entered():
+    """`_run_traffic` in a fresh interpreter, as a CLI call starts: a cache
+    that earlier tests filled (one restriction per equal algebra
+    descriptor) would hide the methods that fill it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
+    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    found, statuses = json.loads(out.stdout)
+    return frozenset(map(tuple, found)), statuses
+
+def test_cli_traffic_enters_every_shared_name_and_operator():
+    """A method that two classes name alike, or an operator, that nothing
+    runs is dead code the read scan cannot see: it is deleted, or UNRUN
+    says why it stays."""
+    found, statuses = entered()
+    assert statuses == [0] * (len(statuses) - 1) + [True]
+    missed = sorted(label for stem, label in checked_methods()
+                    if (stem, label) not in found and label not in UNRUN)
+    assert missed == [], "no traffic enters: %s" % ", ".join(missed)
+
+
+def test_unrun_methods_are_still_unrun():
+    """An UNRUN entry leaves once the traffic enters it, or once its method
+    is gone or has a name of its own (the read scan's then)."""
+    found, _ = entered()
+    labels = {label for _, label in checked_methods()}
+    stale = sorted(label for label in UNRUN
+                   if label not in labels or any(label == lab for _, lab in found))
+    assert stale == [], "UNRUN entries the traffic enters or the pass does not check: %s" \
+        % ", ".join(stale)
+
+
+def test_reachability_pass_sees_the_traffic():
+    found, _ = entered()
+    checked = checked_methods()
+    # two operators and a name four classes share
+    for key in (("exactfield", "Scalar.__add__"), ("linalg", "Mat.__eq__"),
+                ("spin_eight", "Vec8.scale")):
+        assert key in found and key in checked
+    assert ("linalg", "Mat.__init__") not in checked
+    # a method with a name of its own stays with the read scan
+    restrict = ("quadforms", "QuadSpace.restrict")
+    assert restrict in found and restrict not in checked
+
+
+if __name__ == "__main__":
+    print(json.dumps(_run_traffic()))

@@ -12,7 +12,7 @@ from isogeny_kit.errors import IsogenyKitError
 from isogeny_kit.exactfield import is_square, sqrt_exact
 from isogeny_kit.algebras import SPLIT_SEARCH_BUDGET, QuatAlg, QuatElem, reduced_norm_A
 from isogeny_kit.linalg import Mat, independent_subset
-from isogeny_kit.quadforms import QuadSpace, find_isotropic
+from isogeny_kit.quadforms import Isometry, QuadSpace, find_isotropic
 from isogeny_kit.spin_eight import CoveredGSpElem, GenForm, cover_identity, cover_mul
 
 
@@ -28,6 +28,21 @@ def nondiagonal_space(field, diag, rng):
             space = QuadSpace(field, p.T * gram * p)
             if n == 1 or space.diag is None:
                 return space
+
+
+def identity_isometry(space):
+    """The identity of O(space)."""
+    return Isometry(space, Mat.identity(space.field, space.dim), check=False)
+
+
+def swap_gsp(**change):
+    """The swap matrix's decompose input over F_5, with `change` applied
+    (a None value deletes the key)."""
+    blocks = [[0] * 16 for _ in range(4)]
+    blocks[1][0] = blocks[2][0] = 1
+    obj = {"field": "p=5", "B": [2, -1], "C": [1, 2], "blocks": blocks}
+    obj.update(change)
+    return {k: v for k, v in obj.items() if v is not None}
 
 
 class NotASplittingField(IsogenyKitError):
