@@ -14,7 +14,8 @@ import sys
 from typing import List, Optional
 
 from .algebras import BiquatAlg, QuatAlg
-from .errors import BadParameters, IsogenyKitError, InvariantViolated, ParseError, UnknownSuite
+from .errors import (BadParameters, IsogenyKitError, InvariantViolated, ParseError,
+                     UnknownSuite, UnreadableInput)
 from .exactfield import parse_field
 from .linalg import Mat
 from .quadforms import (
@@ -25,6 +26,18 @@ from .quadforms import (
     witt_decompose,
 )
 from .suites import SUITES, RunConfig, run_all
+
+
+def _load_json(path):
+    """The JSON document in the file at `path`: UnreadableInput when the
+    file cannot be opened or read, ParseError when it is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise UnreadableInput("cannot read %s: %s" % (path, ex.strerror or ex)) from None
+    except ValueError as ex:
+        raise ParseError("%s is not JSON: %s" % (path, ex)) from None
 
 
 def _reads_json(what):
@@ -81,9 +94,7 @@ def _dump(obj, out: Optional[str]):
 
 
 def cmd_classify(args) -> int:
-    with open(args.space) as fh:
-        obj = json.load(fh)
-    space = space_from_json(obj)
+    space = space_from_json(_load_json(args.space))
     r, kernel, _ = witt_decompose(space, budget=args.budget)
     report = {
         "dim": space.dim,
@@ -140,9 +151,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     from . import spin_eight
-    with open(args.gsp) as fh:
-        obj = json.load(fh)
-    member = spin_eight.gsp_membership(gsp_from_json(obj))
+    member = spin_eight.gsp_membership(gsp_from_json(_load_json(args.gsp)))
     if member is None:
         print("not a GSp member")
         return 1
@@ -171,9 +180,7 @@ def _check_lift(image, iso):
 
 
 def cmd_lift(args) -> int:
-    with open(args.isometry) as fh:
-        obj = json.load(fh)
-    iso = isometry_from_json(obj)
+    iso = isometry_from_json(_load_json(args.isometry))
     field = iso.space.field
     if args.model == "dim3":
         from .spin_low import Dim3Model

@@ -97,5 +97,9 @@ class UnknownSuite(IsogenyKitError):
     pass
 
 
+class UnreadableInput(IsogenyKitError):
+    """An input file the CLI cannot open or read."""
+
+
 class ParseError(IsogenyKitError, ValueError):
     """Malformed input: a field spec, JSON or argument the CLI cannot read."""

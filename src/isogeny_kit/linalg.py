@@ -2,21 +2,21 @@
 
 Entries are duck-typed: anything supporting +, -, * and unary -.  Every
 elimination (det, rank, solve, inverse, independent_subset) runs through
-one forward row reduction over F_p or Q on bare values: int residues mod
-p, or over Q rows scaled to ints by `FieldDesc.ints` and eliminated
-fraction-free (Bareiss), so solutions come out as ints over one
-determinant for `FieldDesc.scalars`; products take the same int view.
+one forward row reduction over F_p or Q on ints: residues mod p, or over
+Q each row as ints over its own denominator by `FieldDesc.ints`,
+eliminated fraction-free (Bareiss), so solutions come out as ints over
+one determinant for `FieldDesc.scalars`; products take the same int view.
 Determinants over any other ring, including those with zero divisors,
 use the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
 from operator import mul
 
 from .errors import DegenerateSpace, DimensionMismatch, NonInvertible
-from .exactfield import QQ, FieldDesc
+from .exactfield import FieldDesc
 
 
 class Mat:
@@ -74,9 +74,9 @@ class Mat:
         entry is one int dot product and a row one scalars call."""
         ring = self.ring
         n = other.ncols
-        flat, dc = ring.ints([e.value for row in other.rows for e in row])
+        flat, dc = ring.ints([e for row in other.rows for e in row])
         cols = [flat[j::n] for j in range(n)]
-        rows = (ring.ints([e.value for e in row]) for row in self.rows)
+        rows = map(ring.ints, self.rows)
         return Mat(ring, [ring.scalars([sum(map(mul, r, c)) for c in cols], dr * dc)
                           for r, dr in rows])
 
@@ -119,26 +119,34 @@ class Mat:
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def _values(self):
-        """Bare entry values (F_p residues or Fractions) and the prime."""
-        if not isinstance(self.ring, FieldDesc):
+    def _int_rows(self, rows=None):
+        """The rows (self's by default) as ints for row_reduce, with one
+        denominator per row: residues over 1 over F_p, over Q each row
+        over the lcm of its denominators."""
+        ring = self.ring
+        if not isinstance(ring, FieldDesc):
             raise TypeError("row reduction runs over F_p or Q, not %r; "
-                            "use berkowitz_det" % (self.ring,))
-        return [[e.value for e in r] for r in self.rows], self.ring.p
+                            "use berkowitz_det" % (ring,))
+        rows = self.rows if rows is None else rows
+        if ring.p:
+            return [[e.num for e in r] for r in rows], [1] * len(rows)
+        pairs = list(map(ring.ints, rows))
+        return [a for a, _ in pairs], [d for _, d in pairs]
 
     def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("det of non-square matrix")
-        a, p = self._values()
-        return self.ring(row_reduce(a, self.ncols, p)[1])
+        a, dens = self._int_rows()
+        return self.ring.scalars([row_reduce(a, self.ncols, self.ring.p)[1]], prod(dens))[0]
 
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        a, p = self._values()
-        for i, row in enumerate(a):
-            row.extend(1 if j == i else 0 for j in range(n))
+        a, dens = self._int_rows()
+        p = self.ring.p
+        for i, (row, d) in enumerate(zip(a, dens)):
+            row.extend(d if j == i else 0 for j in range(n))
         pivots, _ = row_reduce(a, n, p)
         if len(pivots) < n:
             raise NonInvertible("singular matrix")
@@ -152,17 +160,15 @@ class Mat:
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatch("rhs length %d vs %d rows" % (len(rhs), self.nrows))
-        a, p = self._values()
-        for row, b in zip(a, rhs):
-            row.append(b.value)
+        a, _ = self._int_rows([row + [b] for row, b in zip(self.rows, rhs)])
+        p = self.ring.p
         pivots, _ = row_reduce(a, self.ncols, p)
         if any(row[-1] for row in a[len(pivots):]):
             return None
         return self.ring.scalars(*back_substitute(a, pivots, self.ncols, self.ncols, p))
 
     def rank(self):
-        a, p = self._values()
-        return len(row_reduce(a, self.ncols, p)[0])
+        return len(row_reduce(self._int_rows()[0], self.ncols, self.ring.p)[0])
 
     def __repr__(self):
         return "Mat(%s)" % self.rows
@@ -226,32 +232,27 @@ def kron(ring, a: Mat, b: Mat) -> Mat:
 def row_reduce(a, ncols: int, p=None):
     """Forward elimination of the rows `a` in place, over F_p or Q.
 
-    Entries are bare values: int residues mod p, or Fractions (or ints)
-    when p is None.  Pivots are sought in the first `ncols` columns, each
-    the first nonzero entry at or below the current row; eliminating a
-    pivot updates only the entries right of its column (columns past
-    `ncols`, such as an augmented right-hand side, included), so the
-    entries below each pivot are left stale rather than zeroed.  Returns
+    Entries are ints: residues mod p, or any ints when p is None.  Pivots
+    are sought in the first `ncols` columns, each the first nonzero entry
+    at or below the current row; eliminating a pivot updates only the
+    entries right of its column (columns past `ncols`, such as an
+    augmented right-hand side, included), so the entries below each pivot
+    are left stale rather than zeroed.  Returns
     (pivot columns, determinant of the first `ncols` columns), the
     determinant being meaningful for a square block only.
 
-    Over Q the elimination is fraction-free (Bareiss): each row is first
-    scaled to ints by the lcm of its denominators, and eliminating pivot
+    Over Q the elimination is fraction-free (Bareiss): eliminating pivot
     pv with the previous pivot prev sets row[j] = (pv*row[j] - f*top[j])
     // prev on every row below, the division being exact.  Each reduced
-    row is then a nonzero multiple of the row Fraction elimination would
-    give, so the pivots and the solutions of back_substitute are the same;
-    the rows of `a` are left as those ints.
+    row is then a nonzero multiple of the row that elimination over Q
+    would give, so the pivots and the solutions of back_substitute are the
+    same, and the determinant is that of the int rows.  Callers scale a
+    row of Q values to ints by `FieldDesc.ints`, which moves neither.
     """
     n = len(a)
     pivots = []
     det = 1     # over Q only the sign: the last pivot carries the rest
-    if p is None:
-        scale = 1
-        for row in a:
-            row[:], s = QQ.ints(row)
-            scale *= s
-        prev = 1
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, n) if a[i][c]), None)
@@ -288,10 +289,8 @@ def row_reduce(a, ncols: int, p=None):
         pivots.append(c)
     if p is not None:
         return pivots, det % p
-    if det:
-        # the last pivot is the determinant of the rows scaled to ints
-        det = Fraction(det * prev, scale)
-    return pivots, det
+    # the last pivot is the determinant of the int rows
+    return pivots, det * prev
 
 
 def back_substitute(a, pivots, ncols: int, k: int, p=None):
@@ -323,7 +322,7 @@ def independent_subset(field: FieldDesc, vecs, k: int):
     Greedy in list order: the pivot columns of the matrix whose columns
     are vecs.  Raises DegenerateSpace when vecs span fewer than k dims.
     """
-    rows = [[v[i].value for v in vecs] for i in range(len(vecs[0]))] if vecs else []
+    rows = [field.ints([v[i] for v in vecs])[0] for i in range(len(vecs[0]))] if vecs else []
     pivots, _ = row_reduce(rows, len(vecs), field.p)
     if len(pivots) < k:
         raise DegenerateSpace("could not complete independent set")

@@ -8,7 +8,7 @@ A space is a nondegenerate symmetric Gram matrix, held once as ints
 every pairing, norm, complement, isotropy search, reflection and form
 check reads; vectors are coordinate lists of Scalars, unwrapped once per
 call.  Both conversions are exactfield's int view: `FieldDesc.ints` turns
-values into ints over one denominator and `FieldDesc.scalars` turns each
+Scalars into ints over one denominator and `FieldDesc.scalars` turns each
 result back, so every formula here has one path for F_p and Q.
 Isometries are matrices T with T^t G T = G.
 """
@@ -50,7 +50,7 @@ class QuadSpace:
         self._p = p = field.p
         # over the square of the lcm L of the denominators (1 over F_p), so
         # that a k x k block's determinant is off by the square L^2k only
-        flat, lcm = field.ints([e.value for row in self.gram.rows for e in row])
+        flat, lcm = field.ints([e for row in self.gram.rows for e in row])
         self._den, flat = lcm * lcm, iter(flat)
         rows = [[next(flat) * lcm for _ in row] for row in self.gram.rows]
         if [list(c) for c in zip(*rows)] != rows:
@@ -79,10 +79,10 @@ class QuadSpace:
         p and d = 1, or over Q numerators over their lcm d."""
         if len(v) != self.dim:
             raise DimensionMismatch("vector does not conform to space")
-        vals = [x.value for x in v if type(x) is Scalar and x.field is self.field]
-        if len(vals) < len(v):      # ints, an equal field, or FieldMismatch
-            vals = [self.field(x).value for x in v]
-        return self.field.ints(vals)
+        f = self.field
+        if any(type(x) is not Scalar or x.field is not f for x in v):
+            v = [f(x) for x in v]       # ints and Fractions, or FieldMismatch
+        return f.ints(v)
 
     def _gv(self, x):
         """The int form times the int vector x (not reduced mod p)."""
@@ -184,7 +184,7 @@ def diagonalize(space: QuadSpace) -> Tuple[Mat, List[Scalar]]:
             diag.append(space.vnorm(v))
             basis = complement(space, v, basis)
         space._diag_cache = (Mat(space.field, out_basis).T, diag,
-                             space.field.ints([x.value for x in diag])[0])
+                             space.field.ints(diag)[0])
     return space._diag_cache[:2]
 
 
@@ -412,7 +412,7 @@ def _reflect_matrix_left(space: QuadSpace, v, m: Mat) -> Mat:
     f = space.field
     n = m.ncols
     x, _ = space._ints(v)
-    flat, e = f.ints([z.value for row in m.rows for z in row])
+    flat, e = f.ints([z for row in m.rows for z in row])
     ys, e = _reflect_ints(space, x, [flat[i:i + n] for i in range(0, len(flat), n)], e)
     return Mat(f, [f.scalars(y, e) if b else row for b, y, row in zip(x, ys, m.rows)])
 
@@ -467,7 +467,7 @@ def cartan_dieudonne(t: Isometry, pivot_order: Optional[List[int]] = None):
 def wall_value(one_minus, gram, p):
     """2^k det(chi), chi the Wall form of T (see spinor_norm), from the
     rows of 1 - T and the rows of G, or for a diagonal G its entries, as
-    residues mod p (the result too) or, when p is None, Fractions."""
+    residues mod p (the result too) or, when p is None, ints."""
     n = len(one_minus)
     pivots, _ = row_reduce([row[:] for row in one_minus], n, p)
     k = len(pivots)
@@ -498,13 +498,18 @@ def spinor_norm(t: Isometry) -> SquareClass:
     value is wall_value's, on bare values; the census calls it directly.
     """
     space = t.space
-    p = space._p
-    one_minus = [[(i == j) - e.value for j, e in enumerate(row)]
-                 for i, row in enumerate(t.matrix.rows)]
+    p, n = space._p, space.dim
+    flat, d = space.field.ints([e for row in t.matrix.rows for e in row])
+    one_minus = [[d * (i == j) - flat[n * i + j] for j in range(n)] for i in range(n)]
+    form = space._rows if space._diag is None else space._diag
     if p:
         one_minus = [[x % p for x in row] for row in one_minus]
+    elif d != 1:
+        # 1 - T over d: with the form times d too, chi and so det(chi)
+        # move by the square d^2k
+        form = [[g * d for g in row] for row in form] if space._diag is None \
+            else [g * d for g in form]
     # over Q the int form is G times a square: det(chi) moves by a square
-    form = space._rows if space._diag is None else space._diag
     return square_class(space.field(wall_value(one_minus, form, p)))
 
 

@@ -90,8 +90,8 @@ class _Restriction:
                     entries += [(r * i + a, r * j + b, r * t + h, v)
                                 for h, v in enumerate(out)]
         # residues over F_p (where kd and unit_den are 1), over Q reduced
-        nums, self.den = self.reduce(self.field.ints([e[-1] for e in entries])[0],
-                                     kd * unit_den * unit_den)
+        nums = [e[-1] % self.p for e in entries] if self.p else [e[-1] for e in entries]
+        nums, self.den = self.reduce(nums, kd * unit_den * unit_den)
         self.rows = [[] for _ in range(r * algebra.dim)]
         for (i, j, t, _), n in zip(entries, nums):
             if n:
@@ -102,9 +102,10 @@ class _Restriction:
 
     def unwrap(self, coeffs):
         """The F-coordinates of ring coefficients as ints over one
-        denominator: the values of Scalars, or the ints of E's elements."""
+        denominator: Scalars through the int view, or the ints of E's
+        elements."""
         if self.r == 1:
-            return self.field.ints([s.value for s in coeffs])
+            return self.field.ints(coeffs)
         parts = [z._ints() for z in coeffs]
         d = math.lcm(*(dz for _, dz in parts))
         return [v * (d // dz) for vs, dz in parts for v in vs], d
@@ -248,7 +249,7 @@ class TableElem:
         res = self.algebra._restriction()
         v, d = self._ints()
         if res.r == 1 or not isinstance(s, TableElem):
-            (s,), ds = res.field.ints([res.field(s).value])
+            (s,), ds = res.field.ints([res.field(s)])
             return self._of(self.algebra, [a * s for a in v], d * ds)
         # each coefficient's (1, g) coordinates times E's 2 x 2 left
         # multiplication by s

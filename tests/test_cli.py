@@ -289,3 +289,21 @@ def test_golden_keeps_the_q_form_whose_isotropic_vector_is_missed():
                 if c["gram"] == [[6, -2, -2], [-2, 3, 0], [-2, 0, 0]])
     assert case["field"] == "Q" and case["rc"] == 2 and case["out"] is None
     assert "SearchBudgetExceeded" in case["stderr"]
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["decompose"], ["lift", "--model", "dim3"]],
+                         ids=["classify", "decompose", "lift"])
+def test_missing_or_unreadable_input_is_a_named_error(argv, tmp_path, capsys):
+    """An input path that does not exist, or names a directory, exits 2
+    with UnreadableInput; a file that is not JSON exits 2 with ParseError."""
+    missing = str(tmp_path / "never_written.json")
+    assert main(argv[:1] + [missing] + argv[1:]) == 2
+    assert capsys.readouterr().err == ("error: UnreadableInput: cannot read %s: "
+                                       "No such file or directory\n" % missing)
+    assert main(argv[:1] + [str(tmp_path)] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: UnreadableInput: cannot read %s: "
+                                              % tmp_path)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert main(argv[:1] + [str(garbled)] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: ParseError: %s is not JSON: " % garbled)

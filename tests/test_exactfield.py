@@ -187,19 +187,22 @@ def test_zero_and_one_are_built_once_per_field():
         GF(7)(x)
 
 
-# assignments through an attribute of a Scalar (value) or of an A^- vector
+# assignments through an attribute of a Scalar (num, den) or of an A^- vector
 # (x, y), in place or augmented, and list mutators called on x or y
 MUTATIONS = [
-    re.compile(r"\.value\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
+    re.compile(r"\.(?:num|den)\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
     re.compile(r"\.[xy]\s*\[[^\]]*\]\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
     re.compile(r"\.[xy]\s*(?:[-+*/%&|^]|//|\*\*)?=(?!=)"),
     re.compile(r"\.[xy]\.(?:append|extend|insert|pop|remove|sort|reverse|clear)\("),
     re.compile(r"setattr\("),
 ]
-# Scalar's constructor, and RhoQ8Elem's cover element (named x); an A^-
-# vector's x and y are read-only views of its element
+# Scalar's constructor, the denominator of a _Restriction's structure
+# constants, and RhoQ8Elem's cover element (named x); an A^- vector's x and
+# y are read-only views of its element
 CONSTRUCTOR_LINES = {
-    ("exactfield.py", "self.value = value"),
+    ("exactfield.py", "self.num = num"),
+    ("exactfield.py", "self.den = den"),
+    ("towers.py", "nums, self.den = self.reduce(nums, kd * unit_den * unit_den)"),
     ("spin_eight.py", "self.x = x"),
 }
 
@@ -231,7 +234,7 @@ BIG_DENS = (10007, 10009, 10037, 65537, 2 ** 61 - 1)
        d=st.integers(-60, 60))
 def test_int_view_over_fp_matches_fraction_arithmetic(field, values, d):
     p = field.p
-    ints, one = field.ints(values)
+    ints, one = field.ints([field(v) for v in values])
     assert one == 1 and ints == [v % p for v in values]
     assert field.scalars(ints) == [field(v) for v in values]
     if d % p == 0:
@@ -253,7 +256,7 @@ rationals = st.one_of(
 @INT_VIEW
 @given(values=st.lists(rationals, max_size=8), d=st.integers(-10 ** 5, 10 ** 5))
 def test_int_view_over_q_matches_fraction_arithmetic(values, d):
-    ints, den = QQ.ints(values)
+    ints, den = QQ.ints([QQ(v) for v in values])
     assert den > 0 and all(type(n) is int for n in ints)
     assert [Fraction(n, den) for n in ints] == [Fraction(v) for v in values]
     assert den == math.lcm(*(Fraction(v).denominator for v in values))
@@ -268,12 +271,224 @@ def test_int_view_over_q_matches_fraction_arithmetic(values, d):
 
 
 def test_int_view_examples():
-    assert QQ.ints([Fraction(1, 6), -2, Fraction(3, 4)]) == ([2, -24, 9], 12)
+    assert QQ.ints([QQ(Fraction(1, 6)), QQ(-2), QQ(Fraction(3, 4))]) == ([2, -24, 9], 12)
     assert QQ.ints([]) == ([], 1)
-    assert F5.ints([7, -1, 0]) == ([2, 4, 0], 1)
+    assert F5.ints([F5(7), F5(-1), F5(0)]) == ([2, 4, 0], 1)
     assert F5.scalars([1, 2], 3) == [F5(2), F5(4)]      # 3^-1 = 2 mod 5
     assert QQ.scalars([4, -6], -8) == [QQ("-1/2"), QQ("3/4")]
     with pytest.raises(DivisionByZero):
         F5.scalars([1], 10)
     with pytest.raises(DivisionByZero):
         QQ.scalars([1], 0)
+
+
+# -- Q Scalars on ints against fractions.Fraction ---------------------------
+
+small_q = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+big_q = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.sampled_from(BIG_DENS))
+q_values = st.one_of(st.integers(-10 ** 12, 10 ** 12), small_q, big_q)
+
+
+def assert_is(s, f):
+    """The Q Scalar s holds the Fraction f: reduced ints, den > 0."""
+    assert s.field is QQ and (s.num, s.den) == (f.numerator, f.denominator)
+    assert type(s.num) is int and type(s.den) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=q_values, b=q_values, n=st.integers(-6, 6))
+def test_q_scalars_match_fraction(a, b, n):
+    """Every operator, inverse, powers of both signs, equality, hash, str
+    and repr of Q Scalars against the same computation on Fractions."""
+    fa, fb = Fraction(a), Fraction(b)
+    x, y = QQ(a), QQ(b)
+    assert_is(x, fa)
+    assert_is(x + y, fa + fb)
+    assert_is(x - y, fa - fb)
+    assert_is(x * y, fa * fb)
+    assert_is(-x, -fa)
+    for got, want in ((x + b, fa + fb), (a + y, fa + fb), (x - b, fa - fb),
+                      (a - y, fa - fb), (x * b, fa * fb), (a * y, fa * fb)):
+        assert_is(got, want)
+    if fb:
+        assert_is(x / y, fa / fb)
+        assert_is(x / b, fa / fb)
+        assert_is(a / y, fa / fb)
+        assert_is(y.inverse(), 1 / fb)
+    else:
+        for op in (lambda: x / y, lambda: x / b, lambda: a / y, y.inverse):
+            with pytest.raises(DivisionByZero):
+                op()
+    if fa or n >= 0:
+        assert_is(x ** n, fa ** n)
+    else:
+        with pytest.raises(DivisionByZero):
+            x ** n
+    assert (x == y) == (fa == fb) and (x == b) == (fa == fb) and (x == fb) == (fa == fb)
+    assert x.is_zero() == (fa == 0)
+    assert str(x) == repr(x) == str(fa)
+    assert hash(x) == hash((QQ, fa))
+    assert x.value == fa and type(x.value) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(q_values, max_size=8), d=st.integers(-10 ** 6, 10 ** 6))
+def test_q_int_view_round_trips(values, d):
+    """ints reads the Scalars' own ints, and scalars(ints, d) is ints / d
+    in lowest terms for either sign of d."""
+    xs = [QQ(v) for v in values]
+    ints, den = QQ.ints(xs)
+    assert den == math.lcm(*(Fraction(v).denominator for v in values))
+    assert QQ.scalars(ints, den) == xs
+    if not d:
+        with pytest.raises(DivisionByZero):
+            QQ.scalars(ints, d)
+        return
+    for s, v in zip(QQ.scalars(ints, d), ints):
+        assert_is(s, Fraction(v, d))
+
+
+def test_q_hash_past_the_hash_prime():
+    """A denominator that is a multiple of the hash prime hashes as the
+    Fraction does (the infinite hash)."""
+    m = 2 ** 61 - 1
+    for f in (Fraction(1, m), Fraction(-3, 2 * m)):
+        assert hash(QQ(f)) == hash((QQ, f))
+
+
+def test_one_descriptor_per_field():
+    """FieldDesc(p), GF(p) and parse_field return one object per field,
+    and copies and pickles come back as that object."""
+    import copy
+    import pickle
+    assert parse_field("p=5") is parse_field("p=5") is GF(5) is FieldDesc(5) is F5
+    assert parse_field("Q") is FieldDesc() is QQ
+    for f in (F5, QQ):
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+    assert F5 != F7 and F5 != QQ and hash(F5) == hash(("FieldDesc", 5))
+
+
+COERCE_COUNT = r"""
+import contextlib, io, sys
+from isogeny_kit import cli
+from isogeny_kit.exactfield import Scalar
+calls = [0]
+coerce = Scalar._coerce
+def counted(self, other):
+    calls[0] += isinstance(other, Scalar)
+    return coerce(self, other)
+Scalar._coerce = counted
+counts = []
+for _ in range(2):
+    calls[0] = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["verify", "all", "--field", "p=5", "--seed", "1", "--trials", "8"])
+    counts.append((rc, calls[0]))
+print(counts)
+"""
+
+
+def test_repeated_runs_mix_no_scalars_across_descriptors():
+    """Two `verify all` runs in one fresh process (as perfbench runs its
+    passes) coerce no Scalar: every Scalar of F_5 holds the one F_5."""
+    import os
+    import subprocess
+    import sys
+    src = pathlib.Path(isogeny_kit.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", COERCE_COUNT], capture_output=True,
+                         text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[(0, 0), (0, 0)]"
+
+
+# -- squarefree_part: trial division by the primes of a sieve ---------------
+
+def odd_loop_squarefree_part(n: int) -> int:
+    """squarefree_part as it trial-divided by every odd number up to the
+    bound (the oracle)."""
+    if n == 0:
+        raise ZeroArgument("squarefree part of 0")
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    e = (n & -n).bit_length() - 1
+    n >>= e
+    if e % 2 == 1:
+        out = 2
+    d = 3
+    while d * d <= n:
+        if d > 10 ** 6:
+            raise ValueError("trial division bound %d exceeded while factoring %d"
+                             % (10 ** 6, n))
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2 == 1:
+                out *= d
+        d += 2
+    return sign * out * n
+
+
+def outcome(f, n):
+    try:
+        return f(n)
+    except ValueError as ex:
+        return "ValueError: %s" % ex
+
+
+EDGES = [1000001 ** 2 - 1, 1000001 ** 2, 1000003 ** 2, 999983 ** 2, 999983 * 1000003,
+         21851313568272057156526096, 2 * 999983 ** 2, 3 * 1000003 ** 2, 997 ** 2 * 1009 ** 3,
+         1009 ** 2, 999983, 2 ** 40 * 1000003, 12, 1]
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_squarefree_part_matches_the_odd_loop_at_the_edges(n):
+    for m in (n, -n):
+        assert outcome(squarefree_part, m) == outcome(odd_loop_squarefree_part, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(-10 ** 9, 10 ** 9).filter(bool),
+                   st.builds(lambda a, b, c: a * b * b * c, st.integers(1, 10 ** 4),
+                             st.integers(1, 10 ** 5), st.sampled_from([1, -1, 999983, 1000003]))))
+def test_squarefree_part_matches_the_odd_loop(n):
+    assert outcome(squarefree_part, n) == outcome(odd_loop_squarefree_part, n)
+
+
+SIEVE_PROBE = r"""
+from isogeny_kit import exactfield
+for n in (12, -18, 997 ** 2 * 991, 2 ** 80 * 3 ** 7, 1009 * 983, 999 ** 2):
+    exactfield.squarefree_part(n)
+before = exactfield._prime_gaps.cache_info().currsize
+exactfield.squarefree_part(1000003 * 999983)
+gaps = exactfield._prime_gaps()
+print(before, type(gaps).__name__, len(memoryview(gaps).tobytes()),
+      exactfield._prime_gaps() is gaps)
+"""
+
+
+def test_prime_table_is_compact_and_built_only_for_large_cofactors():
+    """Cofactors that the small primes settle never build the prime table;
+    once built it is bytes-like, at most 0.6 MB, and built once."""
+    import os
+    import subprocess
+    import sys
+    src = pathlib.Path(isogeny_kit.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", SIEVE_PROBE], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    before, kind, size, same = out.stdout.split()
+    assert before == "0" and same == "True"
+    assert kind in ("bytes", "bytearray") and int(size) <= 600_000
+
+
+def test_small_primes_and_prime_gaps_are_the_odd_primes_to_the_bound():
+    sympy = pytest.importorskip("sympy")
+    from isogeny_kit import exactfield
+    primes = list(exactfield._SMALL_PRIMES)
+    for gap in exactfield._prime_gaps():
+        primes.append(primes[-1] + gap)
+    assert primes == list(sympy.primerange(3, 10 ** 6 + 1))

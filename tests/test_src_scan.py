@@ -67,6 +67,11 @@ UNRUN = {
                        "by name: int - Scalar",
     "Scalar.__rtruediv__": "in perfbench/tracing.py's SCALAR_OPS, which it "
                            "wraps by name: int / Scalar",
+    "Scalar._coerce": "a Scalar with an int or a Fraction operand, which "
+                      "tests and callers write; the traffic's Scalars all hold "
+                      "the one descriptor of their field, so it passes none",
+    "FieldDesc.__reduce__": "copy and pickle rebuild a descriptor through it as "
+                            "the one object of its field (tests/test_exactfield.py)",
     "TableElem.inverse": "the regular-representation inverse that "
                          "tests/test_algebras.py checks BiquatElem.inverse against",
     "TableElem.__rsub__": "the tower and etale elements' ring operators, "
@@ -207,22 +212,37 @@ def test_methods_are_reached_by_attribute_reads_only():
     assert {"IsogenyKitError", "SearchBudgetExceeded", "NoIsotropicVector"} <= used
 
 
-def test_only_exactfield_turns_q_values_into_ints():
-    """`FieldDesc.ints` and `FieldDesc.scalars` are the one place where Q
-    values become ints over one denominator and back: no other module
-    names `_ints_over_lcm` or reads a `numerator` or `denominator`, and
-    quadforms and towers name no `Fraction` (nor `fractions`) at all."""
+def fraction_users(src):
+    """{module: offending names} for the modules of `src` other than
+    exactfield that name `_ints_over_lcm`, `Fraction` or `fractions`, or
+    read a `numerator` or `denominator`."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         if path.stem == "exactfield":
             continue
         names, attrs = _names_read(_parse(path))
-        no_fractions = ("Fraction", "fractions") if path.stem in ("quadforms", "towers") else ()
-        bad = ([n for n in ("_ints_over_lcm",) + no_fractions if names[n]]
+        bad = ([n for n in ("_ints_over_lcm", "Fraction", "fractions") if names[n]]
                + [a for a in ("numerator", "denominator") if attrs[a]])
         if bad:
             found[path.stem] = bad
-    assert found == {}
+    return found
+
+
+def test_only_exactfield_turns_q_values_into_ints():
+    """`FieldDesc.ints` and `FieldDesc.scalars` are the one place where Q
+    values become ints over one denominator and back, and Q Scalars hold
+    ints: no other module names `_ints_over_lcm`, `Fraction` or
+    `fractions`, or reads a `numerator` or `denominator`."""
+    assert fraction_users(SRC) == {}
+
+
+def test_fraction_rule_catches_a_planted_import(tmp_path):
+    for stem, planted, want in (("linalg", "from fractions import Fraction\n", ["Fraction"]),
+                                ("suites", "import fractions\n", ["fractions"])):
+        (tmp_path / ("%s.py" % stem)).write_text(planted + (SRC / ("%s.py" % stem)).read_text())
+        assert fraction_users(tmp_path)[stem] == want
+    (tmp_path / "exactfield.py").write_text((SRC / "exactfield.py").read_text())
+    assert "exactfield" not in fraction_users(tmp_path)
     # the int view is still there, and the modules still use it
     assert {"ints", "scalars"} <= {node.name for node in ast.walk(_parse(SRC / "exactfield.py"))
                                    if isinstance(node, ast.FunctionDef)}
