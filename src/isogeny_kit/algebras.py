@@ -10,16 +10,21 @@ their structure tables, involutions, norms, traces and inverses.  E is
 of rank 2 over F on the basis (1, g), g^2 = d, with g = (1, -1) when
 E = F x F; its elements keep a conj/N inverse and the (x, y) views of the
 pair or of x + y sqrt(d).  The coefficient ring of the others is F_p, Q
-or E (restriction of scalars to F), so the same code serves B and B_E;
-their norms are unit coefficients of products, and the reduced-norm
-oracle is a determinant over a multi-quadratic tower.  The
-split-embedding determinant oracle of B in M_2(K) is a test (`tests/`).
+or E (restriction of scalars to F), so the same code serves B and B_E.
+Quaternion and etale norms are unit coefficients of products.  The
+bi-quaternion reduced norm, inverse and Albert form run on int forms
+that each `BiquatAlg` derives once from its product rows
+(`_BiquatForms`): the six coordinates of x tau(x) as quadratic forms in
+x, the reduced norm as a quadratic form in those, and the Albert form's
+weights; one formula serves F_p, Q and E.  The reduced-norm oracle is a
+determinant over a multi-quadratic tower, and the split-embedding
+determinant oracle of B in M_2(K) is a test (`tests/`).
 
 A vector of A^- = B_0 (x) 1 + 1 (x) C_0 is the element of A it is: an
 `AminusVector` holds one `BiquatElem`, and its sums, scaling, equality
 and theta (a sign mask) run on that element's ints.  The Albert form
-<u, v> is the unit coefficient of u theta(v), one expression over F_p, Q
-and E.
+<u, v> is the unit coefficient of u theta(v), a weighted sum over the
+A^- coordinates.
 """
 
 from __future__ import annotations
@@ -158,9 +163,10 @@ _BASIS_NAMES = ("1", "i", "j", "k")
 _BAR_SIGNS = (1, -1, -1, -1)
 # bar on A = B (x) C: the sign of b_s (x) c_t at index 4 s + t
 _BAR_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in _BAR_SIGNS)
-# the symplectic tau = iota_B (x) (Int(i) o iota_C), and s -> 2 s_0 - s
+# the symplectic tau = iota_B (x) (Int(i) o iota_C), and Sym(A, tau), the
+# six indices it fixes: 0, 2, 3, 5, 9, 13
 _TAU_SIGNS16 = tuple(s * t for s in _BAR_SIGNS for t in (1, -1, 1, 1))
-_ADJ_SIGNS16 = (1,) + (-1,) * 15
+_SYM_INDEX = tuple(i for i in range(16) if _TAU_SIGNS16[i] > 0)
 # the coefficients of A^- = B_0 (x) 1 + 1 (x) C_0: x at b_s (x) 1 (s = 1, 2,
 # 3), then y at 1 (x) c_t (t = 1, 2, 3); theta negates the x part
 _AMINUS_INDEX = (4, 8, 12, 1, 2, 3)
@@ -339,20 +345,22 @@ class BiquatElem(TableElem):
         return self._signed(_TAU_SIGNS16)
 
     def inverse(self) -> "BiquatElem":
-        """tau(x) (2 s_0 - s) / Nrd(x) for s = x tau(x), which satisfies
-        s (2 s_0 - s) = Nrd(x) (see reduced_norm_A); NonInvertible exactly
-        when Nrd(x) is not a unit of the ring.  The unit is its own
-        inverse."""
+        """(2 s_0 - s) tau(x) / Nrd(x) for s = tau(x) x, which is
+        tau-symmetric with (2 s_0 - s) s = Nrd(x) (see reduced_norm_A): s
+        and Nrd(x) come from the descriptor's int forms applied to tau(x),
+        and the left factor has at most six nonzero coefficients.
+        NonInvertible exactly when Nrd(x) is not a unit of the ring.  The
+        unit is its own inverse."""
         v, d = self._ints()
         if v[0] == d and not any(v[1:]):
             return self
+        forms = self.algebra._forms()
         t = self.tau()
-        s = self * t
-        adj = s._signed(_ADJ_SIGNS16)
-        n = s._unit_of(adj)
+        s, ds = forms.tau_square(*t._ints())
+        n = forms.reduced_norm(s, ds)
         if n.is_zero() or isinstance(n, EQElem) and n.norm().is_zero():
             raise NonInvertible("BiquatElem is a zero divisor")
-        return (t * adj).scale(n.inverse())
+        return (forms.adjugate(s, ds) * t).scale(n.inverse())
 
     def in_minus_space(self) -> bool:
         v, _ = self._ints()
@@ -386,6 +394,9 @@ class BiquatAlg(TableAlgebra):
     dim = 16
     # spin_eight's shear vectors, built on first use (`_shear_candidates`)
     _shears = None
+    # the int forms of the reduced norm and the Albert form, built on first
+    # use (`_forms`)
+    _int_forms = None
 
     def __init__(self, b: QuatAlg, c: QuatAlg):
         if b.ring != c.ring:
@@ -413,6 +424,11 @@ class BiquatAlg(TableAlgebra):
         """A_E = B_E (x) C_E."""
         return BiquatAlg(self.B.over(e), self.C.over(e))
 
+    def _forms(self) -> "_BiquatForms":
+        if self._int_forms is None:
+            self._int_forms = _BiquatForms(self)
+        return self._int_forms
+
     def basis_elem(self, s: int, t: int) -> BiquatElem:
         coords = [self.ring.zero()] * 16
         coords[4 * s + t] = self.ring.one()
@@ -426,11 +442,99 @@ class BiquatAlg(TableAlgebra):
         AminusVector.coords."""
         return self.aminus(coords[:3], coords[3:6])
 
+    def aminus_of_ints(self, ints) -> "AminusVector":
+        """aminus_of for Albert coordinates given as ints (residues over
+        F_p), built on the ints; A over F_p or Q only."""
+        v = [0] * 16
+        for i, a in zip(_AMINUS_INDEX, ints):
+            v[i] = a
+        return AminusVector._of(BiquatElem._of(self, v, 1))
+
     def albert_space(self) -> QuadSpace:
         """The Albert form on A^-: the B_0 norm form and the negated C_0 one."""
         b, c = self.B, self.C
         return QuadSpace.diagonal(self.ring, [-b.alpha, -b.beta, b.alpha * b.beta,
                                               c.alpha, c.beta, -c.alpha * c.beta])
+
+
+def _merged(terms, p):
+    """The (I, J, k, n) of a quadratic form with its (I, J) and (J, I)
+    terms summed, zero sums left out (n a residue over F_p)."""
+    acc = {}
+    for i, j, k, n in terms:
+        key = (min(i, j), max(i, j), k)
+        acc[key] = acc.get(key, 0) + n
+    if p:
+        acc = {key: n % p for key, n in acc.items()}
+    return [(*key, n) for key, n in acc.items() if n]
+
+
+class _BiquatForms:
+    """The reduced norm and the Albert form of A = B (x) C as int forms on
+    its F-coordinates (`towers._Restriction`: index r i + a for the
+    coefficient i), read once from the product rows.  One formula serves
+    r = 1 (over F_p and Q) and r = 2 (over E).
+
+    - `sym`: s = x tau(x) is tau-symmetric, so it has the 6 r
+      F-coordinates of Sym(A, tau) (`sym_index`).  `sym[k]` lists the
+      (I, J, n) with s_k = sum n x_I x_J / (d^2 den), the (I, J) and
+      (J, I) terms merged: 16 + 5 * 8 products over F.
+    - `nrd`: the unit coefficient of s (2 s_0 - s), whose (I, J) index s's
+      Sym(A, tau) coordinates, with the adjugate's signs folded in.
+    - `albert`: the unit coefficient of u theta(v) for u, v in A^-, with
+      theta's signs folded in.
+
+    `nrd` and `albert` list (I, J, t, n), t the unit's F-coordinate.
+    """
+
+    __slots__ = ("algebra", "res", "sym_index", "sym", "nrd", "albert")
+
+    def __init__(self, algebra: BiquatAlg):
+        res = self.res = algebra._restriction()
+        r, p = res.r, res.p
+        self.algebra = algebra
+        self.sym_index = [r * i + a for i in _SYM_INDEX for a in range(r)]
+        at = {t: k for k, t in enumerate(self.sym_index)}
+        tau = [_TAU_SIGNS16[i // r] for i in range(16 * r)]
+        sym = _merged([(i, j, at[t], tau[j] * n) for i, row in enumerate(res.rows)
+                       for j, t, n in row if t in at], p)
+        self.sym = [[(i, j, n) for i, j, k, n in sym if k == m] for m in range(len(at))]
+        # tau-symmetric s pairs with itself on the unit alone: J's
+        # coefficient is I's
+        self.nrd = _merged([(at[i], at[j], t, n if j < r else -n)
+                            for i, j, t, n in res.to_unit if i in at], p)
+        minus = {r * i + a for i in _AMINUS_INDEX for a in range(r)}
+        self.albert = [(i, j, t, n * _THETA_SIGNS16[j // r])
+                       for i, j, t, n in res.to_unit if i in minus]
+
+    def tau_square(self, v, d):
+        """x tau(x) for x = v / d: its Sym(A, tau) coordinates, as ints
+        over one denominator."""
+        s = [sum([n * v[i] * v[j] for i, j, n in form]) for form in self.sym]
+        p = self.res.p
+        return [a % p for a in s] if p else s, d * d * self.res.den
+
+    def reduced_norm(self, s, ds):
+        """Nrd(x) from the Sym(A, tau) coordinates s / ds of x tau(x) (or
+        of tau(x) x: both have the norm Nrd(x))."""
+        return self.bilinear(self.nrd, s, s, ds * ds)
+
+    def adjugate(self, s, ds) -> BiquatElem:
+        """2 s_0 - s, for s given by its Sym(A, tau) coordinates."""
+        r = self.res.r
+        v = [0] * (16 * r)
+        for t, a in zip(self.sym_index, s):
+            v[t] = a if t < r else -a
+        return BiquatElem._of(self.algebra, v, ds)
+
+    def bilinear(self, terms, xs, ys, d):
+        """The ring value whose F-coordinate t is sum n xs_I ys_J / (d den)
+        over the terms (I, J, t, n)."""
+        res = self.res
+        out = [0] * res.r
+        for i, j, t, n in terms:
+            out[t] += n * xs[i] * ys[j]
+        return res.coeffs(self.algebra.ring, out, d * res.den)[0]
 
 
 class AminusVector:
@@ -514,11 +618,14 @@ def albert_norm(u: AminusVector):
 
 
 def albert_pair(u: AminusVector, v: AminusVector):
-    """<u, v>, the unit coefficient of u theta(v) (its own sign mask, not
-    `theta`): sum of d_i u_i v_i with d = (-alpha, -beta, alpha beta) on
-    B_0 and (alpha', beta', -alpha' beta') on C_0."""
+    """<u, v>, the unit coefficient of u theta(v): sum of d_i u_i v_i with
+    d = (-alpha, -beta, alpha beta) on B_0 and (alpha', beta',
+    -alpha' beta') on C_0, from the descriptor's Albert weights (theta's
+    signs folded in, so neither `theta` nor a signed copy is made)."""
     u._check(v)
-    return u.embed()._unit_of(v.embed()._signed(_THETA_SIGNS16))
+    (xs, dx), (ys, dy) = u.embed()._ints(), v.embed()._ints()
+    forms = u.algebra._forms()
+    return forms.bilinear(forms.albert, xs, ys, dx * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +646,12 @@ def reduced_norm_A(x: BiquatElem):
     s = x tau(x) is tau-symmetric, and so a root of its Pfaffian
     characteristic polynomial X^2 - 2 s_0 X + Nrd(x) (Knus-Merkurjev-Rost-
     Tignol, The Book of Involutions, 2.B).  So Nrd(x) = (s (2 s_0 - s))_0,
-    a value in the coefficient ring (E over E).
+    a value in the coefficient ring (E over E).  Both steps are the
+    descriptor's int forms (`_BiquatForms`): s's six coordinates, then a
+    quadratic form in them, with no product in A.
     """
-    s = x * x.tau()
-    return s._unit_of(s._signed(_ADJ_SIGNS16))
+    forms = x.algebra._forms()
+    return forms.reduced_norm(*forms.tau_square(*x._ints()))
 
 
 def biquat_to_mat4(x: BiquatElem, tower: Optional[QuadTower] = None) -> Tuple[Mat, QuadTower]:

@@ -18,6 +18,7 @@ from . import algebras, spin_eight, spin_six
 from .algebras import (
     AminusVector,
     BiquatAlg,
+    BiquatElem,
     EtaleQuad,
     QuatAlg,
     albert_norm,
@@ -108,10 +109,16 @@ def _run(name, config, body) -> SuiteResult:
 # shared sample builders
 # ---------------------------------------------------------------------------
 
-def field_elems(field: FieldDesc, rng: random.Random, n: int, height: int = 4):
+def field_ints(field: FieldDesc, rng: random.Random, n: int, height: int = 4):
+    """n random field elements as ints: residues over F_p, integers of
+    absolute value at most `height` over Q."""
     if field.p is not None:
-        return [field(rng.randrange(field.p)) for _ in range(n)]
-    return [field(rng.randint(-height, height)) for _ in range(n)]
+        return [rng.randrange(field.p) for _ in range(n)]
+    return [rng.randint(-height, height) for _ in range(n)]
+
+
+def field_elems(field: FieldDesc, rng: random.Random, n: int, height: int = 4):
+    return field.scalars(field_ints(field, rng, n, height))
 
 
 def default_symbols(field: FieldDesc):
@@ -138,8 +145,7 @@ def nonsquare_of(field: FieldDesc) -> Scalar:
 
 
 def random_aminus(algebra: BiquatAlg, rng: random.Random, height: int = 4):
-    f = algebra.ring
-    return algebra.aminus(field_elems(f, rng, 3, height), field_elems(f, rng, 3, height))
+    return algebra.aminus_of_ints(field_ints(algebra.ring, rng, 6, height))
 
 
 def random_aminus_aniso(algebra, rng, height: int = 4):
@@ -150,7 +156,7 @@ def random_aminus_aniso(algebra, rng, height: int = 4):
 
 
 def random_biquat(algebra: BiquatAlg, rng: random.Random, height: int = 3):
-    return algebra.elem(field_elems(algebra.ring, rng, 16, height))
+    return BiquatElem._of(algebra, field_ints(algebra.ring, rng, 16, height), 1)
 
 
 def random_invertible_biquat(algebra, rng, height: int = 3):
@@ -278,8 +284,7 @@ def suite_NAvn2(rec, rng, config):
     f3 = FieldDesc(3)
     for algebra in biquat_instances(f3):
         for coords in itertools.product(range(3), repeat=6):
-            u = algebra.aminus(
-                [f3(c) for c in coords[:3]], [f3(c) for c in coords[3:]])
+            u = algebra.aminus_of_ints(coords)
             n = albert_norm(u)
             rec.check(reduced_norm_A(u.embed()) == n * n, "NAvn2-exhaustive",
                       u=coords)

@@ -1,10 +1,11 @@
 """Etale algebras, quaternions, bi-quaternions, and the norm formulas.
 The bi-quaternion reduced norm and inverse through the symplectic
 involution against the 12-term polynomial, the split-embedding
-determinant and the regular-representation inverse.  The split embedding
-of B into M_2(K) with its norm determinant (`SplitEmbedding`) and the
-tensor and bar-eigenspace parts of a bi-quaternion are oracles kept
-here."""
+determinant and the regular-representation inverse, and with the Albert
+form against the full-product formulas their int forms replace.  The
+split embedding of B into M_2(K) with its norm determinant
+(`SplitEmbedding`), the tensor and bar-eigenspace parts of a
+bi-quaternion and those product formulas are oracles kept here."""
 
 import itertools
 import random
@@ -564,16 +565,17 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 
 def symplectic_algebras():
-    """(id, A, a zero divisor of A or None): over F_3, F_5 and Q, field E
-    with symbols outside F, split E, and split E with the zero-divisor
-    symbol (0, 3).  Where i^2 = 1/4 in C, 1 (x) i - 1/2 is a zero divisor
-    (1/4 = 4 over F_5)."""
+    """(id, A, a zero divisor of A or None): over F_3, F_5, F_7 and Q,
+    field E with symbols outside F, split E, and split E with the
+    zero-divisor symbol (0, 3).  Where i^2 = 1/4 in C, 1 (x) i - 1/2 is a
+    zero divisor (1/4 = 4 over F_5, 2 over F_7)."""
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     q_e, f5_e = EtaleQuad(QQ, -2), EtaleQuad(F5, 2)
     f7_split, q_split, f5_split = EtaleQuad(GF(7)), EtaleQuad(QQ), EtaleQuad(F5)
     out = [
         ("F3", QuatAlg(F3, 1, 2), QuatAlg(F3, 2, 2)),
         ("F5", QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2)),
+        ("F7", QuatAlg(GF(7), 3, 5), QuatAlg(GF(7), 2, 3)),
         ("Q", QuatAlg(QQ, half, Fraction(-3, 5)), QuatAlg(QQ, quarter, Fraction(5, 4))),
         ("F5(sqrt2)", QuatAlg(f5_e, f5_e.from_xy(1, 1), 2),
          QuatAlg(f5_e, quarter, f5_e.from_xy(2, 1))),
@@ -631,13 +633,35 @@ def is_unit(n):
     return not (n.norm() if isinstance(n, EQElem) else n).is_zero()
 
 
+ADJ_SIGNS16 = (1,) + (-1,) * 15
+
+
+def reduced_norm_by_products(x):
+    """(s (2 s_0 - s))_0 for s = x tau(x), through the full product: the
+    reduced norm before the int forms."""
+    s = x * x.tau()
+    return s._unit_of(s._signed(ADJ_SIGNS16))
+
+
+def inverse_by_products(x):
+    """tau(x) (2 s_0 - s) / Nrd(x) for s = x tau(x), or None when Nrd(x)
+    is not a unit: the inverse before the int forms."""
+    t = x.tau()
+    s = x * t
+    adj = s._signed(ADJ_SIGNS16)
+    n = s._unit_of(adj)
+    return (t * adj).scale(n.inverse()) if is_unit(n) else None
+
+
 @pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC)
 @PROPERTY
 @given(data=st.data())
 def test_reduced_norm_A_matches_polynomial_and_oracle(alg, zero_divisor, data):
+    """The int forms against the 12-term polynomial, the product formula
+    they replace and (over F) the split-embedding determinant."""
     x = data.draw(biquat_operand(alg, zero_divisor), label="x")
     n = reduced_norm_A(x)
-    assert n == reduced_norm_A_poly(x)
+    assert n == reduced_norm_A_poly(x) == reduced_norm_by_products(x)
     assert type(n) is type(alg.ring.one())
     if not isinstance(alg.ring, EtaleQuad):
         assert n == reduced_norm_A_oracle(x)
@@ -648,14 +672,16 @@ def test_reduced_norm_A_matches_polynomial_and_oracle(alg, zero_divisor, data):
 @given(data=st.data())
 def test_biquat_inverse_matches_table_inverse(alg, zero_divisor, data):
     x = data.draw(biquat_operand(alg, zero_divisor), label="x")
+    assert alg.one().inverse() == alg.one()
     if not is_unit(reduced_norm_A_poly(x)):
+        assert inverse_by_products(x) is None
         with pytest.raises(NonInvertible, match="BiquatElem is a zero divisor"):
             x.inverse()
         with pytest.raises(NonInvertible, match="BiquatElem is a zero divisor"):
             TableElem.inverse(x)
         return
     inv = x.inverse()
-    assert inv == TableElem.inverse(x)
+    assert inv == TableElem.inverse(x) == inverse_by_products(x)
     assert x * inv == alg.one() and inv * x == alg.one()
 
 
@@ -687,3 +713,40 @@ def test_reduced_norm_oracles_raise_named_error_off_the_base_field(monkeypatch):
     monkeypatch.setattr(spin_eight, "berkowitz_det", leave_base_field)
     with pytest.raises(NormNotInBaseField):
         spin_eight._norm8_split_oracle(spin_eight.M2A(a, x, a.one(), a.zero(), x))
+
+
+
+# ---------------------------------------------------------------------------
+# the Albert weights against the product formula they replace
+# ---------------------------------------------------------------------------
+
+@st.composite
+def aminus_operand(draw, alg):
+    """A vector of A^-: six ring coefficients as biquat_operand draws them."""
+    ring = alg.ring
+    over_e = isinstance(ring, EtaleQuad)
+    field = ring.field if over_e else ring
+    coords = [field(v) for v in draw(st.lists(coefficient(field), min_size=12, max_size=12))]
+    if over_e:
+        return alg.aminus_of([ring.from_xy(*coords[i:i + 2]) for i in range(0, 12, 2)])
+    return alg.aminus_of(coords[:6])
+
+
+@pytest.mark.parametrize("alg,zero_divisor", SYMPLECTIC)
+@PROPERTY
+@given(data=st.data())
+def test_albert_pair_matches_the_product_formula(alg, zero_divisor, data):
+    u = data.draw(aminus_operand(alg), label="u")
+    v = data.draw(aminus_operand(alg), label="v")
+    assert albert_pair(u, v) == u.embed()._unit_of(theta(v).embed())
+    assert albert_norm(u) == u.embed()._unit_of(theta(u).embed())
+
+
+def test_int_forms_are_built_once_per_descriptor():
+    a = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2))
+    forms = a._forms()
+    assert a._forms() is forms
+    # Sym(A, tau) has six coordinates: 16 squares in s_0, 8 merged pairs
+    # in each of the other five, 56 products in all
+    assert [len(f) for f in forms.sym] == [16, 8, 8, 8, 8, 8]
+    assert len(forms.nrd) == 6 and len(forms.albert) == 6

@@ -4,6 +4,7 @@ must make a named suite fail, and each reflection suite must catch a
 mutant of its own model's reflection)."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,7 @@ import isogeny_kit
 from isogeny_kit import algebras, spin_eight, spin_six, suites
 from isogeny_kit.algebras import AminusVector
 from isogeny_kit.errors import DecompositionFailed, InvariantViolated, UnknownSuite
+from isogeny_kit.exactfield import parse_field
 from isogeny_kit.spin_low import Dim2Model, Dim3Model, Dim4Model
 from isogeny_kit.suites import SUITES, RunConfig, run_all, run_suite
 from isogeny_kit.towers import TableElem
@@ -66,6 +68,36 @@ def test_reflection_suites_pass_over_q(seed):
 def test_gsphom_over_q(seed):
     res = run_suite("GSphom", RunConfig.from_args("Q", seed=seed, trials=8))
     assert res.passed, res.failures[:3]
+
+
+def field_elems_by_scalars(field, rng, n, height=4):
+    """The samples as drawn before they were ints: one Scalar per draw."""
+    if field.p is not None:
+        return [field(rng.randrange(field.p)) for _ in range(n)]
+    return [field(rng.randint(-height, height)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec", ["p=5", "Q"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 101])
+def test_int_samples_equal_the_scalar_built_ones(spec, seed):
+    """field_elems, random_biquat and random_aminus draw ints; the elements
+    and their reprs (what a report holds) are those of the Scalar-built
+    samples, and the rng is left in the same state."""
+    field = parse_field(spec)
+    new, old = random.Random(seed), random.Random(seed)
+    for algebra in suites.biquat_instances(field):
+        for height in (3, 4):
+            got = suites.field_elems(field, new, 5, height)
+            want = field_elems_by_scalars(field, old, 5, height)
+            assert got == want and repr(got) == repr(want)
+            got = suites.random_biquat(algebra, new, height)
+            want = algebra.elem(field_elems_by_scalars(field, old, 16, height))
+            assert got == want and got.c == want.c and repr(got) == repr(want)
+            got = suites.random_aminus(algebra, new, height)
+            want = algebra.aminus(field_elems_by_scalars(field, old, 3, height),
+                                  field_elems_by_scalars(field, old, 3, height))
+            assert got == want and repr(got) == repr(want)
+            assert new.getstate() == old.getstate()
 
 
 def test_suites_deterministic():
@@ -288,6 +320,91 @@ def test_cover_mutants_survive_assert_stripping():
             setattr(spin_eight, name, real)
         """)
     assert out.splitlines() == ["%s False" % label for label in sorted(COVER_MUTANTS)]
+
+
+# the norm suites against mutants of the bi-quaternion int forms
+# (algebras._BiquatForms), by the attribute each replaces
+FORM_SUITES = ("NAvn2", "NAFg", "normsq", "GSphom")
+_FORMS = algebras._BiquatForms
+_FORMS_INIT, _FORMS_ADJUGATE = _FORMS.__init__, _FORMS.adjugate
+
+
+def _drop_sym_term(forms, algebra):
+    """One term of the tau-symmetric form s_2 left out."""
+    _FORMS_INIT(forms, algebra)
+    forms.sym[1] = forms.sym[1][1:]
+
+
+def _flip_tau_sign(forms, algebra):
+    """The forms derived with tau's sign at b_1 (x) c_2 flipped."""
+    real = algebras._TAU_SIGNS16
+    algebras._TAU_SIGNS16 = tuple(-s if i == 6 else s for i, s in enumerate(real))
+    try:
+        _FORMS_INIT(forms, algebra)
+    finally:
+        algebras._TAU_SIGNS16 = real
+
+
+def _flip_albert_weight(forms, algebra):
+    """The Albert weight of 1 (x) c_1 negated."""
+    _FORMS_INIT(forms, algebra)
+    i, j, t, n = forms.albert[3]
+    forms.albert[3] = (i, j, t, -n)
+
+
+def _bad_adjugate_sign(forms, s, ds):
+    """2 s_0 - s with its last Sym(A, tau) coordinate's sign flipped."""
+    x = _FORMS_ADJUGATE(forms, s, ds)
+    v, d = x._ints()
+    k = forms.sym_index[-1]
+    return algebras.BiquatElem._of(forms.algebra, [-a if i == k else a
+                                                   for i, a in enumerate(v)], d)
+
+
+FORM_MUTANTS = {
+    "sym-drop-term": ("__init__", _drop_sym_term),
+    "tau-sign": ("__init__", _flip_tau_sign),
+    "albert-weight-sign": ("__init__", _flip_albert_weight),
+    "adjugate-sign": ("adjugate", _bad_adjugate_sign),
+}
+
+
+def form_suites_catch(field):
+    """Whether one of FORM_SUITES fails, or raises, over `field`."""
+    config = RunConfig.from_args(field, seed=5, trials=6)
+    for name in FORM_SUITES:
+        try:
+            if not run_suite(name, config).passed:
+                return True
+        except Exception:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field", ["p=5", "Q"])
+def test_form_suites_pass_unmutated(field):
+    assert not form_suites_catch(field)
+
+
+@pytest.mark.parametrize("label", sorted(FORM_MUTANTS))
+def test_form_mutants_fail_a_norm_suite(label, monkeypatch):
+    name, fn = FORM_MUTANTS[label]
+    monkeypatch.setattr(_FORMS, name, fn)
+    for field in ("p=5", "Q"):
+        assert form_suites_catch(field), (label, field)
+
+
+def test_form_mutants_survive_assert_stripping():
+    out = run_optimized("""
+        import test_suites as t
+        assert False, "asserts are live"
+        for label, (name, fn) in sorted(t.FORM_MUTANTS.items()):
+            real = getattr(t._FORMS, name)
+            setattr(t._FORMS, name, fn)
+            print(label, t.form_suites_catch("p=5"))
+            setattr(t._FORMS, name, real)
+        """)
+    assert out.splitlines() == ["%s True" % label for label in sorted(FORM_MUTANTS)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ def test_tracer_installs_reads_every_metric_and_uninstalls():
     assert metrics["spin_eight.gsp_decompose.calls"][0] == 1
     assert metrics["spin_eight.reduced_norm_M2A.calls"][0] == 1
     assert metrics["algebras.biquat_mul.calls"][0] > 0
+    # the decomposition takes reduced norms of A and inverts its blocks
+    assert metrics["algebras.reduced_norm_A.calls"][0] > 0
+    assert metrics["algebras.biquat_inverse.calls"][0] > 0
     assert metrics["exactfield.scalar_ops"][0] > 0
 
 
