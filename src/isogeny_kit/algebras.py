@@ -29,6 +29,7 @@ A^- coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Tuple
 
@@ -354,13 +355,15 @@ class BiquatElem(TableElem):
         v, d = self._ints()
         if v[0] == d and not any(v[1:]):
             return self
-        forms = self.algebra._forms()
+        algebra = self.algebra
+        forms = algebra._forms()
         t = self.tau()
         s, ds = forms.tau_square(*t._ints())
-        n = forms.reduced_norm(s, ds)
+        n = forms.reduced_norm(algebra.ring, s, ds)
         if n.is_zero() or isinstance(n, EQElem) and n.norm().is_zero():
             raise NonInvertible("BiquatElem is a zero divisor")
-        return (forms.adjugate(s, ds) * t).scale(n.inverse())
+        adj = BiquatElem._of(algebra, forms.adjugate(s), ds)
+        return (adj * t).scale(n.inverse())
 
     def in_minus_space(self) -> bool:
         v, _ = self._ints()
@@ -394,9 +397,6 @@ class BiquatAlg(TableAlgebra):
     dim = 16
     # spin_eight's shear vectors, built on first use (`_shear_candidates`)
     _shears = None
-    # the int forms of the reduced norm and the Albert form, built on first
-    # use (`_forms`)
-    _int_forms = None
 
     def __init__(self, b: QuatAlg, c: QuatAlg):
         if b.ring != c.ring:
@@ -425,9 +425,10 @@ class BiquatAlg(TableAlgebra):
         return BiquatAlg(self.B.over(e), self.C.over(e))
 
     def _forms(self) -> "_BiquatForms":
-        if self._int_forms is None:
-            self._int_forms = _BiquatForms(self)
-        return self._int_forms
+        """The int forms of the reduced norm and the Albert form, built on
+        first use and shared by equal descriptors, as their product rows
+        are (`_forms_of`)."""
+        return _forms_of(self._res or self._restriction())
 
     def basis_elem(self, s: int, t: int) -> BiquatElem:
         coords = [self.ring.zero()] * 16
@@ -473,7 +474,8 @@ class _BiquatForms:
     """The reduced norm and the Albert form of A = B (x) C as int forms on
     its F-coordinates (`towers._Restriction`: index r i + a for the
     coefficient i), read once from the product rows.  One formula serves
-    r = 1 (over F_p and Q) and r = 2 (over E).
+    r = 1 (over F_p and Q) and r = 2 (over E).  Values come back in the
+    ring the caller names, so equal descriptors share one set of forms.
 
     - `sym`: s = x tau(x) is tau-symmetric, so it has the 6 r
       F-coordinates of Sym(A, tau) (`sym_index`).  `sym[k]` lists the
@@ -487,12 +489,11 @@ class _BiquatForms:
     `nrd` and `albert` list (I, J, t, n), t the unit's F-coordinate.
     """
 
-    __slots__ = ("algebra", "res", "sym_index", "sym", "nrd", "albert")
+    __slots__ = ("res", "sym_index", "sym", "nrd", "albert")
 
-    def __init__(self, algebra: BiquatAlg):
-        res = self.res = algebra._restriction()
+    def __init__(self, res):
+        self.res = res
         r, p = res.r, res.p
-        self.algebra = algebra
         self.sym_index = [r * i + a for i in _SYM_INDEX for a in range(r)]
         at = {t: k for k, t in enumerate(self.sym_index)}
         tau = [_TAU_SIGNS16[i // r] for i in range(16 * r)]
@@ -514,27 +515,34 @@ class _BiquatForms:
         p = self.res.p
         return [a % p for a in s] if p else s, d * d * self.res.den
 
-    def reduced_norm(self, s, ds):
-        """Nrd(x) from the Sym(A, tau) coordinates s / ds of x tau(x) (or
-        of tau(x) x: both have the norm Nrd(x))."""
-        return self.bilinear(self.nrd, s, s, ds * ds)
+    def reduced_norm(self, ring, s, ds):
+        """Nrd(x) in `ring` from the Sym(A, tau) coordinates s / ds of
+        x tau(x) (or of tau(x) x: both have the norm Nrd(x))."""
+        return self.bilinear(ring, self.nrd, s, s, ds * ds)
 
-    def adjugate(self, s, ds) -> BiquatElem:
-        """2 s_0 - s, for s given by its Sym(A, tau) coordinates."""
+    def adjugate(self, s):
+        """The F-coordinates of 2 s_0 - s, for s given by its Sym(A, tau)
+        coordinates (over the same denominator)."""
         r = self.res.r
         v = [0] * (16 * r)
         for t, a in zip(self.sym_index, s):
             v[t] = a if t < r else -a
-        return BiquatElem._of(self.algebra, v, ds)
+        return v
 
-    def bilinear(self, terms, xs, ys, d):
-        """The ring value whose F-coordinate t is sum n xs_I ys_J / (d den)
-        over the terms (I, J, t, n)."""
+    def bilinear(self, ring, terms, xs, ys, d):
+        """The element of `ring` whose F-coordinate t is
+        sum n xs_I ys_J / (d den) over the terms (I, J, t, n)."""
         res = self.res
         out = [0] * res.r
         for i, j, t, n in terms:
             out[t] += n * xs[i] * ys[j]
-        return res.coeffs(self.algebra.ring, out, d * res.den)[0]
+        return res.coeffs(ring, out, d * res.den)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _forms_of(res) -> _BiquatForms:
+    """One `_BiquatForms` per `_Restriction`, so per equal descriptor."""
+    return _BiquatForms(res)
 
 
 class AminusVector:
@@ -624,8 +632,9 @@ def albert_pair(u: AminusVector, v: AminusVector):
     signs folded in, so neither `theta` nor a signed copy is made)."""
     u._check(v)
     (xs, dx), (ys, dy) = u.embed()._ints(), v.embed()._ints()
-    forms = u.algebra._forms()
-    return forms.bilinear(forms.albert, xs, ys, dx * dy)
+    algebra = u.algebra
+    forms = algebra._forms()
+    return forms.bilinear(algebra.ring, forms.albert, xs, ys, dx * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +659,9 @@ def reduced_norm_A(x: BiquatElem):
     descriptor's int forms (`_BiquatForms`): s's six coordinates, then a
     quadratic form in them, with no product in A.
     """
-    forms = x.algebra._forms()
-    return forms.reduced_norm(*forms.tau_square(*x._ints()))
+    algebra = x.algebra
+    forms = algebra._forms()
+    return forms.reduced_norm(algebra.ring, *forms.tau_square(*x._ints()))
 
 
 def biquat_to_mat4(x: BiquatElem, tower: Optional[QuadTower] = None) -> Tuple[Mat, QuadTower]:

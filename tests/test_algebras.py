@@ -742,10 +742,12 @@ def test_albert_pair_matches_the_product_formula(alg, zero_divisor, data):
     assert albert_norm(u) == u.embed()._unit_of(theta(u).embed())
 
 
-def test_int_forms_are_built_once_per_descriptor():
+def test_int_forms_are_built_once_per_equal_descriptor():
     a = BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2))
     forms = a._forms()
     assert a._forms() is forms
+    assert BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 2))._forms() is forms
+    assert BiquatAlg(QuatAlg(F5, 2, 3), QuatAlg(F5, 3, 3))._forms() is not forms
     # Sym(A, tau) has six coordinates: 16 squares in s_0, 8 merged pairs
     # in each of the other five, 56 products in all
     assert [len(f) for f in forms.sym] == [16, 8, 8, 8, 8, 8]

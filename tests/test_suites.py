@@ -3,6 +3,7 @@ harness (every single-sign flip in theta, D, or the psi diagonal rule
 must make a named suite fail, and each reflection suite must catch a
 mutant of its own model's reflection)."""
 
+import contextlib
 import os
 import random
 import subprocess
@@ -329,36 +330,34 @@ _FORMS = algebras._BiquatForms
 _FORMS_INIT, _FORMS_ADJUGATE = _FORMS.__init__, _FORMS.adjugate
 
 
-def _drop_sym_term(forms, algebra):
+def _drop_sym_term(forms, res):
     """One term of the tau-symmetric form s_2 left out."""
-    _FORMS_INIT(forms, algebra)
+    _FORMS_INIT(forms, res)
     forms.sym[1] = forms.sym[1][1:]
 
 
-def _flip_tau_sign(forms, algebra):
+def _flip_tau_sign(forms, res):
     """The forms derived with tau's sign at b_1 (x) c_2 flipped."""
     real = algebras._TAU_SIGNS16
     algebras._TAU_SIGNS16 = tuple(-s if i == 6 else s for i, s in enumerate(real))
     try:
-        _FORMS_INIT(forms, algebra)
+        _FORMS_INIT(forms, res)
     finally:
         algebras._TAU_SIGNS16 = real
 
 
-def _flip_albert_weight(forms, algebra):
+def _flip_albert_weight(forms, res):
     """The Albert weight of 1 (x) c_1 negated."""
-    _FORMS_INIT(forms, algebra)
+    _FORMS_INIT(forms, res)
     i, j, t, n = forms.albert[3]
     forms.albert[3] = (i, j, t, -n)
 
 
-def _bad_adjugate_sign(forms, s, ds):
+def _bad_adjugate_sign(forms, s):
     """2 s_0 - s with its last Sym(A, tau) coordinate's sign flipped."""
-    x = _FORMS_ADJUGATE(forms, s, ds)
-    v, d = x._ints()
-    k = forms.sym_index[-1]
-    return algebras.BiquatElem._of(forms.algebra, [-a if i == k else a
-                                                   for i, a in enumerate(v)], d)
+    v = _FORMS_ADJUGATE(forms, s)
+    v[forms.sym_index[-1]] *= -1
+    return v
 
 
 FORM_MUTANTS = {
@@ -367,6 +366,21 @@ FORM_MUTANTS = {
     "albert-weight-sign": ("__init__", _flip_albert_weight),
     "adjugate-sign": ("adjugate", _bad_adjugate_sign),
 }
+
+
+@contextlib.contextmanager
+def form_mutant(label):
+    """The named mutant in place; the forms built so far, which equal
+    descriptors share, are dropped on entry and on exit."""
+    name, fn = FORM_MUTANTS[label]
+    real = getattr(_FORMS, name)
+    setattr(_FORMS, name, fn)
+    algebras._forms_of.cache_clear()
+    try:
+        yield
+    finally:
+        setattr(_FORMS, name, real)
+        algebras._forms_of.cache_clear()
 
 
 def form_suites_catch(field):
@@ -387,22 +401,19 @@ def test_form_suites_pass_unmutated(field):
 
 
 @pytest.mark.parametrize("label", sorted(FORM_MUTANTS))
-def test_form_mutants_fail_a_norm_suite(label, monkeypatch):
-    name, fn = FORM_MUTANTS[label]
-    monkeypatch.setattr(_FORMS, name, fn)
-    for field in ("p=5", "Q"):
-        assert form_suites_catch(field), (label, field)
+def test_form_mutants_fail_a_norm_suite(label):
+    with form_mutant(label):
+        for field in ("p=5", "Q"):
+            assert form_suites_catch(field), (label, field)
 
 
 def test_form_mutants_survive_assert_stripping():
     out = run_optimized("""
         import test_suites as t
         assert False, "asserts are live"
-        for label, (name, fn) in sorted(t.FORM_MUTANTS.items()):
-            real = getattr(t._FORMS, name)
-            setattr(t._FORMS, name, fn)
-            print(label, t.form_suites_catch("p=5"))
-            setattr(t._FORMS, name, real)
+        for label in sorted(t.FORM_MUTANTS):
+            with t.form_mutant(label):
+                print(label, t.form_suites_catch("p=5"))
         """)
     assert out.splitlines() == ["%s True" % label for label in sorted(FORM_MUTANTS)]
 
