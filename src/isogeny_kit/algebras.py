@@ -13,7 +13,7 @@ pair or of x + y sqrt(d).  The coefficient ring of the others is F_p, Q
 or E (restriction of scalars to F), so the same code serves B and B_E.
 Quaternion and etale norms are unit coefficients of products.  The
 bi-quaternion reduced norm, inverse and Albert form run on int forms
-that each `BiquatAlg` derives once from its product rows
+derived once from the product rows and shared by equal descriptors
 (`_BiquatForms`): the six coordinates of x tau(x) as quadratic forms in
 x, the reduced norm as a quadratic form in those, and the Albert form's
 weights; one formula serves F_p, Q and E.  The reduced-norm oracle is a
