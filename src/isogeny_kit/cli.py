@@ -179,22 +179,30 @@ def _check_lift(image, iso):
         raise InvariantViolated("the lift does not act as the given isometry")
 
 
+def _quat_alg(field, flag, entries) -> QuatAlg:
+    """The quaternion algebra of a --B or --C symbol 'a,b' over `field`: a
+    ParseError naming the flag when an entry is no element of it."""
+    try:
+        a, b = [field(e) for e in entries]
+    except (ValueError, ZeroDivisionError) as ex:
+        raise ParseError("bad %s symbol %r: %s" % (flag, ",".join(entries), ex)) from None
+    return QuatAlg(field, a, b)
+
+
 def cmd_lift(args) -> int:
     iso = isometry_from_json(_load_json(args.isometry))
     field = iso.space.field
     if args.model == "dim3":
         from .spin_low import Dim3Model
-        b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
-        model = Dim3Model(b)
+        model = Dim3Model(_quat_alg(field, "--B", args.B))
         _check_model_space(iso, model.space)
         g = model.lift(iso)
         _check_lift(model.act(g), iso)
         report = {"model": "dim3", "lift": [repr(c) for c in g.c]}
     elif args.model == "dim6d1":
         from . import spin_six
-        b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
-        c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
-        algebra = BiquatAlg(b, c)
+        algebra = BiquatAlg(_quat_alg(field, "--B", args.B),
+                            _quat_alg(field, "--C", args.C))
         space = algebra.albert_space()
         _check_model_space(iso, space)
         x = spin_six.dim6d1_lift(iso, algebra)
@@ -203,9 +211,8 @@ def cmd_lift(args) -> int:
                   "t": repr(x.t)}
     elif args.model == "dim8id1":
         from . import spin_eight
-        b = QuatAlg(field, field(args.B[0]), field(args.B[1]))
-        c = QuatAlg(field, field(args.C[0]), field(args.C[1]))
-        algebra = BiquatAlg(b, c)
+        algebra = BiquatAlg(_quat_alg(field, "--B", args.B),
+                            _quat_alg(field, "--C", args.C))
         space = spin_eight.vec8_space(algebra)
         _check_model_space(iso, space)
         x = spin_eight.dim8_lift(iso, algebra)

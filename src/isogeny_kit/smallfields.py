@@ -474,13 +474,3 @@ def census(p: int, max_dim: int = 6) -> CensusReport:
             rows.append(CensusRow(dim, disc_rep, so, so_plus, ident, method))
     return CensusReport(p, rows)
 
-
-EUCLIDEAN_NOTE = """\
-Euclidean base fields (ordered, positive = square) are documented only;
-no machine checking is done over them (no exact arithmetic model here):
-  - the unique quadratic extension E = F(sqrt(-1)) is quadratically closed;
-  - N_E(E^x) = (F^x)^2 and the (-1,-1) quaternions are a division algebra
-    with norm group (F^x)^2;
-  - quadratic spaces are classified by signature (p, q);
-  - SO+(V) = SO(V) exactly for definite V, index 2 otherwise.
-"""

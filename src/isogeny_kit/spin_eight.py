@@ -653,21 +653,6 @@ def dim7_q(algebra: BiquatAlg, delta) -> Vec8:
     return Vec8(algebra, _zero_aminus(algebra), ring(delta), ring.one())
 
 
-def dim7_space(algebra: BiquatAlg, delta) -> QuadSpace:
-    """A^- + <delta>: the complement of dim7_q inside A^- + H."""
-    return orthogonal_sum(algebra.albert_space(), QuadSpace.diagonal(algebra.ring, [delta]))
-
-
-def dim7_embed(algebra: BiquatAlg, delta, coords) -> Vec8:
-    """Coordinates (u, s) -> u + s * (generator of norm delta in H)."""
-    d = algebra.ring(delta)
-    u = algebra.aminus_of(coords)
-    s = algebra.ring(coords[6])
-    # H generator orthogonal to Q = (0, delta, 1): x = (0, p=-delta, q=1)/?
-    # choose w with |w|^2 = delta, <w, Q> = 0: w = (0, -delta, 1) has norm delta
-    return Vec8(algebra, u, -d * s, s)
-
-
 class Dim7StabForm:
     """Stabilizer member with its available structured presentations.
 
@@ -856,16 +841,15 @@ class Twisted8:
         if root is None:
             return None
         x = _root_branch(gf, root, lambda x: self.psi_qhat(x) == cover_rho(x))
-        return None if x is None else RhoQ8Elem(self, x)
+        return None if x is None else RhoQ8Elem(x)
 
 
 class RhoQ8Elem:
     """Member of the rho-twisted GSp group acting on the twisted 8-space."""
 
-    __slots__ = ("tw8", "x")
+    __slots__ = ("x",)
 
-    def __init__(self, tw8: Twisted8, x: CoveredGSpElem):
-        self.tw8 = tw8
+    def __init__(self, x: CoveredGSpElem):
         self.x = x
 
     @property
@@ -894,10 +878,10 @@ def ref8igen_lift(tw8: Twisted8, g: Vec8) -> RhoQ8Elem:
         raise NotSpecialOrthogonal("g Qhat^-1 failed the twisted membership")
     minus_g = g.scale(tw8.AE.ring(-1))
     x = _root_branch(member.x.gf, member.x.t, lambda x: ref8igen_apply(
-        tw8, RhoQ8Elem(tw8, x), g) == minus_g)
+        tw8, RhoQ8Elem(x), g) == minus_g)
     if x is None:
         raise NotSpecialOrthogonal("no root branch composes to the reflection")
-    return RhoQ8Elem(tw8, x)
+    return RhoQ8Elem(x)
 
 
 def ref8igen_apply(tw8: Twisted8, lift: RhoQ8Elem, v: Vec8) -> Vec8:

@@ -25,7 +25,7 @@ norms and conjugations.
 
 Tower elements carry 2^k coordinates indexed by subsets of the adjoined
 roots (bitmask order).  These towers back the split embeddings of
-quaternion algebras and the exterior-square constructions; they are
+quaternion and bi-quaternion algebras into matrices; they are
 commutative rings, possibly with zero divisors when an adjoined class
 degenerates.
 """
@@ -38,7 +38,7 @@ import math
 from typing import Sequence
 
 from .errors import AlgebraMismatch, DimensionMismatch, FieldMismatch, NonInvertible
-from .exactfield import FieldDesc, Scalar, is_square
+from .exactfield import FieldDesc, Scalar
 from .linalg import Mat, back_substitute, row_reduce
 
 
@@ -457,9 +457,6 @@ class QuadTower(TableAlgebra):
                 raise ValueError("cannot adjoin sqrt(0)")
         self.k = len(self.gens)
         self.dim = 1 << self.k
-        # degenerate towers (an adjoined root already present) still work
-        # as etale algebras; record which generators are redundant.
-        self.degenerate_gens = [i for i, d in enumerate(self.gens) if is_square(d)]
 
     def table(self):
         # the product of the roots in m1 and in m2: sqrt(d_i)^2 = d_i on the overlap

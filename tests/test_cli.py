@@ -220,18 +220,28 @@ def test_classify_empty_gram_is_a_named_error(tmp_path, capsys):
 
 
 def test_zero_quaternion_symbol_is_a_named_error(tmp_path, capsys):
+    """A zero symbol entry, and a lift --B or --C entry that is no element
+    of the field, exit 2 with a named error."""
     iso = write(tmp_path, "iso.json", {
         "field": "p=5", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     gsp = write(tmp_path, "gsp.json", {"field": "p=5", "B": [0, 1], "C": [1, 2],
                                        "blocks": [[0] * 16 for _ in range(4)]})
-    for argv in (["lift", iso, "--model", "dim3", "--B", "0,1"],
-                 ["decompose", gsp]):
+    zero = "BadParameters: quaternion symbol entries must be nonzero"
+    lift = ["lift", iso, "--model"]
+    for argv, error in (
+            (lift + ["dim3", "--B", "0,1"], zero),
+            (["decompose", gsp], zero),
+            (lift + ["dim3", "--B", "x,1"],
+             "ParseError: bad --B symbol 'x,1': Invalid literal for Fraction: 'x'"),
+            (lift + ["dim3", "--B", "1/0,1"],
+             "ParseError: bad --B symbol '1/0,1': Fraction(1, 0)"),
+            (lift + ["dim6d1", "--C", "1,y"],
+             "ParseError: bad --C symbol '1,y': Invalid literal for Fraction: 'y'")):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: BadParameters: quaternion symbol "
-                                "entries must be nonzero\n")
+        assert captured.err == "error: %s\n" % error
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,7 +25,6 @@ from isogeny_kit.quadforms import (
     wall_value,
 )
 from isogeny_kit.smallfields import (
-    EUCLIDEAN_NOTE,
     census,
     census_space,
     classify_form,
@@ -149,10 +148,6 @@ def test_orbit_stabilizer_matches_enumeration():
                 so = sum(1 for i in enumerate_isometries(space)
                          if i.det() == field(1))
                 assert so * 2 == orthogonal_order(diag, field.p)
-
-
-def test_euclidean_note_is_documentation():
-    assert "not" in EUCLIDEAN_NOTE or "no machine" in EUCLIDEAN_NOTE
 
 
 def test_classify_invariant_under_base_change():

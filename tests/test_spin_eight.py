@@ -1110,13 +1110,15 @@ def test_eq_sqrt():
 
 
 def test_dim7_complement_space_action():
-    from isogeny_kit.spin_eight import dim7_embed, dim7_space
+    """u + s w, with w = (0, -delta, 1) of norm delta orthogonal to Q, runs
+    over the complement A^- + <delta> of Q; the stabilizer keeps it and
+    its norm |u|^2 + delta s^2."""
     a = make_algebra(F5)
     field = F5
     rng = random.Random(27)
     delta = field.least_nonresidue()
-    space7 = dim7_space(a, delta)
     q8 = dim7_q(a, delta)
+    s8 = vec8_space(a)
     while True:
         v = rand_aminus(a, rng)
         mat = M2A(a, v.embed(), a.from_scalar(delta), a.one(), -theta(v).embed())
@@ -1127,14 +1129,14 @@ def test_dim7_complement_space_action():
         if mem is not None:
             break
     for _ in range(20):
-        coords = [field(rng.randrange(5)) for _ in range(7)]
-        u = dim7_embed(a, delta, coords)
-        assert u.vnorm() == space7.vnorm(coords)
-        # the stabilizer action preserves the complement of Q and norms
-        img = spin_eight.act8(mem.cover, u)
-        s8 = vec8_space(a)
+        u = rand_aminus(a, rng)
+        s = field(rng.randrange(5))
+        x = Vec8(a, u, -delta * s, s)
+        assert s8.pairing(x.coords(), q8.coords()).is_zero()
+        assert x.vnorm() == albert_norm(u) + delta * s * s
+        img = spin_eight.act8(mem.cover, x)
         assert s8.pairing(img.coords(), q8.coords()).is_zero()
-        assert img.vnorm() == u.vnorm()
+        assert img.vnorm() == x.vnorm()
 
 
 # ---------------------------------------------------------------------------

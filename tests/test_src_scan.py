@@ -1,13 +1,16 @@
 """`src/` holds what the library, the CLI and perfbench use.
 
-An AST scan of `src/isogeny_kit` for top-level functions and classes, and
-for methods, that nothing outside `tests/` reaches.  A function or class
-counts as reached when its name is read (as a name, an attribute, an
-import or an equal string constant) in another `src/` module, in its own
-module outside its definition, or in a `perfbench/` file.  A method counts
-as reached only by an attribute read or an equal string constant there:
-a bare name such as the builtin `map` does not reach `Mat.map`.
-Test oracles belong in `tests/`, next to the tests that use them.
+An AST scan of `src/isogeny_kit` for top-level functions, classes and
+assignments, for methods, and for the attributes that methods store on
+`self`, that nothing outside `tests/` reaches.  A function, class or
+module-level name counts as reached when it is read (as a name, an
+attribute, an import or an equal string constant) in another `src/`
+module, in its own module outside its definition, or in a `perfbench/`
+file.  A method or an instance attribute counts as reached only by an
+attribute read or an equal string constant there: a bare name such as
+the builtin `map` does not reach `Mat.map`.  A store is no read, and
+neither is a `__slots__` entry.  Test oracles belong in `tests/`, next
+to the tests that use them.
 
 A read cannot tell apart the methods that several classes share a name
 with (one `x.to_json()` reads every `to_json`), nor the operator dunders
@@ -41,25 +44,6 @@ from tests_helpers import swap_gsp
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "isogeny_kit"
 
-# paper constructions that only tests check; each waits for a suite of its
-# own, and a new suite name needs perfbench's reference.json regenerated
-# first, since perfbench looks up every name in SUITES there
-KEPT = {
-    "wedge_space": "Lambda^2 F^4 with the wedge pairing, the ambient space "
-                   "of the exterior-square propositions (tests/test_wedge.py)",
-    "AlbertWedgeMap": "the Albert form of B (x) C carried into Lambda^2 by "
-                      "right multiplication by S (tests/test_wedge.py)",
-    "wedge_subspace": "the generators of the exterior-square subspace "
-                      "propositions, split F, split E, iso and general cases "
-                      "(tests/test_wedge.py)",
-    "in_span": "membership in the F-span of those generators, which "
-               "tests/test_wedge.py reads the propositions through",
-    "dim7_space": "A^- + <delta>, the complement of ((0, -delta), (1, 0)) in "
-                  "dimension 7 (tests/test_spin_eight.py)",
-    "dim7_embed": "its embedding into A^- + H (tests/test_spin_eight.py)",
-}
-
-
 # methods of the reachability pass that the traffic below never enters,
 # each kept for the reason given
 UNRUN = {
@@ -90,26 +74,60 @@ def _parse(path):
 
 def _names_read(tree):
     """How often `tree` reads each name, and how often as an attribute or
-    a string constant: (all reads, attribute reads)."""
+    a string constant: (all reads, attribute reads).  Stores, and the
+    strings of a `__slots__` declaration, are not reads."""
+    slots = {id(const) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for const in ast.walk(node.value)}
     names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
         elif isinstance(node, ast.alias):
             names[node.name] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attrs[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in slots):
             attrs[node.value] += 1
     return names + attrs, attrs
 
 
+def _assigned(node):
+    """The names that a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _self_stores(cls):
+    """{attribute: first store node} of the `self.attribute = ...` stores in
+    the methods of `cls`."""
+    stores = {}
+    for sub in cls.body:
+        if isinstance(sub, ast.FunctionDef) and sub.args.args:
+            me = sub.args.args[0].arg
+            for node in ast.walk(sub):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == me):
+                    stores.setdefault(node.attr, node)
+    return stores
+
+
 def _definitions(trees):
-    """(module, label, name, node, is_method) for every top-level function
-    and class and every method but the dunders."""
+    """(module, label, name, node, is_method) for every top-level function,
+    class and assigned name but the dunders, every method but the dunders,
+    and every attribute that a method stores on `self` (as a method)."""
     defs = []
     for module, tree in trees.items():
         for node in tree.body:
+            defs.extend((module, name, name, node, False) for name in _assigned(node)
+                        if not name.startswith("__"))
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs.append((module, node.name, node.name, node, False))
@@ -118,14 +136,15 @@ def _definitions(trees):
                             for sub in node.body
                             if isinstance(sub, ast.FunctionDef)
                             and not sub.name.startswith("__"))
+                defs.extend((module, "%s.%s" % (node.name, attr), attr, store, True)
+                            for attr, store in _self_stores(node).items())
     return defs
 
 
-@functools.cache
-def unreached():
-    """Labels of the `src/` definitions that no `src/` or `perfbench/` code
-    reaches, in source order."""
-    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+def scan(src):
+    """Labels of the definitions in the modules of `src` that no `src/` or
+    `perfbench/` code reaches, in source order."""
+    trees = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
     reads = {module: _names_read(tree) for module, tree in trees.items()}
     elsewhere = [Counter(), Counter()]
     for path in sorted((ROOT / "perfbench").glob("*.py")):
@@ -137,7 +156,7 @@ def unreached():
     flagged_classes = set()
     for module, label, name, node, is_method in _definitions(trees):
         if label.split(".")[0] in flagged_classes:
-            continue   # a method of a class reported already
+            continue   # a method or attribute of a class reported already
         kind = 1 if is_method else 0
         outside_own = reads[module][kind][name] - _names_read(node)[kind][name]
         if not (outside_own or elsewhere[kind][name]
@@ -146,6 +165,12 @@ def unreached():
             if isinstance(node, ast.ClassDef):
                 flagged_classes.add(name)
     return tuple(out)
+
+
+@functools.cache
+def unreached():
+    """`scan` of `src/isogeny_kit`."""
+    return scan(SRC)
 
 
 @functools.cache
@@ -167,10 +192,10 @@ def _used_errors():
 
 @functools.cache
 def allowed():
-    """KEPT, the names tests/test_acceptance.py imports from the library
-    (its public API), and the exception classes of errors.py that `src/`
+    """The names tests/test_acceptance.py imports from the library (its
+    public API), and the exception classes of errors.py that `src/`
     raises, catches or subclasses."""
-    names = set(KEPT)
+    names = set()
     for node in ast.walk(_parse(ROOT / "tests" / "test_acceptance.py")):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("isogeny_kit"):
             names.update(alias.name for alias in node.names)
@@ -182,12 +207,6 @@ def allowed():
 def test_src_holds_no_test_only_definitions():
     extra = [label for label in unreached() if label not in allowed()]
     assert extra == [], "reached only from tests/ or from nowhere: %s" % extra
-
-
-def test_kept_constructions_are_still_test_only():
-    """A kept name that a suite or the CLI comes to use leaves KEPT."""
-    found = set(unreached())
-    assert sorted(name for name in KEPT if name not in found) == []
 
 
 def test_scan_sees_references():
@@ -210,6 +229,22 @@ def test_methods_are_reached_by_attribute_reads_only():
     assert "Mat.apply" not in found and "QuadSpace.restrict" not in found
     used = _used_errors()
     assert {"IsogenyKitError", "SearchBudgetExceeded", "NoIsotropicVector"} <= used
+
+
+def test_scan_catches_a_planted_constant_and_attribute(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    towers = tmp_path / "towers.py"
+    line = "        self.dim = 1 << self.k\n"
+    text = towers.read_text()
+    assert line in text
+    towers.write_text(text.replace(line, line + "        self.unread_gens = []\n")
+                      + "\nUNREAD_NOTE = 'documentation only'\n")
+    assert set(scan(tmp_path)) - set(unreached()) == {"UNREAD_NOTE", "QuadTower.unread_gens"}
+    # a store and a __slots__ entry read nothing
+    names, attrs = _names_read(ast.parse(
+        "X = 1\nclass C:\n    __slots__ = ('a',)\n    def f(self):\n        self.b = 1\n"))
+    assert names["X"] == attrs["a"] == attrs["b"] == 0
 
 
 def fraction_users(src):

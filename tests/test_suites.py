@@ -1,7 +1,8 @@
 """The named verification suites, their determinism, and the mutation
 harness (every single-sign flip in theta, D, or the psi diagonal rule
-must make a named suite fail, and each reflection suite must catch a
-mutant of its own model's reflection)."""
+must make a named suite fail, each reflection suite must catch a mutant
+of its own model's reflection, and wedge2equiv and dim7rd each a mutant
+of the construction they check)."""
 
 import contextlib
 import os
@@ -13,7 +14,7 @@ import textwrap
 import pytest
 
 import isogeny_kit
-from isogeny_kit import algebras, spin_eight, spin_six, suites
+from isogeny_kit import algebras, spin_eight, spin_six, suites, wedge
 from isogeny_kit.algebras import AminusVector
 from isogeny_kit.errors import DecompositionFailed, InvariantViolated, UnknownSuite
 from isogeny_kit.exactfield import parse_field
@@ -476,7 +477,7 @@ def mutate_ref8igen(patch):
     orig = spin_eight.ref8igen_lift
 
     def ref8igen_lift(tw8, g):
-        return spin_eight.RhoQ8Elem(tw8, _other_branch(orig(tw8, g).x))
+        return spin_eight.RhoQ8Elem(_other_branch(orig(tw8, g).x))
 
     patch(spin_eight, "ref8igen_lift", ref8igen_lift)
 
@@ -562,3 +563,66 @@ def test_reflection_mutants_survive_assert_stripping():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["%s ['%s']" % (kind, kind)
                                        for kind in sorted(REFLECTION_MUTANTS)]
+
+
+# ---------------------------------------------------------------------------
+# wedge2equiv and dim7rd: each records failures under a mutant of what it
+# checks, by the (module, name) the mutant replaces
+# ---------------------------------------------------------------------------
+
+_LAMBDA2, _DIM7_Q = wedge.lambda2_matrix, spin_eight.dim7_q
+
+
+def _pfaffian_term_sign(m):
+    """The Pfaffian with the sign of its t02 t13 term flipped."""
+    return m[0, 1] * m[2, 3] + m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
+
+
+def _lambda2_transpose(g):
+    """Lambda^2 built from g^t."""
+    return _LAMBDA2(g.T)
+
+
+def _dim7_q_minus_delta(algebra, delta):
+    """((0, delta), (1, 0)) for the stabilized ((0, -delta), (1, 0))."""
+    return _DIM7_Q(algebra, -algebra.ring(delta))
+
+
+# label: (suite, module, name, mutant, the cases the suite then fails)
+SUITE_MUTANTS = {
+    "pfaffian-term-sign": ("wedge2equiv", wedge, "pfaffian", _pfaffian_term_sign,
+                           ["pf-squared-is-det"]),
+    "lambda2-transpose": ("wedge2equiv", wedge, "lambda2_matrix", _lambda2_transpose,
+                          ["naturality"]),
+    "dim7-q-minus-delta": ("dim7rd", spin_eight, "dim7_q", _dim7_q_minus_delta,
+                           ["generator-is-member", "sampled-any-stabilizers"]),
+}
+
+
+def failed_cases(suite, field):
+    return sorted({f["case"] for f in
+                   run_suite(suite, RunConfig.from_args(field, seed=0, trials=4)).failures})
+
+
+@pytest.mark.parametrize("label", sorted(SUITE_MUTANTS))
+def test_suite_catches_its_construction_mutant(label, monkeypatch):
+    suite, module, name, mutant, cases = SUITE_MUTANTS[label]
+    for field in ("p=5", "Q"):
+        assert failed_cases(suite, field) == []
+    monkeypatch.setattr(module, name, mutant)
+    for field in ("p=5", "Q"):
+        assert failed_cases(suite, field) == cases, field
+
+
+def test_construction_mutants_survive_assert_stripping():
+    out = run_optimized("""
+        import test_suites as t
+        assert False, "asserts are live"
+        for label, (suite, module, name, mutant, _) in sorted(t.SUITE_MUTANTS.items()):
+            real = getattr(module, name)
+            setattr(module, name, mutant)
+            print(label, t.failed_cases(suite, "p=5"))
+            setattr(module, name, real)
+        """)
+    assert out.splitlines() == ["%s %s" % (label, SUITE_MUTANTS[label][4])
+                                for label in sorted(SUITE_MUTANTS)]
